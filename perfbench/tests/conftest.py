@@ -1,0 +1,18 @@
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+
+
+@pytest.fixture
+def workdir(request):
+    """Scratch directory inside the checkout's ignored .perfbench/ tree."""
+    path = ROOT / ".perfbench" / "tests" / request.node.name
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir(parents=True)
+    return path
