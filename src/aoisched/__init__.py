@@ -37,7 +37,6 @@ from .solver import (
     TabularPolicy,
     ThresholdPolicyAoI,
     ThresholdPolicyBelief,
-    average_energy_of_policy,
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,

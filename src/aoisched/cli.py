@@ -50,7 +50,6 @@ __all__ = [
     "EXIT_USAGE",
     "ExperimentSpec",
     "main",
-    "run_framelength_sweep",
     "run_greedy_comparison",
     "run_property_suite",
     "run_tradeoff_sweep",
@@ -100,6 +99,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown case {self.case!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.frame_k_list or not self.emax_list:
+            raise ValueError("frame-length and energy-budget lists must be non-empty")
         for k in self.frame_k_list:
             for p11, p01 in self.pairs:
                 TruncationBound(self.bound_n).validate_against(FrameSpec(k))
@@ -262,11 +263,6 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> list[dict]:
     rows += _map_points(_unconstrained_point, ujobs, spec.workers)
     rows.sort(key=_row_sort_key)
     return rows
-
-
-def run_framelength_sweep(spec: ExperimentSpec) -> list[dict]:
-    """Average AoI against the frame length at a fixed budget."""
-    return run_tradeoff_sweep(spec)
 
 
 def run_greedy_comparison(spec: ExperimentSpec) -> list[dict]:
@@ -633,7 +629,7 @@ def _cmd_tradeoff(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_framelength(spec: ExperimentSpec, args) -> int:
-    _write_csv(spec.out, TRADEOFF_COLUMNS, run_framelength_sweep(spec))
+    _write_csv(spec.out, TRADEOFF_COLUMNS, run_tradeoff_sweep(spec))
     return EXIT_OK
 
 

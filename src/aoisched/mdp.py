@@ -30,8 +30,6 @@ __all__ = [
     "TruncationBound",
     "aoi_step",
     "build_case",
-    "compile_delayed",
-    "compile_no_sensing",
     "enumerate_states_delayed",
     "enumerate_states_no_sensing",
     "kernel_delayed",
@@ -302,6 +300,12 @@ class NoSensingSpace(_SpaceBase):
             self._omega = np.array([s.belief.value for s in self.states])
         return self._omega
 
+    @property
+    def steps(self) -> np.ndarray:
+        if not hasattr(self, "_steps"):
+            self._steps = np.array([s.belief.steps for s in self.states], dtype=np.int64)
+        return self._steps
+
     def kernel(self, s: StateNoSensing, u: int):
         return kernel_no_sensing(self.frame, self.channel, self.bound, s, u)
 
@@ -368,14 +372,6 @@ def _compile(space: _SpaceBase) -> CompiledKernel:
         delta=space.delta.copy(),
         reference_index=space.reference_index,
     )
-
-
-def compile_no_sensing(space: NoSensingSpace) -> CompiledKernel:
-    return _compile(space)
-
-
-def compile_delayed(space: DelayedSpace) -> CompiledKernel:
-    return _compile(space)
 
 
 def build_case(

@@ -7,6 +7,12 @@ induced chain, bisection on the energy price with the two-policy mixture
 construction, a brute-force oracle over all deterministic admissible
 policies, and a dual-objective sweep.
 
+All relative value iteration runs through one loop over the vectorised
+Bellman step. A threshold-aware variant only supplies the mask of states
+its cutoff rule places above the cutoff; its ``argmin_evals`` counts the
+comparisons the rule still needs, the paper's complexity measure, not work
+that is skipped.
+
 All value iteration here applies a relaxation factor to the update. The slot
 index cycles deterministically with the frame, so every induced chain is
 periodic and the literal synchronous update oscillates instead of settling;
@@ -35,7 +41,6 @@ __all__ = [
     "ThresholdPolicyAoI",
     "ThresholdPolicyBelief",
     "ThresholdStructureError",
-    "average_energy_of_policy",
     "bisect_lambda",
     "belief_mix_inequality_violations",
     "belief_monotonicity_violations",
@@ -205,20 +210,57 @@ def _bellman(kern: CompiledKernel, h: np.ndarray, lam: float):
     return q0, np.where(kern.admissible, q1, np.inf)
 
 
-def _greedy_actions(q0: np.ndarray, q1: np.ndarray, tie_break: str) -> np.ndarray:
-    if tie_break == "suspend":
-        return (q1 < q0).astype(np.int8)
-    if tie_break == "transmit":
-        return (q1 <= q0).astype(np.int8)
-    raise ValueError(f"unknown tie break {tie_break!r}")
+def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str) -> np.ndarray:
+    return q1 < q0 if tie_break == "suspend" else q1 <= q0
 
 
 def _finish(space, kern, h, lam, spans, argmin_evals, tie_break) -> SolveReport:
     q0, q1 = _bellman(kern, h, lam)
     gain = float(np.minimum(q0, q1)[kern.reference_index])
-    actions = _greedy_actions(q0, q1, tie_break)
+    actions = _transmit_beats(q0, q1, tie_break).astype(np.int8)
     return SolveReport(
         gain, h, TabularPolicy(space, actions), len(spans), spans[-1], argmin_evals, spans
+    )
+
+
+def _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above=None):
+    """The one relative-value-iteration loop behind all three solvers.
+
+    ``above`` maps the action values (q0, q1) of a sweep to the admissible
+    states that a cutoff rule already places above their cutoff. Those take
+    q1 as they are, and ``argmin_evals`` counts only the comparisons the rule
+    still needs, the complexity measure of the structure-aware algorithm.
+    Without a mask every admissible state is compared.
+    """
+    if eps <= 0:
+        raise ValueError("tolerance must be positive")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"energy price must be finite and non-negative, got {lam}")
+    if tie_break not in ("suspend", "transmit"):
+        raise ValueError(f"unknown tie break {tie_break!r}")
+    h = np.zeros(kern.n) if h_init is None else np.asarray(h_init, dtype=float).copy()
+    ref = kern.reference_index
+    n_argmin = int(kern.admissible.sum())
+    argmin_evals = 0
+    spans: list[float] = []
+    for _it in range(max_iters):
+        q0, q1 = _bellman(kern, h, lam)
+        v = np.minimum(q0, q1)
+        if above is None:
+            argmin_evals += n_argmin
+        else:
+            up = above(q0, q1)
+            v = np.where(up, q1, v)
+            argmin_evals += n_argmin - int(np.count_nonzero(up))
+        h_new = h + relaxation * (v - v[ref] - h)
+        spans.append(float(np.abs(h_new - h).max()))
+        h = h_new
+        if spans[-1] <= eps:
+            return _finish(space, kern, h, lam, spans, argmin_evals, tie_break)
+    raise NonConvergenceError(
+        f"relative value iteration did not reach span {eps} in {max_iters} sweeps "
+        f"(last span {spans[-1]})",
+        spans[-1],
     )
 
 
@@ -239,49 +281,14 @@ def rvi_plain(
     Ties between equal action values resolve to suspension so that all
     solver variants agree action for action.
     """
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
-    h = np.zeros(kern.n) if h_init is None else np.asarray(h_init, dtype=float).copy()
-    ref = kern.reference_index
-    n_argmin = int(kern.admissible.sum())
-    argmin_evals = 0
-    spans: list[float] = []
-    for _it in range(max_iters):
-        q0, q1 = _bellman(kern, h, lam)
-        v = np.minimum(q0, q1)
-        h_new = h + relaxation * (v - v[ref] - h)
-        spans.append(float(np.abs(h_new - h).max()))
-        h = h_new
-        argmin_evals += n_argmin
-        if spans[-1] <= eps:
-            return _finish(space, kern, h, lam, spans, argmin_evals, tie_break)
-    raise NonConvergenceError(
-        f"relative value iteration did not reach span {eps} in {max_iters} sweeps "
-        f"(last span {spans[-1]})",
-        spans[-1],
-    )
+    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break)
 
 
-class _ScalarKernel:
-    """Plain-python view of the kernel rows for the per-state sweep loops."""
-
-    def __init__(self, kern: CompiledKernel, lam: float):
-        self.s0a = kern.succ[:, 0, 0].tolist()
-        self.s0b = kern.succ[:, 0, 1].tolist()
-        self.p0a = kern.prob[:, 0, 0].tolist()
-        self.p0b = kern.prob[:, 0, 1].tolist()
-        self.s1a = kern.succ[:, 1, 0].tolist()
-        self.s1b = kern.succ[:, 1, 1].tolist()
-        self.p1a = kern.prob[:, 1, 0].tolist()
-        self.p1b = kern.prob[:, 1, 1].tolist()
-        self.c0 = kern.delta.tolist()
-        self.c1 = (kern.delta + lam).tolist()
-
-    def q0(self, i: int, h: list[float]) -> float:
-        return self.c0[i] + self.p0a[i] * h[self.s0a[i]] + self.p0b[i] * h[self.s0b[i]]
-
-    def q1(self, i: int, h: list[float]) -> float:
-        return self.c1[i] + self.p1a[i] * h[self.s1a[i]] + self.p1b[i] * h[self.s1b[i]]
+def _first_beating(key: np.ndarray, group: np.ndarray, n_groups: int, beats: np.ndarray):
+    """Per group, the smallest key at which transmission beats suspension."""
+    first = np.full(n_groups, np.inf)
+    np.minimum.at(first, group[beats], key[beats])
+    return first
 
 
 def _dk_groups(space: NoSensingSpace):
@@ -293,36 +300,6 @@ def _dk_groups(space: NoSensingSpace):
     for idxs in groups.values():
         idxs.sort(key=lambda i: omega[i])
     return groups
-
-
-def _threshold_sweeps(
-    space,
-    kern: CompiledKernel,
-    lam: float,
-    eps: float,
-    max_iters: int,
-    relaxation: float,
-    h_init,
-    tie_break: str,
-    sweep_fn,
-) -> SolveReport:
-    h_arr = np.zeros(kern.n) if h_init is None else np.asarray(h_init, dtype=float).copy()
-    ref = kern.reference_index
-    counters = {"argmin": 0}
-    spans: list[float] = []
-    for _it in range(max_iters):
-        h = h_arr.tolist()
-        v = sweep_fn(h, counters)
-        h_new = h_arr + relaxation * (v - v[ref] - h_arr)
-        spans.append(float(np.abs(h_new - h_arr).max()))
-        h_arr = h_new
-        if spans[-1] <= eps:
-            return _finish(space, kern, h_arr, lam, spans, counters["argmin"], tie_break)
-    raise NonConvergenceError(
-        f"threshold value iteration did not reach span {eps} in {max_iters} sweeps "
-        f"(last span {spans[-1]})",
-        spans[-1],
-    )
 
 
 def rvi_threshold_no_sensing(
@@ -337,54 +314,29 @@ def rvi_threshold_no_sensing(
 ) -> SolveReport:
     """Structure-aware sweep for the belief MDP.
 
-    Per sweep, each (delta, k) group is visited with beliefs in ascending
-    order and keeps a per-group cutoff, reset at the start of the sweep. Once
-    some belief transmits under the full two-action comparison, every larger
-    belief in the group transmits without the comparison. Beliefs at the
+    The cutoff rule is a mask over the vectorised Bellman step. Per sweep and
+    (delta, k) group, the cutoff is the smallest belief at which transmission
+    beats suspension under the full two-action comparison; every larger
+    belief of the group transmits without the comparison. Beliefs within a
+    group are distinct after deduplication, so this equals visiting the group
+    in ascending belief order with a per-sweep cutoff. Beliefs at the
     unobserved-step cap are exempt: the boundary clamp hands them a free
     belief upgrade on suspension, which can break the single crossing at
-    exactly those symbols, so they always get the full comparison. Converges
-    to the same fixed point as the plain sweep while performing strictly
-    fewer comparisons whenever any group transmits above its lowest belief.
+    exactly those symbols, so they always get the full comparison and never
+    set a cutoff. Converges to the same fixed point as the plain sweep while
+    counting strictly fewer comparisons whenever any group transmits above
+    its lowest belief.
     """
-    sk = _ScalarKernel(kern, lam)
-    groups = _dk_groups(space)
-    frame_k = space.frame.K
-    forced = [idxs for (delta, _k), idxs in groups.items() if delta < frame_k]
-    free = [idxs for (delta, _k), idxs in groups.items() if delta >= frame_k]
-    omega = space.omega.tolist()
-    cap = space.bound.cap
-    clamped = [s.belief.steps >= cap for s in space.states]
-    n = kern.n
-    transmit_beats = (lambda a, b: a < b) if tie_break == "suspend" else (lambda a, b: a <= b)
+    free = kern.admissible & (space.steps < space.bound.cap)
+    _, group = np.unique(np.stack([space.k, space.delta]), axis=1, return_inverse=True)
+    n_groups = int(group.max()) + 1
+    omega = space.omega
 
-    def sweep(h: list[float], counters) -> np.ndarray:
-        v = np.empty(n)
-        argmin = 0
-        for idxs in forced:
-            for i in idxs:
-                v[i] = sk.q0(i, h)
-        for idxs in free:
-            cutoff = np.inf
-            for i in idxs:
-                if omega[i] >= cutoff and not clamped[i]:
-                    v[i] = sk.q1(i, h)
-                else:
-                    q0 = sk.q0(i, h)
-                    q1 = sk.q1(i, h)
-                    argmin += 1
-                    if transmit_beats(q1, q0):
-                        v[i] = q1
-                        if not clamped[i]:
-                            cutoff = min(cutoff, omega[i])
-                    else:
-                        v[i] = q0
-        counters["argmin"] += argmin
-        return v
+    def above(q0, q1):
+        beats = free & _transmit_beats(q0, q1, tie_break)
+        return free & (omega > _first_beating(omega, group, n_groups, beats)[group])
 
-    return _threshold_sweeps(
-        space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, sweep
-    )
+    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
 
 
 def rvi_threshold_delayed(
@@ -399,44 +351,23 @@ def rvi_threshold_delayed(
 ) -> SolveReport:
     """Structure-aware sweep for the delayed-CSI MDP.
 
-    States are visited by (k, delta, g) with per-(k, g) AoI cutoffs reset each
-    sweep. A transmission discovered at AoI delta sets the cutoff of its own
-    (k, g) and also lowers the good-state cutoff of the same slot to at most
-    delta, since the good-state cutoff can never exceed the bad-state one.
+    The cutoff rule is a mask over the vectorised Bellman step. Per sweep,
+    d_g is the smallest AoI of slot k and last state g at which transmission
+    beats suspension; states above it transmit without the comparison. The
+    good-state cutoff can never exceed the bad-state one, so a good-state
+    AoI at or above d_0 transmits as well.
     """
-    sk = _ScalarKernel(kern, lam)
-    frame_k = space.frame.K
-    order = sorted(range(kern.n), key=lambda i: (space.states[i].k, space.states[i].delta, space.states[i].g))
-    info = [(space.states[i].delta, space.states[i].k, space.states[i].g) for i in range(kern.n)]
-    transmit_beats = (lambda a, b: a < b) if tie_break == "suspend" else (lambda a, b: a <= b)
+    group = 2 * (space.k - 1) + space.g
+    n_groups = 2 * space.frame.K
+    delta = space.delta
+    good = space.g == 1
 
-    def sweep(h: list[float], counters) -> np.ndarray:
-        v = np.empty(kern.n)
-        cutoff: dict[tuple[int, int], float] = {}
-        argmin = 0
-        for i in order:
-            delta, k, g = info[i]
-            if delta < frame_k:
-                v[i] = sk.q0(i, h)
-                continue
-            if delta >= cutoff.get((k, g), np.inf):
-                v[i] = sk.q1(i, h)
-                continue
-            q0 = sk.q0(i, h)
-            q1 = sk.q1(i, h)
-            argmin += 1
-            if transmit_beats(q1, q0):
-                v[i] = q1
-                cutoff[(k, g)] = delta
-                cutoff[(k, 1)] = min(cutoff.get((k, 1), np.inf), delta)
-            else:
-                v[i] = q0
-        counters["argmin"] += argmin
-        return v
+    def above(q0, q1):
+        beats = kern.admissible & _transmit_beats(q0, q1, tie_break)
+        first = _first_beating(delta, group, n_groups, beats)
+        return (delta > first[group]) | (good & (delta >= first[group - space.g]))
 
-    return _threshold_sweeps(
-        space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, sweep
-    )
+    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
 
 
 def discounted_vi(
@@ -522,11 +453,6 @@ def policy_averages(kern: CompiledKernel, policy) -> tuple[float, float]:
         raise ValueError("policy transmits at a state where transmission is inadmissible")
     pi = stationary_distribution(kern, actions)
     return float(pi @ kern.delta), float(pi @ actions)
-
-
-def average_energy_of_policy(space, kern: CompiledKernel, policy) -> float:
-    """Long-run fraction of slots that transmit under the policy."""
-    return policy_averages(kern, policy)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -852,10 +778,10 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     the pattern check and the cutoff, mirroring the interior-state scoping of
     the value-function checks; the exact action table is kept regardless.
     """
-    acts = _policy_actions(actions if isinstance(actions, np.ndarray) else actions)
+    acts = _policy_actions(actions)
     thresholds: dict[tuple[int, int], float] = {}
     omega = space.omega
-    cap = space.bound.cap
+    uncapped = space.steps < space.bound.cap
     for (delta, k), idxs in sorted(_dk_groups(space).items(), key=lambda kv: (kv[0][1], kv[0][0])):
         if delta < space.frame.K:
             if np.any(acts[idxs] == 1):
@@ -863,7 +789,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
                     f"policy transmits at inadmissible (delta={delta}, k={k})"
                 )
             continue
-        interior = [i for i in idxs if space.states[i].belief.steps < cap]
+        interior = np.asarray(idxs)[uncapped[idxs]]
         pattern = acts[interior]
         switches = np.flatnonzero(np.diff(pattern.astype(np.int8)))
         if pattern.max(initial=0) == 1 and (len(switches) > 1 or pattern[-1] == 0):
@@ -884,7 +810,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g)."""
-    acts = _policy_actions(actions if isinstance(actions, np.ndarray) else actions)
+    acts = _policy_actions(actions)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, s in enumerate(space.states):
         groups.setdefault((s.k, s.g), []).append(i)
@@ -925,8 +851,7 @@ def _interior_mask(space, slack_aoi: int = 1) -> np.ndarray:
     cap = space.bound.cap
     mask = space.delta + slack_aoi <= cap
     if space.case is Case.NO_SENSING:
-        steps = np.array([s.belief.steps for s in space.states])
-        mask &= steps + 1 <= cap
+        mask &= space.steps + 1 <= cap
     return mask
 
 

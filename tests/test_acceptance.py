@@ -13,7 +13,6 @@ from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.sim import SimConfig, estimate_mixture, simulate_greedy
 from aoisched.solver import (
     aoi_monotonicity_violations,
-    average_energy_of_policy,
     belief_mix_inequality_violations,
     belief_monotonicity_violations,
     bisect_lambda,
@@ -93,7 +92,7 @@ def test_criterion_1_energy_anchor():
     frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
     space, kern = build_case(Case.NO_SENSING, frame, ch, TruncationBound(200))
     policy = rvi_plain(space, kern, 0.0, eps=1e-8).policy
-    energy = average_energy_of_policy(space, kern, policy)
+    energy = policy_averages(kern, policy)[1]
     assert 0.6067 <= energy <= 0.6267
     res = estimate_mixture(
         Case.NO_SENSING, frame, ch,

@@ -148,6 +148,16 @@ class TestSolve:
         code = main(["solve", "--case", "both", "--out", str(tmp_path / "x.csv"), *FAST])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_price_rejected(self, tmp_path, lam):
+        out = tmp_path / "x.csv"
+        code = main([
+            "solve", "--case", "delayed_sensing", f"--lam={lam}", "--out", str(out),
+            "--bound-N", "12",
+        ])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestConfigAndValidation:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -178,6 +188,14 @@ class TestConfigAndValidation:
     def test_budget_out_of_range_rejected(self, tmp_path):
         code = main(["tradeoff", "--emax", "1.5", "--out", str(tmp_path / "x.csv"), *FAST])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--emax", ","],
+        ["greedy-compare", "--frame-K", ","],
+        ["tradeoff", "--emax", ""],
+    ])
+    def test_empty_list_rejected(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv"), *FAST]) == EXIT_USAGE
 
     def test_bad_channel_rejected(self, tmp_path):
         code = main([

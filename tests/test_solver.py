@@ -7,7 +7,6 @@ from aoisched.solver import (
     CapExceededError,
     NonConvergenceError,
     ThresholdStructureError,
-    average_energy_of_policy,
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,
@@ -97,6 +96,27 @@ GRID = [
 ]
 
 
+# (K, p11, p01, lam, N): (sweeps, argmin_evals under the suspend and the
+# transmit tie break) of the no-sensing solver, then the same of the delayed
+# solver, all at eps=1e-7; the last instance prices suspension and a
+# zero-belief transmission identically
+PINNED = {
+    (2, 0.7, 0.3, 0.0, 9): (57, 838, 741, 57, 130, 114),
+    (2, 0.7, 0.3, 1.5, 9): (57, 963, 963, 56, 268, 268),
+    (2, 0.9, 0.5, 0.0, 9): (53, 786, 689, 53, 122, 106),
+    (2, 0.9, 0.5, 1.5, 9): (53, 857, 855, 53, 238, 236),
+    (2, 0.8, 0.2, 0.0, 9): (85, 1202, 1105, 85, 186, 170),
+    (2, 0.8, 0.2, 1.5, 9): (84, 1663, 1663, 84, 618, 618),
+    (3, 0.7, 0.3, 0.0, 9): (57, 966, 855, 57, 186, 171),
+    (3, 0.7, 0.3, 1.5, 9): (56, 1027, 1027, 56, 219, 219),
+    (3, 0.9, 0.5, 0.0, 9): (52, 891, 780, 52, 171, 156),
+    (3, 0.9, 0.5, 1.5, 9): (53, 935, 929, 53, 194, 184),
+    (3, 0.8, 0.2, 0.0, 9): (84, 1371, 1260, 84, 267, 252),
+    (3, 0.8, 0.2, 1.5, 9): (84, 1629, 1629, 84, 779, 779),
+    (2, 0.6, 0.0, 0.0, 8): (87, 1601, 870, 87, 876, 174),
+}
+
+
 class TestThresholdSolvers:
     @pytest.mark.parametrize("K,p11,p01,lam", GRID)
     def test_no_sensing_matches_plain(self, K, p11, p01, lam):
@@ -127,6 +147,31 @@ class TestThresholdSolvers:
         )
         policy = rvi_threshold_delayed(space, kern, lam, eps=1e-7).policy.as_threshold()
         assert threshold_ordering_violations(policy) == []
+
+    @pytest.mark.parametrize("K,p11,p01,lam,N", list(PINNED))
+    @pytest.mark.parametrize("tie_break", ["suspend", "transmit"])
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_pinned_sweep_counters(self, K, p11, p01, lam, N, tie_break, case):
+        # counts of the cutoff rule applied state by state in ascending
+        # order; the mask must reproduce every iterate, not only the fixed point
+        pinned = PINNED[(K, p11, p01, lam, N)]
+        sweeps, suspend, transmit = pinned[:3] if case is Case.NO_SENSING else pinned[3:]
+        expected = (sweeps, suspend if tie_break == "suspend" else transmit)
+        solver = rvi_threshold_no_sensing if case is Case.NO_SENSING else rvi_threshold_delayed
+        space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+        fast = solver(space, kern, lam, eps=1e-7, tie_break=tie_break)
+        plain = rvi_plain(space, kern, lam, eps=1e-7, tie_break=tie_break)
+        assert (fast.iterations, fast.argmin_evals) == expected
+        assert np.array_equal(fast.policy.actions, plain.policy.actions)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("solver", [rvi_plain, rvi_threshold_delayed])
+    def test_rejects_bad_price(self, solver, lam):
+        space, kern = build_case(
+            Case.DELAYED_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(6)
+        )
+        with pytest.raises(ValueError, match="energy price"):
+            solver(space, kern, lam)
 
     def test_free_transmission_transmits_everywhere_admissible(self):
         space, kern = build_case(
@@ -179,7 +224,7 @@ class TestPolicyEvaluation:
             Case.DELAYED_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(8)
         )
         actions = np.zeros(kern.n, dtype=np.int8)
-        assert average_energy_of_policy(space, kern, actions) == pytest.approx(0.0, abs=1e-12)
+        assert policy_averages(kern, actions)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_always_transmit_single_slot_frame(self):
         space, kern = build_case(
