@@ -65,9 +65,6 @@ class ChannelModel:
         """Channel memory, the spectral gap complement p11 - p01 in [0, 1)."""
         return self.p11 - self.p01
 
-    def origin_value(self, origin: BeliefOrigin) -> float:
-        return self.p11 if origin is BeliefOrigin.FROM_GOOD else self.p01
-
 
 def one_step_update(ch: ChannelModel, omega: float) -> float:
     """Belief after one unobserved transition. Affine and monotone in omega."""

@@ -267,12 +267,15 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> list[dict]:
 
 def run_greedy_comparison(spec: ExperimentSpec) -> list[dict]:
     """Optimal mixtures of both cases against the greedy baseline, matched
-    seeds, one row per budget."""
-    k = spec.frame_k_list[0]
-    p11, p01 = spec.pairs[0]
-    jobs = [(spec, k, p11, p01, emax) for emax in spec.emax_list]
+    seeds, one row per frame length, channel pair and budget."""
+    jobs = [
+        (spec, k, p11, p01, emax)
+        for k in spec.frame_k_list
+        for p11, p01 in spec.pairs
+        for emax in spec.emax_list
+    ]
     rows = _map_points(_greedy_point, jobs, spec.workers)
-    rows.sort(key=lambda r: r["emax"])
+    rows.sort(key=lambda r: (r["frame_k"], r["p11"], r["p01"], r["emax"]))
     return rows
 
 
@@ -306,18 +309,12 @@ def _solve_rows(spec: ExperimentSpec, case: Case, lam: float | None) -> list[dic
             file=sys.stderr,
         )
         components = [("minus", mix.pi_minus), ("plus", mix.pi_plus)]
-    rows = []
-    for name, policy in components:
-        for key in sorted(policy.thresholds):
-            if case is Case.NO_SENSING:
-                delta, k = key
-                rows.append({"case": case.value, "component": name, "delta": delta,
-                             "k": k, "omega_star": policy.thresholds[key]})
-            else:
-                k, g = key
-                rows.append({"case": case.value, "component": name, "k": k,
-                             "g": g, "delta_star": policy.thresholds[key]})
-    return rows
+    columns = SOLVE_COLUMNS_BELIEF if case is Case.NO_SENSING else SOLVE_COLUMNS_AOI
+    return [
+        dict(zip(columns, (case.value, name, *key, policy.thresholds[key])))
+        for name, policy in components
+        for key in sorted(policy.thresholds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +625,6 @@ def _cmd_tradeoff(spec: ExperimentSpec, args) -> int:
     return EXIT_OK
 
 
-def _cmd_framelength(spec: ExperimentSpec, args) -> int:
-    _write_csv(spec.out, TRADEOFF_COLUMNS, run_tradeoff_sweep(spec))
-    return EXIT_OK
-
-
 def _cmd_greedy(spec: ExperimentSpec, args) -> int:
     _write_csv(spec.out, GREEDY_COLUMNS, run_greedy_comparison(spec))
     return EXIT_OK
@@ -658,6 +650,8 @@ def _cmd_solve(spec: ExperimentSpec, args) -> int:
     if spec.case == "both":
         raise ValueError("solve dumps one cutoff table; pick --case no_sensing "
                          "or delayed_sensing")
+    if len(spec.frame_k_list) > 1 or len(spec.emax_list) > 1:
+        raise ValueError("solve dumps one cutoff table; give one --frame-K and one --emax")
     case = spec.cases()[0]
     rows = _solve_rows(spec, case, args.lam)
     columns = SOLVE_COLUMNS_BELIEF if case is Case.NO_SENSING else SOLVE_COLUMNS_AOI
@@ -667,7 +661,7 @@ def _cmd_solve(spec: ExperimentSpec, args) -> int:
 
 _COMMANDS = {
     "tradeoff": _cmd_tradeoff,
-    "framelength": _cmd_framelength,
+    "framelength": _cmd_tradeoff,
     "greedy-compare": _cmd_greedy,
     "properties": _cmd_properties,
     "solve": _cmd_solve,

@@ -11,6 +11,7 @@ to the good-anchor limit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -256,7 +257,12 @@ def kernel_delayed(
 
 
 class _SpaceBase:
-    """Indexed state list plus the arrays shared by the solvers."""
+    """The enumerated states as integer columns ``k``, ``delta`` and ``sym``:
+    the belief symbol's rank in ``BeliefTable.symbols``, or the last channel
+    state g. States come in (k, delta, sym) order, so the key
+    ``(k*(N+1) + delta)*n_sym + sym`` increases and a binary search finds any
+    state. A case gives ``_row`` (a state's columns) and ``_branches`` (per
+    action, successor branches as AoI, symbol and probability columns)."""
 
     case: Case
 
@@ -265,12 +271,13 @@ class _SpaceBase:
         self.channel = ch
         self.bound = bound
         self.states = self._enumerate()
-        self.index = {s: i for i, s in enumerate(self.states)}
         self.n = len(self.states)
-        self.delta = np.array([s.delta for s in self.states], dtype=np.float64)
-        self.k = np.array([s.k for s in self.states], dtype=np.int64)
-        self.admissible = np.array([s.delta >= frame.K for s in self.states], dtype=bool)
-        self.reference_index = self.index[self.reference_state()]
+        rows = itertools.chain.from_iterable(map(self._row, self.states))
+        cols = np.fromiter(rows, dtype=np.int64, count=3 * self.n).reshape(self.n, 3)
+        self.k, self.delta, self.sym = cols.T.copy()
+        self._key = self._key_of(self.k, self.delta, self.sym)
+        self.admissible = self.delta >= frame.K
+        self.reference_index = int(self.locate(1, frame.K, self.reference_sym))
 
     def __len__(self) -> int:
         return self.n
@@ -278,8 +285,16 @@ class _SpaceBase:
     def _enumerate(self):
         raise NotImplementedError
 
-    def reference_state(self):
-        raise NotImplementedError
+    def _key_of(self, k, delta, sym):
+        return (k * (self.bound.cap + 1) + delta) * self.n_sym + sym
+
+    def locate(self, k, delta, sym) -> np.ndarray:
+        """Indices of the states with these columns, or ``KeyError``."""
+        want = self._key_of(k, delta, sym)
+        pos = np.minimum(np.searchsorted(self._key, want), self.n - 1)
+        if np.any(self._key[pos] != want):
+            raise KeyError("successor state outside the enumerated space")
+        return pos
 
 
 class NoSensingSpace(_SpaceBase):
@@ -287,46 +302,54 @@ class NoSensingSpace(_SpaceBase):
 
     def _enumerate(self):
         self.beliefs = belief_table(self.channel, self.bound.cap)
+        symbols = self.beliefs.symbols
+        self._rank = {b: r for r, b in enumerate(symbols)}
+        self.n_sym = len(symbols)
+        self.reference_sym = self._rank[self.beliefs.after_observation(1)]
         return enumerate_states_no_sensing(self.frame, self.channel, self.bound)
 
-    def reference_state(self) -> StateNoSensing:
-        return StateNoSensing(
-            self.frame.K, 1, self.beliefs.canonical(BeliefOrigin.FROM_GOOD, 0)
-        )
+    def _row(self, s: StateNoSensing) -> tuple[int, int, int]:
+        return s.k, s.delta, self._rank[s.belief]
 
     @property
     def omega(self) -> np.ndarray:
-        if not hasattr(self, "_omega"):
-            self._omega = np.array([s.belief.value for s in self.states])
-        return self._omega
+        return np.array([b.value for b in self.beliefs.symbols])[self.sym]
 
     @property
     def steps(self) -> np.ndarray:
-        if not hasattr(self, "_steps"):
-            self._steps = np.array([s.belief.steps for s in self.states], dtype=np.int64)
-        return self._steps
+        return np.array([b.steps for b in self.beliefs.symbols])[self.sym]
 
-    def kernel(self, s: StateNoSensing, u: int):
-        return kernel_no_sensing(self.frame, self.channel, self.bound, s, u)
+    def _branches(self, grown: np.ndarray):
+        table, rank, omega = self.beliefs, self._rank, self.omega
+        suspended = [rank[_suspend_successor(table, b, self.bound.cap)] for b in table.symbols]
+        failed = rank[table.after_observation(0)]
+        return (
+            [(grown, np.array(suspended)[self.sym], 1.0)],
+            [(self.k, self.reference_sym, omega), (grown, failed, 1.0 - omega)],
+        )
 
 
 class DelayedSpace(_SpaceBase):
     case = Case.DELAYED_SENSING
+    n_sym = 2
+    reference_sym = 1
 
     def _enumerate(self):
         return enumerate_states_delayed(self.frame, self.channel, self.bound)
 
-    def reference_state(self) -> StateDelayed:
-        return StateDelayed(self.frame.K, 1, 1)
+    def _row(self, s: StateDelayed) -> tuple[int, int, int]:
+        return s.k, s.delta, s.g
 
     @property
     def g(self) -> np.ndarray:
-        if not hasattr(self, "_g"):
-            self._g = np.array([s.g for s in self.states], dtype=np.int64)
-        return self._g
+        return self.sym
 
-    def kernel(self, s: StateDelayed, u: int):
-        return kernel_delayed(self.frame, self.channel, self.bound, s, u)
+    def _branches(self, grown: np.ndarray):
+        p_good = np.where(self.sym == 1, self.channel.p11, self.channel.p01)
+        return (
+            [(grown, 0, 1.0 - p_good), (grown, 1, p_good)],
+            [(self.k, 1, p_good), (grown, 0, 1.0 - p_good)],
+        )
 
 
 @dataclass
@@ -353,23 +376,25 @@ class CompiledKernel:
 
 
 def _compile(space: _SpaceBase) -> CompiledKernel:
-    n = space.n
-    succ = np.zeros((n, 2, 2), dtype=np.int64)
-    prob = np.zeros((n, 2, 2), dtype=np.float64)
-    for i, s in enumerate(space.states):
-        for u in (0, 1):
-            if u == 1 and not space.admissible[i]:
-                succ[i, 1] = succ[i, 0]
-                prob[i, 1] = prob[i, 0]
-                continue
-            for branch, (s_next, p) in enumerate(space.kernel(s, u)):
-                succ[i, u, branch] = space.index[s_next]
-                prob[i, u, branch] = p
+    """Successor arrays by index arithmetic over the state columns. Non-zero
+    branches keep the order of ``kernel_no_sensing`` and ``kernel_delayed``,
+    and zero ones point at in-space states, so sums over branches match."""
+    succ = np.zeros((space.n, 2, 2), dtype=np.int64)
+    prob = np.zeros((space.n, 2, 2), dtype=np.float64)
+    k_next = space.k % space.frame.K + 1
+    grown = np.minimum(space.delta + 1, space.bound.cap)
+    for u, branches in enumerate(space._branches(grown)):
+        for b, (delta, sym, p) in enumerate(branches):
+            succ[:, u, b] = space.locate(k_next, delta, sym)
+            prob[:, u, b] = p
+    barred = ~space.admissible
+    succ[barred, 1] = succ[barred, 0]
+    prob[barred, 1] = prob[barred, 0]
     return CompiledKernel(
         succ=succ,
         prob=prob,
         admissible=space.admissible.copy(),
-        delta=space.delta.copy(),
+        delta=space.delta.astype(np.float64),
         reference_index=space.reference_index,
     )
 

@@ -23,6 +23,7 @@ keeping the same fixed point, optimal policy, and average cost.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -291,15 +292,22 @@ def _first_beating(key: np.ndarray, group: np.ndarray, n_groups: int, beats: np.
     return first
 
 
-def _dk_groups(space: NoSensingSpace):
-    """State indices per (delta, k), ordered by ascending belief value."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(space.states):
-        groups.setdefault((s.delta, s.k), []).append(i)
-    omega = space.omega
-    for idxs in groups.values():
-        idxs.sort(key=lambda i: omega[i])
-    return groups
+def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
+    """State indices grouped by equal key columns, each group sorted along
+    one column; groups come in ascending key order, first column first."""
+    order = np.lexsort((along,) + keys[::-1])
+    cut = np.zeros(len(order) - 1, dtype=bool)
+    for key in keys:
+        cut |= np.diff(key[order]) != 0
+    return np.split(order, np.flatnonzero(cut) + 1)
+
+
+def _cutoff_runs(space) -> list[np.ndarray]:
+    """The groups a cutoff rule acts on, in ascending cutoff variable:
+    (k, delta) along the belief, or (k, g) along the AoI."""
+    if space.case is Case.NO_SENSING:
+        return _runs((space.k, space.delta), space.omega)
+    return _runs((space.k, space.g), space.delta)
 
 
 def rvi_threshold_no_sensing(
@@ -328,8 +336,8 @@ def rvi_threshold_no_sensing(
     its lowest belief.
     """
     free = kern.admissible & (space.steps < space.bound.cap)
-    _, group = np.unique(np.stack([space.k, space.delta]), axis=1, return_inverse=True)
-    n_groups = int(group.max()) + 1
+    group = (space.k - 1) * (space.bound.cap + 1) + space.delta
+    n_groups = space.frame.K * (space.bound.cap + 1)
     omega = space.omega
 
     def above(q0, q1):
@@ -583,20 +591,17 @@ def dual_value_sweep(
 
 
 def _reachable_from(kern: CompiledKernel, start: int) -> list[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        for u in (0, 1):
-            if u == 1 and not kern.admissible[i]:
-                continue
-            for b in (0, 1):
-                if kern.prob[i, u, b] > 0.0:
-                    j = int(kern.succ[i, u, b])
-                    if j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-    return sorted(seen)
+    moves = kern.prob > 0.0
+    moves[:, 1] &= kern.admissible[:, None]
+    seen = np.zeros(kern.n, dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros(kern.n, dtype=bool)
+        reached[kern.succ[frontier][moves[frontier]]] = True
+        frontier = reached & ~seen
+        seen |= reached
+    return np.flatnonzero(seen).tolist()
 
 
 def _exact_average_cost(P: np.ndarray, cost: np.ndarray, start: int) -> float:
@@ -605,17 +610,15 @@ def _exact_average_cost(P: np.ndarray, cost: np.ndarray, start: int) -> float:
     reach = (P > 0.0) | np.eye(n, dtype=bool)
     for _ in range(max(1, int(np.ceil(np.log2(n))) + 1)):
         reach = reach | (reach @ reach)
-    recurrent = np.array([bool(np.all(~reach[i] | reach[:, i])) for i in range(n)])
+    recurrent = np.all(~reach | reach.T, axis=1)
 
-    classes: list[list[int]] = []
+    classes: list[np.ndarray] = []
     assigned = np.full(n, -1)
-    for i in range(n):
-        if not recurrent[i] or assigned[i] >= 0:
-            continue
-        members = [j for j in range(n) if recurrent[j] and reach[i, j] and reach[j, i]]
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(members)
+    for i in np.flatnonzero(recurrent):
+        if assigned[i] < 0:
+            members = np.flatnonzero(reach[i] & reach[:, i])
+            assigned[members] = len(classes)
+            classes.append(members)
 
     gains = []
     for members in classes:
@@ -631,14 +634,13 @@ def _exact_average_cost(P: np.ndarray, cost: np.ndarray, start: int) -> float:
     if recurrent[start]:
         return gains[int(assigned[start])]
 
-    transient = [i for i in range(n) if not recurrent[i]]
-    t_index = {i: t for t, i in enumerate(transient)}
+    transient = np.flatnonzero(~recurrent)
     ptt = P[np.ix_(transient, transient)]
     rhs = np.zeros((len(transient), len(classes)))
     for c, members in enumerate(classes):
         rhs[:, c] = P[np.ix_(transient, members)].sum(axis=1)
     absorb = np.linalg.solve(np.eye(len(transient)) - ptt, rhs)
-    return float(absorb[t_index[start]] @ np.array(gains))
+    return float(absorb[np.searchsorted(transient, start)] @ np.array(gains))
 
 
 class _OracleEnumeration:
@@ -653,7 +655,6 @@ class _OracleEnumeration:
         self.kern = kern
         self.lam = lam
         reachable = _reachable_from(kern, kern.reference_index)
-        local = {g: i for i, g in enumerate(reachable)}
         self.free = [g for g in reachable if kern.admissible[g]]
         if len(self.free) > cap:
             raise CapExceededError(
@@ -661,20 +662,18 @@ class _OracleEnumeration:
                 f"(2**{len(self.free)} policies)"
             )
         nr = len(reachable)
-        self.start = local[kern.reference_index]
+        local = np.full(kern.n, -1)
+        local[reachable] = np.arange(nr)
+        self.start = int(local[kern.reference_index])
         self.base_cost = kern.delta[reachable]
+        # rows[1] is only read at the free states, where transmission is admissible
         self.rows = {}
         for u in (0, 1):
-            mat = np.zeros((nr, nr))
-            for i, g in enumerate(reachable):
-                if u == 1 and not kern.admissible[g]:
-                    continue
-                for b in (0, 1):
-                    p = kern.prob[g, u, b]
-                    if p > 0.0:
-                        mat[i, local[int(kern.succ[g, u, b])]] += p
-            self.rows[u] = mat
-        self.free_local = [local[g] for g in self.free]
+            p = kern.prob[reachable, u]
+            i, b = np.nonzero(p > 0.0)
+            self.rows[u] = np.zeros((nr, nr))
+            np.add.at(self.rows[u], (i, local[kern.succ[reachable, u][i, b]]), p[i, b])
+        self.free_local = local[self.free]
 
     def gain_of(self, bits) -> float:
         P = self.rows[0].copy()
@@ -691,8 +690,7 @@ class _OracleEnumeration:
 
     def materialize(self, bits: tuple[int, ...]) -> np.ndarray:
         actions = np.zeros(self.kern.n, dtype=np.int8)
-        for g, bit in zip(self.free, bits):
-            actions[g] = bit
+        actions[self.free] = bits
         return actions
 
 
@@ -729,25 +727,12 @@ def enumerate_threshold_optimum(
     look non-threshold there.
     """
     sweep = _OracleEnumeration(space, kern, lam, cap)
-    if space.case is Case.NO_SENSING:
-        grouped = sorted(_dk_groups(space).items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        groups = [idxs for (delta, _k), idxs in grouped if delta >= space.frame.K]
-    else:
-        by_kg: dict[tuple[int, int], list[int]] = {}
-        for i, s in enumerate(space.states):
-            if s.delta >= space.frame.K:
-                by_kg.setdefault((s.k, s.g), []).append(i)
-        for idxs in by_kg.values():
-            idxs.sort(key=lambda i: space.states[i].delta)
-        groups = [by_kg[key] for key in sorted(by_kg)]
+    groups = [idxs[kern.admissible[idxs]] for idxs in _cutoff_runs(space)]
 
-    n_rules = 1
-    for idxs in groups:
-        n_rules *= len(idxs) + 1
+    n_rules = math.prod(len(idxs) + 1 for idxs in groups)
     if n_rules > 2 ** cap:
         raise CapExceededError(f"{n_rules} cutoff rules exceed the cap of 2**{cap}")
 
-    free_pos = {g: i for i, g in enumerate(sweep.free)}
     best_gain, best_actions = np.inf, None
     seen: set[tuple[int, ...]] = set()
     for choice in itertools.product(*[range(len(idxs) + 1) for idxs in groups]):
@@ -782,14 +767,15 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     thresholds: dict[tuple[int, int], float] = {}
     omega = space.omega
     uncapped = space.steps < space.bound.cap
-    for (delta, k), idxs in sorted(_dk_groups(space).items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for idxs in _cutoff_runs(space):
+        delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
         if delta < space.frame.K:
             if np.any(acts[idxs] == 1):
                 raise ThresholdStructureError(
                     f"policy transmits at inadmissible (delta={delta}, k={k})"
                 )
             continue
-        interior = np.asarray(idxs)[uncapped[idxs]]
+        interior = idxs[uncapped[idxs]]
         pattern = acts[interior]
         switches = np.flatnonzero(np.diff(pattern.astype(np.int8)))
         if pattern.max(initial=0) == 1 and (len(switches) > 1 or pattern[-1] == 0):
@@ -811,24 +797,17 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g)."""
     acts = _policy_actions(actions)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(space.states):
-        groups.setdefault((s.k, s.g), []).append(i)
     thresholds: dict[tuple[int, int], float] = {}
-    for (k, g), idxs in sorted(groups.items()):
-        idxs.sort(key=lambda i: space.states[i].delta)
-        pattern = acts[idxs]
-        deltas = [space.states[i].delta for i in idxs]
-        cut = np.inf
-        for d, a in zip(deltas, pattern):
-            if a == 1 and d < cut:
-                cut = d
-            if a == 0 and d >= max(cut, space.frame.K):
-                raise ThresholdStructureError(
-                    f"actions at (k={k}, g={g}) are not of threshold type: "
-                    f"{pattern.tolist()} along ascending AoI"
-                )
-        thresholds[(k, g)] = cut
+    for idxs in _cutoff_runs(space):
+        k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])
+        pattern, deltas = acts[idxs], space.delta[idxs]
+        first = np.flatnonzero(pattern)
+        if len(first) and np.any((pattern == 0) & (deltas >= max(deltas[first[0]], space.frame.K))):
+            raise ThresholdStructureError(
+                f"actions at (k={k}, g={g}) are not of threshold type: "
+                f"{pattern.tolist()} along ascending AoI"
+            )
+        thresholds[(k, g)] = int(deltas[first[0]]) if len(first) else np.inf
     return ThresholdPolicyAoI(
         frame_k=space.frame.K, thresholds=thresholds, actions=acts, space=space
     )
@@ -860,16 +839,20 @@ def aoi_monotonicity_violations(
 ) -> list[tuple]:
     """Pairs of states equal but for a larger AoI where the value drops."""
     keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(space.states):
-        key = (s.k, s.belief) if space.case is Case.NO_SENSING else (s.k, s.g)
-        groups.setdefault(key, []).append(i)
+    runs = _runs((space.k, space.sym), space.delta)
+    return _neighbour_violations(space, runs, keep, values, lambda lo, hi: hi < lo - slack)
+
+
+def _neighbour_violations(space, runs, keep, values, worse) -> list[tuple]:
+    """Neighbours (a, b) within a run, both kept, where worse(V(a), V(b))."""
     out = []
-    for idxs in groups.values():
-        idxs.sort(key=lambda i: space.states[i].delta)
-        for a, b in zip(idxs, idxs[1:]):
-            if keep[a] and keep[b] and values[b] < values[a] - slack:
-                out.append((space.states[a], space.states[b], values[a], values[b]))
+    for idxs in runs:
+        a, b = idxs[:-1], idxs[1:]
+        hit = keep[a] & keep[b] & worse(values[a], values[b])
+        out.extend(
+            (space.states[i], space.states[j], values[i], values[j])
+            for i, j in zip(a[hit], b[hit])
+        )
     return out
 
 
@@ -878,12 +861,9 @@ def belief_monotonicity_violations(
 ) -> list[tuple]:
     """Belief pairs at one (delta, k) where a larger belief costs more."""
     keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
-    out = []
-    for idxs in _dk_groups(space).values():
-        for a, b in zip(idxs, idxs[1:]):
-            if keep[a] and keep[b] and values[b] > values[a] + slack:
-                out.append((space.states[a], space.states[b], values[a], values[b]))
-    return out
+    return _neighbour_violations(
+        space, _cutoff_runs(space), keep, values, lambda lo, hi: hi > lo + slack
+    )
 
 
 def belief_mix_inequality_violations(
@@ -901,8 +881,9 @@ def belief_mix_inequality_violations(
     keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
     omega = space.omega
     out = []
-    for (delta, k), idxs in _dk_groups(space).items():
-        idxs = [i for i in idxs if keep[i]]
+    for idxs in _cutoff_runs(space):
+        delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
+        idxs = idxs[keep[idxs]]
         if len(idxs) < 3:
             continue
         w_vals = omega[idxs]

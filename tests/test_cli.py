@@ -120,6 +120,18 @@ class TestGreedyCompare:
             gap = float(row["aoi_greedy"]) - float(row["aoi_no_sensing"])
             assert float(row["gap_no_sensing"]) == pytest.approx(gap, abs=1e-12)
 
+    def test_sweeps_every_frame_length(self, tmp_path):
+        out = tmp_path / "greedy.csv"
+        code = main([
+            "greedy-compare", "--frame-K", "3,2", "--emax", "0.5,0.3", "--out", str(out),
+            *FAST,
+        ])
+        assert code == EXIT_OK
+        rows = [dict(zip(GREEDY_COLUMNS, r)) for r in read_csv(out)[1:]]
+        assert [(r["frame_k"], r["emax"]) for r in rows] == [
+            ("2", "0.3"), ("2", "0.5"), ("3", "0.3"), ("3", "0.5"),
+        ]
+
 
 class TestSolve:
     def test_dumps_belief_cutoffs(self, tmp_path):
@@ -147,6 +159,13 @@ class TestSolve:
     def test_both_cases_rejected(self, tmp_path):
         code = main(["solve", "--case", "both", "--out", str(tmp_path / "x.csv"), *FAST])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [["--frame-K", "2,3"], ["--emax", "0.1,0.3"]])
+    def test_list_values_rejected(self, tmp_path, flags):
+        out = tmp_path / "x.csv"
+        code = main(["solve", "--case", "no_sensing", *flags, "--out", str(out), *FAST])
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
     def test_bad_price_rejected(self, tmp_path, lam):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -263,18 +265,31 @@ class TestKernelDelayed:
             kernel_delayed(self.frame, self.ch, self.bound, StateDelayed(1, 2, 1), 1)
 
 
+def merged(pairs):
+    out = {}
+    for j, p in pairs:
+        if p > 0.0:
+            out[j] = out.get(j, 0.0) + p
+    return out
+
+
+# (K, N) with K=1 and N=K+1, channels with p01=0, p11=p01, p11=1 and a sticky one
+ORACLE_FRAMES = [(1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 10)]
+ORACLE_CHANNELS = [(0.8, 0.3), (0.6, 0.0), (0.5, 0.5), (1.0, 0.4), (0.999, 0.001)]
+
+
 class TestCompiledKernel:
     def test_compiled_matches_per_state_kernels(self):
-        frame, ch, bound = FrameSpec(2), ChannelModel(0.8, 0.3), TruncationBound(5)
-        space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
-        for i, s in enumerate(space.states):
-            rows = kernel_no_sensing(frame, ch, bound, s, 0)
-            expected = {space.index[n]: p for n, p in rows}
-            got = {}
-            for b in range(2):
-                if kern.prob[i, 0, b] > 0:
-                    got[int(kern.succ[i, 0, b])] = got.get(int(kern.succ[i, 0, b]), 0) + kern.prob[i, 0, b]
-            assert got == pytest.approx(expected)
+        for (k, n), (p11, p01), case in itertools.product(ORACLE_FRAMES, ORACLE_CHANNELS, Case):
+            frame, ch, bound = FrameSpec(k), ChannelModel(p11, p01), TruncationBound(n)
+            space, kern = build_case(case, frame, ch, bound)
+            kernel = kernel_no_sensing if case is Case.NO_SENSING else kernel_delayed
+            index = {s: i for i, s in enumerate(space.states)}
+            for i, s in enumerate(space.states):
+                for u in (0, 1) if s.delta >= frame.K else (0,):
+                    expected = merged((index[t], p) for t, p in kernel(frame, ch, bound, s, u))
+                    got = merged(zip(kern.succ[i, u].tolist(), kern.prob[i, u].tolist()))
+                    assert got == expected, (case, k, n, p11, p01, s, u)
 
     def test_admissible_mask(self):
         space, kern = build_case(
