@@ -108,8 +108,8 @@ class ExperimentSpec:
         for e in self.emax_list:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"energy budget must lie in (0, 1], got {e}")
-        if self.eps <= 0 or self.eps_lambda <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.eps < math.inf and 0.0 < self.eps_lambda < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         SimConfig(self.horizon, self.seed, self.warmup)
 
     def cases(self) -> list[Case]:

@@ -2,10 +2,10 @@
 
 Contains relative value iteration (plain and threshold-aware variants for
 both CSI cases), discounted value iteration used by the structural property
-checks, exact policy evaluation through the stationary distribution of the
-induced chain, bisection on the energy price with the two-policy mixture
-construction, a brute-force oracle over all deterministic admissible
-policies, and a dual-objective sweep.
+checks, policy evaluation by damped power iteration on the induced chain,
+bisection on the energy price with the two-policy mixture construction, a
+brute-force oracle over all deterministic admissible policies, and a
+dual-objective sweep.
 
 All relative value iteration runs through one loop over the vectorised
 Bellman step. A threshold-aware variant only supplies the mask of states
@@ -233,8 +233,10 @@ def _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above=
     still needs, the complexity measure of the structure-aware algorithm.
     Without a mask every admissible state is compared.
     """
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {eps}")
+    if max_iters < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"energy price must be finite and non-negative, got {lam}")
     if tie_break not in ("suspend", "transmit"):
@@ -436,6 +438,8 @@ def stationary_distribution(
     Damped power iteration (half lazy) because the frame structure makes
     every induced chain periodic; the lazy chain shares its stationary law.
     """
+    if max_iters < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     n = kern.n
     rows = np.arange(n)
     succ = kern.succ[rows, actions, :]
@@ -499,17 +503,28 @@ def bisect_lambda(
     pairs the last infeasible price's policy with the last feasible one and
     mixes them so that the average energy equals the budget exactly. A
     feasible unpriced optimum short-circuits to a single-policy mixture.
+
+    Most solves of a search return a policy it has already seen. All of them
+    share one kernel and the evaluation is deterministic, so each distinct
+    action table is evaluated once and its averages are reused bit for bit.
     """
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
+    for name, value in (("eps_lam", eps_lam), ("lam_hi_init", lam_hi_init)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     space, kern = build_case(case, frame, ch, bound)
+    averages: dict[bytes, tuple[float, float]] = {}
 
     def solve(lam: float, warm: np.ndarray | None):
         report = rvi_plain(
             space, kern, lam, eps=eps, max_iters=max_iters,
             relaxation=relaxation, h_init=warm,
         )
-        aoi, energy = policy_averages(kern, report.policy)
+        key = np.packbits(report.policy.actions).tobytes()
+        if key not in averages:
+            averages[key] = policy_averages(kern, report.policy)
+        aoi, energy = averages[key]
         return report, aoi, energy
 
     report0, aoi0, energy0 = solve(0.0, None)

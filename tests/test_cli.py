@@ -216,6 +216,17 @@ class TestConfigAndValidation:
     def test_empty_list_rejected(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv"), *FAST]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-lambda"])
+    def test_bad_tolerance_rejected(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        code = main([
+            "solve", "--case", "no_sensing", "--emax", "0.3", "--out", str(out),
+            *FAST, f"{flag}={value}",
+        ])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_channel_rejected(self, tmp_path):
         code = main([
             "tradeoff", "--p11", "0.2", "--p01", "0.7",

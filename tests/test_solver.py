@@ -17,6 +17,7 @@ from aoisched.solver import (
     rvi_plain,
     rvi_threshold_delayed,
     rvi_threshold_no_sensing,
+    stationary_distribution,
     threshold_ordering_violations,
 )
 
@@ -56,6 +57,13 @@ class TestRviPlain:
         )
         gains = [rvi_plain(space, kern, lam, eps=1e-8).gain for lam in (0.0, 1.0, 2.0)]
         assert gains[0] <= gains[1] + 1e-6 <= gains[2] + 2e-6
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 0), ("max_iters", -1), ("eps", float("nan")), ("eps", float("inf")),
+    ])
+    def test_rejects_bad_budget_or_tolerance(self, name, value):
+        with pytest.raises(ValueError):
+            rvi_plain(None, single_state_kernel(1.0), 0.0, **{name: value})
 
     def test_non_convergence_signals_span(self):
         space, kern = build_case(
@@ -243,6 +251,13 @@ class TestPolicyEvaluation:
         with pytest.raises(ValueError):
             policy_averages(kern, actions)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_stationary_law_rejects_budget_below_one(self, max_iters):
+        with pytest.raises(ValueError, match="iteration budget"):
+            stationary_distribution(
+                single_state_kernel(1.0), np.zeros(1, np.int8), max_iters=max_iters
+            )
+
 
 class TestOracle:
     def test_cap_enforced(self):
@@ -306,6 +321,39 @@ class TestBisection:
             bisect_lambda(
                 Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 0.0
             )
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["eps_lam", "lam_hi_init"])
+    def test_rejects_bad_search_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            bisect_lambda(
+                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20),
+                0.3, **{name: value},
+            )
+
+    def test_each_distinct_policy_evaluated_once(self, monkeypatch):
+        tables, evaluated = [], []
+
+        def recording_rvi(*args, **kwargs):
+            report = rvi_plain(*args, **kwargs)
+            tables.append(report.policy.actions.tobytes())
+            return report
+
+        def counting_averages(kern, policy):
+            evaluated.append(policy)
+            return policy_averages(kern, policy)
+
+        monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        monkeypatch.setattr("aoisched.solver.policy_averages", counting_averages)
+        frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40)
+        mix = bisect_lambda(Case.NO_SENSING, frame, ch, bound, 0.3, eps=1e-7)
+        assert len(set(tables)) < len(tables)  # the search revisits policies
+        assert len(evaluated) == len(set(tables))
+        _space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
+        aoi_minus, energy_minus = policy_averages(kern, mix.pi_minus.actions)
+        aoi_plus, energy_plus = policy_averages(kern, mix.pi_plus.actions)
+        assert (mix.aoi_minus, mix.energy_minus) == (aoi_minus, energy_minus)
+        assert (mix.aoi_plus, mix.energy_plus) == (aoi_plus, energy_plus)
 
 
 class TestDualSweep:
