@@ -354,45 +354,63 @@ class DelayedSpace(_SpaceBase):
 
 @dataclass
 class CompiledKernel:
-    """Per-state successor arrays: succ[i, u, branch] with prob[i, u, branch].
-
-    Rows for an inadmissible transmission duplicate the suspension row; the
-    solvers mask them out. Unused branches carry probability zero.
+    """Successor tables stored branch-major: row r belongs to the (action,
+    branch) pair ``pairs[r]``, and ``succ[r, i]`` is state i's successor on
+    that branch with probability ``prob[r, i]``. A pair gets a row only if its
+    probability is non-zero at some state, so suspension keeps one row without
+    sensing (it is deterministic) and two with delayed sensing; transmission
+    keeps two. Rows come in action order and, within an action, in the branch
+    order of ``kernel_no_sensing`` and ``kernel_delayed``. Where transmission
+    is inadmissible its rows repeat the suspension branches, with zero beyond
+    them; the solvers mask those states out.
     """
 
     succ: np.ndarray
     prob: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
     admissible: np.ndarray
     delta: np.ndarray
     reference_index: int
 
     @property
     def n(self) -> int:
-        return self.succ.shape[0]
+        return self.succ.shape[1]
+
+    def rows(self, u: int) -> slice:
+        """The contiguous block of rows that belongs to action u."""
+        actions = [a for a, _b in self.pairs]
+        return slice(actions.index(u), len(actions) - actions[::-1].index(u))
 
     def expected_bias(self, h: np.ndarray, u: int) -> np.ndarray:
-        s, p = self.succ, self.prob
-        return p[:, u, 0] * h[s[:, u, 0]] + p[:, u, 1] * h[s[:, u, 1]]
+        rows = self.rows(u)
+        return (self.prob[rows] * h[self.succ[rows]]).sum(axis=0)
 
 
 def _compile(space: _SpaceBase) -> CompiledKernel:
-    """Successor arrays by index arithmetic over the state columns. Non-zero
-    branches keep the order of ``kernel_no_sensing`` and ``kernel_delayed``,
-    and zero ones point at in-space states, so sums over branches match."""
-    succ = np.zeros((space.n, 2, 2), dtype=np.int64)
-    prob = np.zeros((space.n, 2, 2), dtype=np.float64)
+    """Successor rows by index arithmetic over the state columns. Rows keep
+    the branch order of ``kernel_no_sensing`` and ``kernel_delayed``, zero
+    entries point at in-space states, and a pair whose probability is zero
+    everywhere is dropped, so sums over the kept rows match the per-state
+    kernels term for term."""
     k_next = space.k % space.frame.K + 1
     grown = np.minimum(space.delta + 1, space.bound.cap)
-    for u, branches in enumerate(space._branches(grown)):
-        for b, (delta, sym, p) in enumerate(branches):
-            succ[:, u, b] = space.locate(k_next, delta, sym)
-            prob[:, u, b] = p
+    n = space.n
+    table = [
+        [(space.locate(k_next, delta, sym), np.broadcast_to(p, (n,))) for delta, sym, p in branches]
+        for branches in space._branches(grown)
+    ]
+    suspend, transmit = table
     barred = ~space.admissible
-    succ[barred, 1] = succ[barred, 0]
-    prob[barred, 1] = prob[barred, 0]
+    for b, (succ, prob) in enumerate(transmit):
+        succ0, prob0 = suspend[b] if b < len(suspend) else (succ, 0.0)
+        transmit[b] = (np.where(barred, succ0, succ), np.where(barred, prob0, prob))
+    pairs = tuple(
+        (u, b) for u, branches in enumerate(table) for b, (_s, p) in enumerate(branches) if p.any()
+    )
     return CompiledKernel(
-        succ=succ,
-        prob=prob,
+        succ=np.array([table[u][b][0] for u, b in pairs], dtype=np.int64),
+        prob=np.array([table[u][b][1] for u, b in pairs], dtype=np.float64),
+        pairs=pairs,
         admissible=space.admissible.copy(),
         delta=space.delta.astype(np.float64),
         reference_index=space.reference_index,

@@ -8,10 +8,17 @@ brute-force oracle over all deterministic admissible policies, and a
 dual-objective sweep.
 
 All relative value iteration runs through one loop over the vectorised
-Bellman step. A threshold-aware variant only supplies the mask of states
-its cutoff rule places above the cutoff; its ``argmin_evals`` counts the
-comparisons the rule still needs, the paper's complexity measure, not work
-that is skipped.
+Bellman step, which discounted value iteration shares. A threshold-aware
+variant only supplies the mask of states its cutoff rule places above the
+cutoff; its ``argmin_evals`` counts the comparisons the rule still needs, the
+paper's complexity measure, not work that is skipped.
+
+The step reads the kernel's branch-major rows: one ``np.take`` gathers the
+bias at the successors of every (action, branch) row, and every later
+operation, the cutoff masks' included, writes with ``out=`` into work arrays
+made once per solve. Power-iteration rounds likewise write into arrays made
+once per evaluation. Each sum keeps the order of the expression it computes,
+so the loops give the same bits as the textbook expressions.
 
 All value iteration here applies a relaxation factor to the update. The slot
 index cycles deterministically with the frame, so every induced chain is
@@ -205,19 +212,46 @@ class SolveReport:
 # value iteration
 
 
-def _bellman(kern: CompiledKernel, h: np.ndarray, lam: float):
-    q0 = kern.delta + kern.expected_bias(h, 0)
-    q1 = kern.delta + lam + kern.expected_bias(h, 1)
-    return q0, np.where(kern.admissible, q1, np.inf)
+class _Bellman:
+    """The Bellman step of one solve, and the work arrays it writes into.
+
+    Built once per solve; a sweep then allocates nothing. One ``np.take``
+    gathers the bias at every kernel row's successors, and every later
+    operation writes with ``out=`` in the order of the textbook expression
+    q_u = delta + lam*u + sum over u's branches of p*h, so the values are
+    those of ``kern.expected_bias`` bit for bit. With a discount ``beta`` the
+    expectation is scaled before the cost is added.
+    """
+
+    def __init__(self, kern: CompiledKernel, lam: float, beta: float | None = None):
+        self.kern = kern
+        self.beta = beta
+        self.cost = (kern.delta, kern.delta + lam)
+        self.barred = ~kern.admissible
+        self.terms = np.empty(kern.prob.shape)
+        self.branches = (self.terms[kern.rows(0)], self.terms[kern.rows(1)])
+        self.q = np.empty((2, kern.n))
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """Action values (q0, q1) at h, with q1 = inf where it is inadmissible."""
+        np.take(h, self.kern.succ, out=self.terms, mode="clip")
+        np.multiply(self.terms, self.kern.prob, out=self.terms)
+        for rows, cost, q in zip(self.branches, self.cost, self.q):
+            expect = rows[0] if len(rows) == 1 else np.add(*rows, out=q)
+            if self.beta is not None:
+                expect = np.multiply(expect, self.beta, out=q)
+            np.add(cost, expect, out=q)
+        np.copyto(self.q[1], np.inf, where=self.barred)
+        return self.q
 
 
-def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str) -> np.ndarray:
-    return q1 < q0 if tie_break == "suspend" else q1 <= q0
+def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) -> np.ndarray:
+    return np.less(q1, q0, out=out) if tie_break == "suspend" else np.less_equal(q1, q0, out=out)
 
 
-def _finish(space, kern, h, lam, spans, argmin_evals, tie_break) -> SolveReport:
-    q0, q1 = _bellman(kern, h, lam)
-    gain = float(np.minimum(q0, q1)[kern.reference_index])
+def _finish(space, step, h, spans, argmin_evals, tie_break) -> SolveReport:
+    q0, q1 = step(h)
+    gain = float(np.minimum(q0, q1)[step.kern.reference_index])
     actions = _transmit_beats(q0, q1, tie_break).astype(np.int8)
     return SolveReport(
         gain, h, TabularPolicy(space, actions), len(spans), spans[-1], argmin_evals, spans
@@ -231,7 +265,9 @@ def _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above=
     states that a cutoff rule already places above their cutoff. Those take
     q1 as they are, and ``argmin_evals`` counts only the comparisons the rule
     still needs, the complexity measure of the structure-aware algorithm.
-    Without a mask every admissible state is compared.
+    Without a mask every admissible state is compared. The iterate and its
+    successor swap between two arrays of the solve; the one returned as the
+    bias is not written again.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {eps}")
@@ -241,25 +277,34 @@ def _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above=
         raise ValueError(f"energy price must be finite and non-negative, got {lam}")
     if tie_break not in ("suspend", "transmit"):
         raise ValueError(f"unknown tie break {tie_break!r}")
-    h = np.zeros(kern.n) if h_init is None else np.asarray(h_init, dtype=float).copy()
+    step = _Bellman(kern, lam)
+    h = np.zeros(kern.n)
+    if h_init is not None:
+        h[:] = h_init
+    h_new = np.empty(kern.n)
     ref = kern.reference_index
     n_argmin = int(kern.admissible.sum())
     argmin_evals = 0
     spans: list[float] = []
     for _it in range(max_iters):
-        q0, q1 = _bellman(kern, h, lam)
-        v = np.minimum(q0, q1)
-        if above is None:
+        q0, q1 = step(h)
+        up = None if above is None else above(q0, q1)
+        v = np.minimum(q0, q1, out=q0)
+        if up is None:
             argmin_evals += n_argmin
         else:
-            up = above(q0, q1)
-            v = np.where(up, q1, v)
+            np.copyto(v, q1, where=up)
             argmin_evals += n_argmin - int(np.count_nonzero(up))
-        h_new = h + relaxation * (v - v[ref] - h)
-        spans.append(float(np.abs(h_new - h).max()))
-        h = h_new
+        # h_new = h + relaxation * (v - v[ref] - h); q1 then takes the change
+        np.subtract(v, v[ref], out=v)
+        np.subtract(v, h, out=v)
+        np.multiply(relaxation, v, out=v)
+        np.add(h, v, out=h_new)
+        np.subtract(h_new, h, out=q1)
+        spans.append(float(np.abs(q1, out=q1).max()))
+        h, h_new = h_new, h
         if spans[-1] <= eps:
-            return _finish(space, kern, h, lam, spans, argmin_evals, tie_break)
+            return _finish(space, step, h, spans, argmin_evals, tie_break)
     raise NonConvergenceError(
         f"relative value iteration did not reach span {eps} in {max_iters} sweeps "
         f"(last span {spans[-1]})",
@@ -287,11 +332,21 @@ def rvi_plain(
     return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break)
 
 
-def _first_beating(key: np.ndarray, group: np.ndarray, n_groups: int, beats: np.ndarray):
-    """Per group, the smallest key at which transmission beats suspension."""
-    first = np.full(n_groups, np.inf)
-    np.minimum.at(first, group[beats], key[beats])
-    return first
+class _FirstBeating:
+    """Per group, the smallest key at which transmission beats suspension,
+    read back at every state; written into arrays made once per solve."""
+
+    def __init__(self, key: np.ndarray, group: np.ndarray, n_groups: int):
+        self.key, self.group = key.astype(np.float64, copy=False), group
+        self.first = np.empty(n_groups)
+        self.work = np.empty(len(key))
+
+    def __call__(self, beats: np.ndarray) -> np.ndarray:
+        self.work.fill(np.inf)
+        np.copyto(self.work, self.key, where=beats)
+        self.first.fill(np.inf)
+        np.minimum.at(self.first, self.group, self.work)
+        return np.take(self.first, self.group, out=self.work, mode="clip")
 
 
 def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
@@ -339,12 +394,14 @@ def rvi_threshold_no_sensing(
     """
     free = kern.admissible & (space.steps < space.bound.cap)
     group = (space.k - 1) * (space.bound.cap + 1) + space.delta
-    n_groups = space.frame.K * (space.bound.cap + 1)
     omega = space.omega
+    cutoff = _FirstBeating(omega, group, space.frame.K * (space.bound.cap + 1))
+    beats, up = np.empty(kern.n, dtype=bool), np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
-        beats = free & _transmit_beats(q0, q1, tie_break)
-        return free & (omega > _first_beating(omega, group, n_groups, beats)[group])
+        np.logical_and(free, _transmit_beats(q0, q1, tie_break, out=beats), out=beats)
+        np.greater(omega, cutoff(beats), out=up)
+        return np.logical_and(free, up, out=up)
 
     return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
 
@@ -368,14 +425,20 @@ def rvi_threshold_delayed(
     AoI at or above d_0 transmits as well.
     """
     group = 2 * (space.k - 1) + space.g
-    n_groups = 2 * space.frame.K
     delta = space.delta
     good = space.g == 1
+    own = _FirstBeating(delta, group, 2 * space.frame.K)
+    bad_group, bad = group - space.g, np.empty(kern.n)
+    beats, up = np.empty(kern.n, dtype=bool), np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
-        beats = kern.admissible & _transmit_beats(q0, q1, tie_break)
-        first = _first_beating(delta, group, n_groups, beats)
-        return (delta > first[group]) | (good & (delta >= first[group - space.g]))
+        np.logical_and(kern.admissible, _transmit_beats(q0, q1, tie_break, out=beats), out=beats)
+        first = own(beats)
+        np.take(own.first, bad_group, out=bad, mode="clip")
+        np.greater_equal(delta, bad, out=beats)
+        np.logical_and(good, beats, out=beats)
+        np.greater(delta, first, out=up)
+        return np.logical_or(up, beats, out=up)
 
     return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
 
@@ -396,16 +459,21 @@ def discounted_vi(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"discount factor must be in (0, 1), got {beta}")
+    if n_iters is not None and n_iters < 0:
+        raise ValueError(f"sweep count must be non-negative, got {n_iters}")
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if n_iters is None and tol is None:
         tol = (1.0 - beta) * 1e-8
-    v = np.zeros(kern.n)
+    step = _Bellman(kern, lam, beta)
+    v, v_new = np.zeros(kern.n), np.empty(kern.n)
     limit = n_iters if n_iters is not None else 10_000_000
     for _ in range(limit):
-        q0 = kern.delta + beta * kern.expected_bias(v, 0)
-        q1 = kern.delta + lam + beta * kern.expected_bias(v, 1)
-        v_new = np.minimum(q0, np.where(kern.admissible, q1, np.inf))
-        change = float(np.abs(v_new - v).max())
-        v = v_new
+        q0, q1 = step(v)
+        np.minimum(q0, q1, out=v_new)
+        np.subtract(v_new, v, out=q1)
+        change = float(np.abs(q1, out=q1).max())
+        v, v_new = v_new, v
         if n_iters is None and change < tol:
             break
     else:
@@ -418,13 +486,25 @@ def discounted_vi(
 # policy evaluation
 
 
-def _policy_actions(policy) -> np.ndarray:
+def _raw_actions(policy) -> np.ndarray:
     if isinstance(policy, np.ndarray):
-        return policy.astype(np.int8)
+        return policy
     actions = getattr(policy, "actions", None)
     if actions is None:
         raise TypeError(f"cannot read an action table from {type(policy).__name__}")
-    return np.asarray(actions, dtype=np.int8)
+    return np.asarray(actions)
+
+
+def _checked_actions(kern: CompiledKernel, policy) -> np.ndarray:
+    """The action table as int8, after checking it has one 0 or 1 per state."""
+    actions = _raw_actions(policy)
+    if actions.shape != (kern.n,):
+        raise ValueError(
+            f"action table must have one entry per state ({kern.n}), got shape {actions.shape}"
+        )
+    if not np.all((actions == 0) | (actions == 1)):
+        raise ValueError("action table entries must be 0 (suspend) or 1 (transmit)")
+    return actions.astype(np.int8)
 
 
 def stationary_distribution(
@@ -437,20 +517,34 @@ def stationary_distribution(
 
     Damped power iteration (half lazy) because the frame structure makes
     every induced chain periodic; the lazy chain shares its stationary law.
+    The policy's successors and probabilities are laid out state by state,
+    branch by branch, so ``np.bincount`` adds each state's mass in one fixed
+    order; every round writes into arrays made once per call.
     """
     if max_iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
+    actions = _checked_actions(kern, actions)
     n = kern.n
-    rows = np.arange(n)
-    succ = kern.succ[rows, actions, :]
-    prob = kern.prob[rows, actions, :]
+    blocks = [kern.rows(u) for u in (0, 1)]
+    width = max(rows.stop - rows.start for rows in blocks)
+    succ, prob = np.zeros((n, width), dtype=np.int64), np.zeros((width, n))
+    for u, rows in enumerate(blocks):
+        at, m = actions == u, rows.stop - rows.start
+        succ[at, :m] = kern.succ[rows, at].T
+        prob[:m, at] = kern.prob[rows, at]
     flat_succ = succ.ravel()
-    pi = np.full(n, 1.0 / n)
+    pi, pi_new = np.full(n, 1.0 / n), np.empty(n)
+    weights = np.empty((n, width))
     for _ in range(max_iters):
-        pushed = np.bincount(flat_succ, weights=(pi[:, None] * prob).ravel(), minlength=n)
-        pi_new = 0.5 * pi + 0.5 * pushed
-        residual = float(np.abs(pi_new - pi).sum())
-        pi = pi_new
+        np.multiply(pi, prob, out=weights.T)
+        pushed = np.bincount(flat_succ, weights=weights.ravel(), minlength=n)
+        # pi_new = 0.5 * pi + 0.5 * pushed; pushed then takes the change
+        np.multiply(0.5, pi, out=pi_new)
+        np.multiply(0.5, pushed, out=pushed)
+        np.add(pi_new, pushed, out=pi_new)
+        np.subtract(pi_new, pi, out=pushed)
+        residual = float(np.abs(pushed, out=pushed).sum())
+        pi, pi_new = pi_new, pi
         if residual <= tol:
             return pi
     raise NonConvergenceError(
@@ -460,7 +554,7 @@ def stationary_distribution(
 
 def policy_averages(kern: CompiledKernel, policy) -> tuple[float, float]:
     """Long-run (average AoI, average energy) of a deterministic policy."""
-    actions = _policy_actions(policy)
+    actions = _checked_actions(kern, policy)
     if np.any(actions[~kern.admissible] == 1):
         raise ValueError("policy transmits at a state where transmission is inadmissible")
     pi = stationary_distribution(kern, actions)
@@ -607,13 +701,13 @@ def dual_value_sweep(
 
 def _reachable_from(kern: CompiledKernel, start: int) -> list[int]:
     moves = kern.prob > 0.0
-    moves[:, 1] &= kern.admissible[:, None]
+    moves[kern.rows(1)] &= kern.admissible
     seen = np.zeros(kern.n, dtype=bool)
     seen[start] = True
     frontier = seen.copy()
     while frontier.any():
         reached = np.zeros(kern.n, dtype=bool)
-        reached[kern.succ[frontier][moves[frontier]]] = True
+        reached[kern.succ[:, frontier][moves[:, frontier]]] = True
         frontier = reached & ~seen
         seen |= reached
     return np.flatnonzero(seen).tolist()
@@ -684,10 +778,11 @@ class _OracleEnumeration:
         # rows[1] is only read at the free states, where transmission is admissible
         self.rows = {}
         for u in (0, 1):
-            p = kern.prob[reachable, u]
-            i, b = np.nonzero(p > 0.0)
+            succ = kern.succ[kern.rows(u)][:, reachable]
+            p = kern.prob[kern.rows(u)][:, reachable]
+            b, i = np.nonzero(p > 0.0)
             self.rows[u] = np.zeros((nr, nr))
-            np.add.at(self.rows[u], (i, local[kern.succ[reachable, u][i, b]]), p[i, b])
+            np.add.at(self.rows[u], (i, local[succ[b, i]]), p[b, i])
         self.free_local = local[self.free]
 
     def gain_of(self, bits) -> float:
@@ -778,7 +873,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     the pattern check and the cutoff, mirroring the interior-state scoping of
     the value-function checks; the exact action table is kept regardless.
     """
-    acts = _policy_actions(actions)
+    acts = _raw_actions(actions).astype(np.int8)
     thresholds: dict[tuple[int, int], float] = {}
     omega = space.omega
     uncapped = space.steps < space.bound.cap
@@ -811,7 +906,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g)."""
-    acts = _policy_actions(actions)
+    acts = _raw_actions(actions).astype(np.int8)
     thresholds: dict[tuple[int, int], float] = {}
     for idxs in _cutoff_runs(space):
         k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])

@@ -265,17 +265,21 @@ class TestKernelDelayed:
             kernel_delayed(self.frame, self.ch, self.bound, StateDelayed(1, 2, 1), 1)
 
 
-def merged(pairs):
-    out = {}
-    for j, p in pairs:
-        if p > 0.0:
-            out[j] = out.get(j, 0.0) + p
-    return out
+def branch_of(case, s, u, t) -> int:
+    """Branch index of successor t under the kernels' order: no sensing
+    suspends on one branch and transmits to success, then failure; delayed
+    sensing suspends to the bad, then the good state and transmits to
+    success (good), then failure (bad)."""
+    if case is Case.NO_SENSING:
+        return 0 if u == 0 or t.delta == s.k else 1
+    return t.g if u == 0 else 1 - t.g
 
 
-# (K, N) with K=1 and N=K+1, channels with p01=0, p11=p01, p11=1 and a sticky one
+# (K, N) with K=1 and N=K+1, channels with p01=0, p11=p01, p11=1, a sticky
+# one, and an always-good one whose failure and bad-state branches have
+# probability zero at every state
 ORACLE_FRAMES = [(1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 10)]
-ORACLE_CHANNELS = [(0.8, 0.3), (0.6, 0.0), (0.5, 0.5), (1.0, 0.4), (0.999, 0.001)]
+ORACLE_CHANNELS = [(0.8, 0.3), (0.6, 0.0), (0.5, 0.5), (1.0, 0.4), (0.999, 0.001), (1.0, 1.0)]
 
 
 class TestCompiledKernel:
@@ -285,11 +289,29 @@ class TestCompiledKernel:
             space, kern = build_case(case, frame, ch, bound)
             kernel = kernel_no_sensing if case is Case.NO_SENSING else kernel_delayed
             index = {s: i for i, s in enumerate(space.states)}
+            # per (action, branch) pair, the per-state kernels' successor and
+            # probability at every state; an inadmissible transmission
+            # repeats the suspension branches
+            expected = {pair: {} for pair in itertools.product((0, 1), (0, 1))}
             for i, s in enumerate(space.states):
-                for u in (0, 1) if s.delta >= frame.K else (0,):
-                    expected = merged((index[t], p) for t, p in kernel(frame, ch, bound, s, u))
-                    got = merged(zip(kern.succ[i, u].tolist(), kern.prob[i, u].tolist()))
-                    assert got == expected, (case, k, n, p11, p01, s, u)
+                for u in (0, 1):
+                    shown = u if s.delta >= frame.K else 0
+                    for t, p in kernel(frame, ch, bound, s, shown):
+                        expected[u, branch_of(case, s, shown, t)][i] = (index[t], p)
+            tag = (case, k, n, p11, p01)
+            # a pair is stored exactly when its probability is non-zero at
+            # some state, so every pair the compile dropped is zero everywhere
+            assert kern.pairs == tuple(pair for pair in expected if expected[pair]), tag
+            assert kern.succ.shape == kern.prob.shape == (len(kern.pairs), space.n), tag
+            for r, pair in enumerate(kern.pairs):
+                assert kern.rows(pair[0]).start <= r < kern.rows(pair[0]).stop, tag
+                for i in range(space.n):
+                    want = expected[pair].get(i)
+                    if want is None:
+                        assert kern.prob[r, i] == 0.0, (tag, pair, space.states[i])
+                    else:
+                        got = (int(kern.succ[r, i]), float(kern.prob[r, i]))
+                        assert got == want, (tag, pair, space.states[i])
 
     def test_admissible_mask(self):
         space, kern = build_case(

@@ -123,11 +123,12 @@ def small_instances(draw):
 def test_compiled_kernels_stochastic_and_closed(instance, case):
     frame, ch, bound = instance
     space, kern = build_case(case, frame, ch, bound)
-    sums0 = kern.prob[:, 0, :].sum(axis=1)
+    sums0 = kern.prob[kern.rows(0)].sum(axis=0)
     assert np.allclose(sums0, 1.0, atol=1e-12)
     adm = kern.admissible
-    assert np.allclose(kern.prob[adm, 1, :].sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(kern.prob[kern.rows(1)][:, adm].sum(axis=0), 1.0, atol=1e-12)
     assert kern.succ.min() >= 0 and kern.succ.max() < kern.n
+    assert np.all(kern.prob.any(axis=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,10 @@ from aoisched.solver import (
 
 
 def single_state_kernel(cost: float) -> CompiledKernel:
-    succ = np.zeros((1, 2, 2), dtype=np.int64)
-    prob = np.zeros((1, 2, 2))
-    prob[0, :, 0] = 1.0
     return CompiledKernel(
-        succ=succ,
-        prob=prob,
+        succ=np.zeros((2, 1), dtype=np.int64),
+        prob=np.ones((2, 1)),
+        pairs=((0, 0), (1, 0)),
         admissible=np.array([True]),
         delta=np.array([cost]),
         reference_index=0,
@@ -123,6 +123,65 @@ PINNED = {
     (3, 0.8, 0.2, 1.5, 9): (84, 1629, 1629, 84, 779, 779),
     (2, 0.6, 0.0, 0.0, 8): (87, 1601, 870, 87, 876, 174),
 }
+
+
+NS, DS = Case.NO_SENSING, Case.DELAYED_SENSING
+THRESHOLD_SOLVER = {NS: rvi_threshold_no_sensing, DS: rvi_threshold_delayed}
+
+# (K, p11, p01, lam, case, N, tie break): (sweeps, then the leading 16 hex
+# digits of the sha256 of the bias bytes, of the span history's bytes and of
+# the stationary law's bytes) of rvi_plain and, below N=200, of the case's
+# threshold solver, both from the zero function at the default eps. Only
+# elementwise, np.take and np.bincount results are pinned: a dot product
+# goes through BLAS, whose last bit moves with the thread count. The
+# (0.6, 0.0) instances price suspension and a zero-belief transmission
+# identically, so there the tie break shows; N=200 at lam=400 is a price
+# the low-budget searches reach.
+BYTE_PINS = {
+    (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "71d84ab14c99b0c6"),
+    (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "71d84ab14c99b0c6"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "suspend"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "4437e9535bdf33b6"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "transmit"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "4437e9535bdf33b6"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "suspend"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "c04d7c2da9af6996"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "transmit"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "c04d7c2da9af6996"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "suspend"): (90, "107462d075aae706", "d845105a432bc03b", "a797f8c602b42540"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "transmit"): (90, "107462d075aae706", "d845105a432bc03b", "a797f8c602b42540"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "suspend"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "433f68181e319dc3"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "transmit"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "433f68181e319dc3"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "suspend"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "0f82d13eacaf019b"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "transmit"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "cdff137f2061328d"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "suspend"): (86, "33f6693494410471", "f51a9e002fe42096", "c915332f048696cc"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "transmit"): (86, "33f6693494410471", "f51a9e002fe42096", "c915332f048696cc"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "c01012c0cea5a56e", "866cb544d20c58dd"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "c01012c0cea5a56e", "866cb544d20c58dd"),
+    (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "e2ab4fa0e09d7ef5", "99000dcac7dac46e"),
+}
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "key,threshold",
+    [
+        pytest.param(key, threshold, id=f"{key[4].value}-N{key[5]}-{key[6]}-lam{key[3]}-p{key[1]}-{key[2]}"
+                     + ("-threshold" if threshold else "-plain"))
+        for threshold in (False, True)
+        for key in BYTE_PINS
+        if key[5] < 200 or not threshold
+    ],
+)
+def test_solves_and_stationary_laws_are_byte_pinned(key, threshold):
+    # any reordering of a sum in a sweep or an evaluation round moves a pin
+    K, p11, p01, lam, case, N, tie_break = key
+    space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+    solver = THRESHOLD_SOLVER[case] if threshold else rvi_plain
+    report = solver(space, kern, lam, tie_break=tie_break)
+    law = stationary_distribution(kern, report.policy.actions)
+    spans = np.array(report.span_history)
+    got = (report.iterations, digest(report.bias), digest(spans), digest(law))
+    assert got == BYTE_PINS[key]
 
 
 class TestThresholdSolvers:
@@ -225,6 +284,19 @@ class TestDiscountedVi:
         with pytest.raises(ValueError):
             discounted_vi(space, kern, 0.0, beta=1.0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-9},
+         {"n_iters": -1}],
+    )
+    def test_rejects_bad_tolerance_or_sweep_count(self, setting):
+        # a NaN or zero tolerance would run the whole sweep budget
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(4)
+        )
+        with pytest.raises(ValueError, match="tolerance|sweep count"):
+            discounted_vi(space, kern, 0.0, beta=0.9, **setting)
+
 
 class TestPolicyEvaluation:
     def test_never_transmit_spends_nothing(self):
@@ -250,6 +322,24 @@ class TestPolicyEvaluation:
         actions = np.ones(kern.n, dtype=np.int8)
         with pytest.raises(ValueError):
             policy_averages(kern, actions)
+
+    @pytest.mark.parametrize("evaluate", [policy_averages, stationary_distribution])
+    @pytest.mark.parametrize("malformed", ["negated", "doubled", "halved", "one short", "one long"])
+    def test_rejects_malformed_action_table(self, evaluate, malformed):
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12)
+        )
+        actions = rvi_plain(space, kern, 1.0).policy.actions
+        assert actions.any()
+        table = {
+            "negated": -actions,
+            "doubled": 2 * actions,
+            "halved": 0.5 * actions,
+            "one short": actions[:-1],
+            "one long": np.append(actions, 0),
+        }[malformed]
+        with pytest.raises(ValueError, match="action table"):
+            evaluate(kern, table)
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_stationary_law_rejects_budget_below_one(self, max_iters):
