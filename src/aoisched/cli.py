@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -344,7 +343,6 @@ def _suite_instances(seed: int) -> list[dict]:
 
 
 def _check(report: list, name: str, instance, fn) -> None:
-    start = time.perf_counter()
     try:
         detail = fn()
         passed, detail = (True, detail) if not isinstance(detail, tuple) else detail
@@ -354,7 +352,6 @@ def _check(report: list, name: str, instance, fn) -> None:
         "name": name,
         "instance": instance,
         "passed": bool(passed),
-        "runtime_s": round(time.perf_counter() - start, 4),
         "detail": detail if isinstance(detail, str) else "",
     })
 
@@ -634,7 +631,7 @@ def _cmd_properties(spec: ExperimentSpec, args) -> int:
     report = run_property_suite(spec, inject_tie_break_bug=args.inject_tie_break_bug)
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
-        line = f"[{mark}] {check['name']} ({check['instance']}) {check['runtime_s']}s"
+        line = f"[{mark}] {check['name']} ({check['instance']})"
         if check["detail"]:
             line += f" :: {check['detail']}"
         print(line)

@@ -7,14 +7,15 @@ Both are truncated to a finite space by capping the AoI and the unobserved
 step count at N; AoI beyond the cap clamps to N and beliefs that would fall
 strictly inside the unreachable gap between the two N-step limits clamp up
 to the good-anchor limit.
+
+Spaces are built directly as integer columns; the per-state dataclasses,
+their enumeration and the scalar kernels are kept only as test oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,14 +145,14 @@ class StateDelayed:
     g: int
 
 
-def _belief_bound(delta: int, cap: int) -> int:
+def _belief_bound(delta, cap: int):
     # Strictly below the cap the unobserved-step count is limited by the AoI
     # (at most delta-1 suspensions since the last observation). At the cap the
     # clamp keeps AoI frozen while time passes, so counts up to N occur.
-    return cap if delta == cap else min(delta - 1, cap)
+    # delta, a value or an array, is never above the cap.
+    return delta - 1 + (delta == cap)
 
 
-@lru_cache(maxsize=None)
 def enumerate_states_no_sensing(
     frame: FrameSpec, ch: ChannelModel, bound: TruncationBound
 ) -> tuple[StateNoSensing, ...]:
@@ -167,7 +168,6 @@ def enumerate_states_no_sensing(
     return tuple(states)
 
 
-@lru_cache(maxsize=None)
 def enumerate_states_delayed(
     frame: FrameSpec, ch: ChannelModel, bound: TruncationBound
 ) -> tuple[StateDelayed, ...]:
@@ -257,24 +257,30 @@ def kernel_delayed(
 
 
 class _SpaceBase:
-    """The enumerated states as integer columns ``k``, ``delta`` and ``sym``:
-    the belief symbol's rank in ``BeliefTable.symbols``, or the last channel
-    state g. States come in (k, delta, sym) order, so the key
-    ``(k*(N+1) + delta)*n_sym + sym`` increases and a binary search finds any
-    state. A case gives ``_row`` (a state's columns) and ``_branches`` (per
-    action, successor branches as AoI, symbol and probability columns)."""
+    """The states as integer columns ``k``, ``delta`` and ``sym`` (the belief
+    symbol's rank in ``BeliefTable.symbols``, or the last channel state g),
+    built directly: each AoI value of ``frame.aoi_values`` at each slot with
+    every symbol whose step count ``_belief_bound`` allows, in (k, delta, sym)
+    order, so the key ``(k*(N+1) + delta)*n_sym + sym`` increases and a binary
+    search finds any state. A case gives ``_symbol_steps`` (each symbol's step
+    count) and ``_branches`` (per action, successor branches as AoI, symbol
+    and probability columns)."""
 
     case: Case
 
     def __init__(self, frame: FrameSpec, ch: ChannelModel, bound: TruncationBound):
+        bound.validate_against(frame)
         self.frame = frame
         self.channel = ch
         self.bound = bound
-        self.states = self._enumerate()
-        self.n = len(self.states)
-        rows = itertools.chain.from_iterable(map(self._row, self.states))
-        cols = np.fromiter(rows, dtype=np.int64, count=3 * self.n).reshape(self.n, 3)
-        self.k, self.delta, self.sym = cols.T.copy()
+        k_of, delta_of = np.array(
+            [(k, delta) for k in range(1, frame.K + 1) for delta in frame.aoi_values(k, bound.cap)]
+        ).T
+        # row-major order over (k, delta) x symbol is the (k, delta, sym) order
+        kept = self._symbol_steps() <= _belief_bound(delta_of, bound.cap)[:, None]
+        layer, self.sym = np.divmod(np.flatnonzero(kept), kept.shape[1])
+        self.k, self.delta = k_of[layer], delta_of[layer]
+        self.n = len(self.sym)
         self._key = self._key_of(self.k, self.delta, self.sym)
         self.admissible = self.delta >= frame.K
         self.reference_index = int(self.locate(1, frame.K, self.reference_sym))
@@ -282,7 +288,7 @@ class _SpaceBase:
     def __len__(self) -> int:
         return self.n
 
-    def _enumerate(self):
+    def _symbol_steps(self) -> np.ndarray:
         raise NotImplementedError
 
     def _key_of(self, k, delta, sym):
@@ -300,32 +306,33 @@ class _SpaceBase:
 class NoSensingSpace(_SpaceBase):
     case = Case.NO_SENSING
 
-    def _enumerate(self):
-        self.beliefs = belief_table(self.channel, self.bound.cap)
-        symbols = self.beliefs.symbols
-        self._rank = {b: r for r, b in enumerate(symbols)}
-        self.n_sym = len(symbols)
-        self.reference_sym = self._rank[self.beliefs.after_observation(1)]
-        return enumerate_states_no_sensing(self.frame, self.channel, self.bound)
-
-    def _row(self, s: StateNoSensing) -> tuple[int, int, int]:
-        return s.k, s.delta, self._rank[s.belief]
+    def _symbol_steps(self) -> np.ndarray:
+        # per-symbol value, step count and suspension successor, indexed by sym
+        table = self.beliefs = belief_table(self.channel, self.bound.cap)
+        rank = {b: r for r, b in enumerate(table.symbols)}
+        self.n_sym = len(rank)
+        self.reference_sym = rank[table.after_observation(1)]
+        self._failed_sym = rank[table.after_observation(0)]
+        self._sym_omega = np.array([b.value for b in table.symbols])
+        self._sym_steps = np.array([b.steps for b in table.symbols])
+        self._sym_suspended = np.array(
+            [rank[_suspend_successor(table, b, self.bound.cap)] for b in table.symbols]
+        )
+        return self._sym_steps
 
     @property
     def omega(self) -> np.ndarray:
-        return np.array([b.value for b in self.beliefs.symbols])[self.sym]
+        return self._sym_omega[self.sym]
 
     @property
     def steps(self) -> np.ndarray:
-        return np.array([b.steps for b in self.beliefs.symbols])[self.sym]
+        return self._sym_steps[self.sym]
 
     def _branches(self, grown: np.ndarray):
-        table, rank, omega = self.beliefs, self._rank, self.omega
-        suspended = [rank[_suspend_successor(table, b, self.bound.cap)] for b in table.symbols]
-        failed = rank[table.after_observation(0)]
+        omega = self.omega
         return (
-            [(grown, np.array(suspended)[self.sym], 1.0)],
-            [(self.k, self.reference_sym, omega), (grown, failed, 1.0 - omega)],
+            [(grown, self._sym_suspended[self.sym], 1.0)],
+            [(self.k, self.reference_sym, omega), (grown, self._failed_sym, 1.0 - omega)],
         )
 
 
@@ -334,11 +341,9 @@ class DelayedSpace(_SpaceBase):
     n_sym = 2
     reference_sym = 1
 
-    def _enumerate(self):
-        return enumerate_states_delayed(self.frame, self.channel, self.bound)
-
-    def _row(self, s: StateDelayed) -> tuple[int, int, int]:
-        return s.k, s.delta, s.g
+    def _symbol_steps(self) -> np.ndarray:
+        # the last channel state is observed, so no step goes unobserved
+        return np.zeros(2, dtype=np.int64)
 
     @property
     def g(self) -> np.ndarray:

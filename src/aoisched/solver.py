@@ -486,21 +486,16 @@ def discounted_vi(
 # policy evaluation
 
 
-def _raw_actions(policy) -> np.ndarray:
-    if isinstance(policy, np.ndarray):
-        return policy
-    actions = getattr(policy, "actions", None)
+def _checked_actions(n: int, policy) -> np.ndarray:
+    """The action table (an array, or a policy's ``actions``) as int8, after
+    checking it has one 0 or 1 for each of the n states."""
+    actions = policy if isinstance(policy, np.ndarray) else getattr(policy, "actions", None)
     if actions is None:
         raise TypeError(f"cannot read an action table from {type(policy).__name__}")
-    return np.asarray(actions)
-
-
-def _checked_actions(kern: CompiledKernel, policy) -> np.ndarray:
-    """The action table as int8, after checking it has one 0 or 1 per state."""
-    actions = _raw_actions(policy)
-    if actions.shape != (kern.n,):
+    actions = np.asarray(actions)
+    if actions.shape != (n,):
         raise ValueError(
-            f"action table must have one entry per state ({kern.n}), got shape {actions.shape}"
+            f"action table must have one entry per state ({n}), got shape {actions.shape}"
         )
     if not np.all((actions == 0) | (actions == 1)):
         raise ValueError("action table entries must be 0 (suspend) or 1 (transmit)")
@@ -523,7 +518,7 @@ def stationary_distribution(
     """
     if max_iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
-    actions = _checked_actions(kern, actions)
+    actions = _checked_actions(kern.n, actions)
     n = kern.n
     blocks = [kern.rows(u) for u in (0, 1)]
     width = max(rows.stop - rows.start for rows in blocks)
@@ -554,7 +549,7 @@ def stationary_distribution(
 
 def policy_averages(kern: CompiledKernel, policy) -> tuple[float, float]:
     """Long-run (average AoI, average energy) of a deterministic policy."""
-    actions = _checked_actions(kern, policy)
+    actions = _checked_actions(kern.n, policy)
     if np.any(actions[~kern.admissible] == 1):
         raise ValueError("policy transmits at a state where transmission is inadmissible")
     pi = stationary_distribution(kern, actions)
@@ -873,7 +868,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     the pattern check and the cutoff, mirroring the interior-state scoping of
     the value-function checks; the exact action table is kept regardless.
     """
-    acts = _raw_actions(actions).astype(np.int8)
+    acts = _checked_actions(space.n, actions)
     thresholds: dict[tuple[int, int], float] = {}
     omega = space.omega
     uncapped = space.steps < space.bound.cap
@@ -906,7 +901,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g)."""
-    acts = _raw_actions(actions).astype(np.int8)
+    acts = _checked_actions(space.n, actions)
     thresholds: dict[tuple[int, int], float] = {}
     for idxs in _cutoff_runs(space):
         k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])
@@ -954,13 +949,15 @@ def aoi_monotonicity_violations(
 
 
 def _neighbour_violations(space, runs, keep, values, worse) -> list[tuple]:
-    """Neighbours (a, b) within a run, both kept, where worse(V(a), V(b))."""
+    """Neighbours (a, b) within a run, both kept, where worse(V(a), V(b)),
+    each state given by its (k, delta, sym) columns."""
+    cols = np.column_stack((space.k, space.delta, space.sym))
     out = []
     for idxs in runs:
         a, b = idxs[:-1], idxs[1:]
         hit = keep[a] & keep[b] & worse(values[a], values[b])
         out.extend(
-            (space.states[i], space.states[j], values[i], values[j])
+            (tuple(cols[i].tolist()), tuple(cols[j].tolist()), values[i], values[j])
             for i, j in zip(a[hit], b[hit])
         )
     return out

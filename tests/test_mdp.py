@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aoisched import mdp
 from aoisched.channel import BeliefOrigin, ChannelModel, belief_table
 from aoisched.mdp import (
     Case,
@@ -17,6 +18,7 @@ from aoisched.mdp import (
     kernel_no_sensing,
     stage_cost,
 )
+from aoisched.solver import rvi_plain
 
 
 class TestFrameSpec:
@@ -159,8 +161,12 @@ class TestEnumerateNoSensing:
         assert len(distinct) <= 3
 
     def test_rejects_cap_not_above_frame(self):
+        args = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(3)
         with pytest.raises(ValueError):
-            enumerate_states_no_sensing(FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(3))
+            enumerate_states_no_sensing(*args)
+        for case in Case:
+            with pytest.raises(ValueError, match="must exceed the frame length"):
+                build_case(case, *args)
 
 
 class TestEnumerateDelayed:
@@ -282,23 +288,40 @@ ORACLE_FRAMES = [(1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 10)]
 ORACLE_CHANNELS = [(0.8, 0.3), (0.6, 0.0), (0.5, 0.5), (1.0, 0.4), (0.999, 0.001), (1.0, 1.0)]
 
 
+def oracle_states(case, frame, ch, bound):
+    if case is Case.NO_SENSING:
+        return enumerate_states_no_sensing(frame, ch, bound)
+    return enumerate_states_delayed(frame, ch, bound)
+
+
 class TestCompiledKernel:
     def test_compiled_matches_per_state_kernels(self):
         for (k, n), (p11, p01), case in itertools.product(ORACLE_FRAMES, ORACLE_CHANNELS, Case):
             frame, ch, bound = FrameSpec(k), ChannelModel(p11, p01), TruncationBound(n)
             space, kern = build_case(case, frame, ch, bound)
+            tag = (case, k, n, p11, p01)
+            # the columns hold the oracle's states, in the oracle's order
+            states = oracle_states(case, frame, ch, bound)
+            index = {s: i for i, s in enumerate(states)}
+            assert len(space) == space.n == len(states), tag
+            assert space.k.tolist() == [s.k for s in states], tag
+            assert space.delta.tolist() == [s.delta for s in states], tag
+            if case is Case.NO_SENSING:
+                assert [space.beliefs.symbols[r] for r in space.sym] == [s.belief for s in states]
+                assert space.omega.tolist() == [s.belief.value for s in states], tag
+                assert space.steps.tolist() == [s.belief.steps for s in states], tag
+            else:
+                assert space.sym.tolist() == space.g.tolist() == [s.g for s in states], tag
             kernel = kernel_no_sensing if case is Case.NO_SENSING else kernel_delayed
-            index = {s: i for i, s in enumerate(space.states)}
             # per (action, branch) pair, the per-state kernels' successor and
             # probability at every state; an inadmissible transmission
             # repeats the suspension branches
             expected = {pair: {} for pair in itertools.product((0, 1), (0, 1))}
-            for i, s in enumerate(space.states):
+            for i, s in enumerate(states):
                 for u in (0, 1):
                     shown = u if s.delta >= frame.K else 0
                     for t, p in kernel(frame, ch, bound, s, shown):
                         expected[u, branch_of(case, s, shown, t)][i] = (index[t], p)
-            tag = (case, k, n, p11, p01)
             # a pair is stored exactly when its probability is non-zero at
             # some state, so every pair the compile dropped is zero everywhere
             assert kern.pairs == tuple(pair for pair in expected if expected[pair]), tag
@@ -308,14 +331,29 @@ class TestCompiledKernel:
                 for i in range(space.n):
                     want = expected[pair].get(i)
                     if want is None:
-                        assert kern.prob[r, i] == 0.0, (tag, pair, space.states[i])
+                        assert kern.prob[r, i] == 0.0, (tag, pair, states[i])
                     else:
                         got = (int(kern.succ[r, i]), float(kern.prob[r, i]))
-                        assert got == want, (tag, pair, space.states[i])
+                        assert got == want, (tag, pair, states[i])
 
     def test_admissible_mask(self):
-        space, kern = build_case(
-            Case.DELAYED_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(7)
-        )
-        for i, s in enumerate(space.states):
-            assert kern.admissible[i] == (s.delta >= 3)
+        frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(7)
+        for case in Case:
+            _space, kern = build_case(case, frame, ch, bound)
+            states = oracle_states(case, frame, ch, bound)
+            assert kern.admissible.tolist() == [s.delta >= 3 for s in states]
+
+
+def test_runtime_path_calls_no_oracle(monkeypatch):
+    """Building a space and solving it never touches the per-state oracles."""
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a per-state oracle was called on the runtime path")
+
+    for name in ("enumerate_states_no_sensing", "enumerate_states_delayed",
+                 "kernel_no_sensing", "kernel_delayed", "StateNoSensing", "StateDelayed"):
+        monkeypatch.setattr(mdp, name, banned)
+    for case in Case:
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.75, 0.25), TruncationBound(13))
+        report = rvi_plain(space, kern, 1.0, eps=1e-7)
+        assert report.policy.actions.any() and not report.policy.actions.all()

@@ -137,8 +137,9 @@ def test_reference_state_always_enumerated(instance):
     frame, ch, bound = instance
     for case in Case:
         space, _kern = build_case(case, frame, ch, bound)
-        ref = space.states[space.reference_index]
-        assert ref.delta == frame.K and ref.k == 1
+        i = space.reference_index
+        assert space.delta[i] == frame.K and space.k[i] == 1
+        assert space.sym[i] == space.reference_sym
 
 
 @given(

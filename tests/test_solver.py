@@ -13,6 +13,7 @@ from aoisched.solver import (
     discounted_vi,
     dual_value_sweep,
     enumerate_and_evaluate,
+    extract_threshold_aoi,
     extract_threshold_belief,
     policy_averages,
     randomization_factor,
@@ -91,9 +92,7 @@ class TestRviPlain:
             Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(9)
         )
         report = rvi_plain(space, kern, 0.5, eps=1e-7)
-        for s, a in zip(space.states, report.policy.actions):
-            if s.delta < 3:
-                assert a == 0
+        assert np.all(report.policy.actions[space.delta < 3] == 0)
 
 
 GRID = [
@@ -245,8 +244,7 @@ class TestThresholdSolvers:
             Case.DELAYED_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(9)
         )
         report = rvi_threshold_delayed(space, kern, 0.0, eps=1e-8)
-        for s, a in zip(space.states, report.policy.actions):
-            assert a == (1 if s.delta >= 3 else 0)
+        assert report.policy.actions.tolist() == (space.delta >= 3).astype(int).tolist()
 
     def test_belief_threshold_structure_in_policy(self):
         space, kern = build_case(
@@ -255,9 +253,9 @@ class TestThresholdSolvers:
         report = rvi_threshold_no_sensing(space, kern, 1.0, eps=1e-7)
         policy = report.policy.as_threshold()
         omega = space.omega
-        for i, s in enumerate(space.states):
+        for i in range(space.n):
             expected = report.policy.actions[i]
-            assert policy.action(s.delta, s.k, omega[i]) == expected
+            assert policy.action(int(space.delta[i]), int(space.k[i]), omega[i]) == expected
 
 
 class TestDiscountedVi:
@@ -478,14 +476,30 @@ class TestThresholdExtraction:
         actions = np.zeros(kern.n, dtype=np.int8)
         # transmit at the lowest belief of a rich group and nowhere else
         groups = {}
-        for i, s in enumerate(space.states):
-            if s.delta >= 2:
-                groups.setdefault((s.delta, s.k), []).append(i)
+        for i in np.flatnonzero(space.delta >= 2):
+            groups.setdefault((space.delta[i], space.k[i]), []).append(i)
         key = max(groups, key=lambda k: len(groups[k]))
         idxs = sorted(groups[key], key=lambda i: space.omega[i])
         actions[idxs[0]] = 1
         with pytest.raises(ThresholdStructureError):
             extract_threshold_belief(space, actions)
+
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("malform", ["doubled", "negated", "short", "long"])
+    def test_rejects_malformed_action_table(self, case, malform):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        acts = rvi_plain(space, kern, 1.0, eps=1e-7).policy.actions
+        assert acts.any()
+        extract = extract_threshold_belief if case is Case.NO_SENSING else extract_threshold_aoi
+        extract(space, acts)
+        bad = {
+            "doubled": 2 * acts,
+            "negated": -acts,
+            "short": acts[:-1],
+            "long": np.append(acts, 0),
+        }[malform]
+        with pytest.raises(ValueError, match="action table"):
+            extract(space, bad)
 
     def test_policy_lookup_beyond_cap_uses_cap_row(self):
         space, kern = build_case(
