@@ -7,12 +7,26 @@ slot's true state. A run is bit-reproducible from its seed: channel noise and
 policy randomization draw from separately keyed streams of a counter-based
 generator, so the channel path is identical across policies and cases at a
 matched seed.
+
+A run draws its whole channel path once, before the first decision, in
+fixed-size blocks from the channel stream (the same doubles slot-by-slot
+draws would give). One loop per slot then walks that path on plain integers
+and marks in it the slots that transmit; AoI samples, histogram, energy and
+trace are rebuilt from the marked path afterwards.
+
+Decisions are cached. The loop keys each slot on what the decision can depend
+on: AoI, slot index, the belief's origin (start of run, last delivery or last
+failed transmission) and unobserved steps since it, the last channel state
+under delayed sensing, and which mixture component acts. ``policy.action`` is
+called only the first time a key occurs, so it must be a pure function of
+(delta, k, observation): the belief value without sensing, the last channel
+state with delayed sensing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +52,16 @@ GENERATOR_NAME = "philox-4x64"
 CHANNEL_STREAM = 0
 POLICY_STREAM = 1
 
+# Channel draws per block of the pre-drawn path; a block's temporaries stay
+# small whatever the horizon.
+_BLOCK = 8192
+# Most decisions one run caches. Keys are distinct states visited, which
+# grow with the horizon when a policy lets the AoI run away; past the limit
+# the loop calls ``policy.action`` directly.
+_CACHE_LIMIT = 1 << 12
+# Belief origins: after a failed transmission, after a delivery, run start.
+_BAD, _GOOD, _INITIAL = 0, 1, 2
+
 
 def make_stream(seed: int, stream: int) -> np.random.Generator:
     """Independent substream of the run's counter-based generator."""
@@ -51,6 +75,12 @@ class SimConfig:
     warmup: int = 1000
 
     def __post_init__(self):
+        for name in ("horizon", "seed", "warmup"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one slot")
         if not 0 <= self.warmup < self.horizon:
@@ -124,52 +154,199 @@ def _metadata(case, frame, ch, cfg, policy_name, **extra) -> dict:
     return meta
 
 
-def _run(case, frame, ch, decide, cfg, record_trace, policy_name, meta_extra=None):
-    """Common slot loop. ``decide(t, delta, k, omega, g)`` picks the action."""
-    rng = make_stream(cfg.seed, CHANNEL_STREAM)
-    pi_star = stationary_good_probability(ch)
-    h_prev = 1 if rng.random() < pi_star else 0
+def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
+    """Channel states h_0..h_horizon of one run, one byte each.
 
-    delta, k = frame.K, 1
-    omega = stationary_belief_value(ch)
-    hist: Counter = Counter()
-    aoi_samples = np.empty(cfg.horizon - cfg.warmup)
-    energy = 0
-    delivered = 0
-    trace = [] if record_trace else None
+    h_0 is drawn from the stationary law and h_t = [U_t < p11 if h_{t-1}
+    else p01]. Since p01 <= p11, h_t is 1 where U_t < p01, 0 where
+    U_t >= p11 and h_{t-1} in between, so each block is one forward fill
+    that carries the last state of the block before.
+    """
+    rng = make_stream(seed, CHANNEL_STREAM)
+    path = bytearray(horizon + 1)
+    states = np.frombuffer(path, dtype=np.uint8)
+    states[0] = 1 if rng.random() < stationary_good_probability(ch) else 0
+    for start in range(1, horizon + 1, _BLOCK):
+        draws = rng.random(min(_BLOCK, horizon + 1 - start))
+        good = draws < ch.p01
+        # index into states[start - 1:]: 0 carries the previous state
+        source = np.where(good | (draws >= ch.p11), np.arange(1, len(draws) + 1), 0)
+        np.maximum.accumulate(source, out=source)
+        known = np.empty(len(draws) + 1, dtype=np.uint8)
+        known[0] = states[start - 1]
+        known[1:] = good
+        states[start:start + len(draws)] = known[source]
+    return path
 
-    for t in range(1, cfg.horizon + 1):
-        u = decide(t, delta, k, omega, h_prev)
-        if u not in (0, 1):
-            raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
-        p_good = ch.p11 if h_prev == 1 else ch.p01
-        h = 1 if rng.random() < p_good else 0
-        theta = 1 if (u == 1 and h == 1) else 0
 
-        if t > cfg.warmup:
-            aoi_samples[t - cfg.warmup - 1] = delta
-            hist[delta] += 1
-            energy += u
-            delivered += theta
-        if record_trace:
-            trace.append((t, delta, k, u, theta, h))
+def _policy_slots(case, frame, ch, policies, picks, path) -> None:
+    """Walk the slots under ``policies[0]``, or per slot under
+    ``policies[picks[t-1]]``, and mark each transmitting slot t by setting
+    bit 1 of ``path[t]``.
 
-        delta = k if theta == 1 else delta + 1
-        omega = ch.p11 if theta == 1 else (ch.p01 if u == 1 else one_step_update(ch, omega))
-        k = frame.next_slot(k)
-        h_prev = h
+    The slot index k is a function of the AoI (the AoI is k - 1 modulo K),
+    so a decision depends on (AoI, belief origin, steps since the last
+    transmission) without sensing, on (AoI, last channel state) with delayed
+    sensing, and on the acting policy. The cache key encodes exactly that,
+    with a side code (observed channel bit plus twice the policy index) in
+    its two low bits, and advances by 4 per slot between transmissions.
+    """
+    K = frame.K
+    horizon = len(path) - 1
+    if case is Case.NO_SENSING:
+        span = 4 * len(path)  # key values per (AoI, origin) at a reset
+        aoi_scale, origin_scale = 3 * span, span
+        origin_value = (ch.p01, ch.p11, stationary_belief_value(ch))
+    else:
+        aoi_scale, origin_scale = 4, 0
+    side = repeat(0, horizon)
+    if case is Case.DELAYED_SENSING or picks is not None:
+        side = bytearray(horizon)
+        codes = np.frombuffer(side, dtype=np.uint8)
+        if case is Case.DELAYED_SENSING:
+            codes |= np.frombuffer(path, dtype=np.uint8)[:-1]
+        if picks is not None:
+            codes |= picks.astype(np.uint8) << 1
+    p11, p01 = ch.p11, ch.p01
+    # the last belief computed, advanced along its origin's iterates
+    w_origin = w_steps = w = None
+    cache: dict = {}
+    get = cache.get
+    # the last reset: AoI d0 at slot t0 and the belief origin
+    d0, t0, origin = K, 1, _INITIAL
+    key = d0 * aoi_scale + origin * origin_scale
+    for t, code in enumerate(side, 1):
+        u = get(key + code)
+        if u is None:
+            steps = t - t0
+            if case is Case.NO_SENSING:
+                if w_origin != origin or w_steps > steps:
+                    w_origin, w_steps, w = origin, 0, origin_value[origin]
+                while w_steps < steps:
+                    w = w * p11 + (1.0 - w) * p01
+                    w_steps += 1
+                obs = w
+            else:
+                obs = code & 1
+            u = policies[code >> 1].action(d0 + steps, (t - 1) % K + 1, obs)
+            if u not in (0, 1):
+                raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
+            if len(cache) < _CACHE_LIMIT:
+                cache[key + code] = u
+        if u:
+            h = path[t]
+            path[t] = h | 2
+            if h:
+                d0, origin = (t - 1) % K + 1, _GOOD
+            else:
+                d0, origin = d0 + t - t0 + 1, _BAD
+            t0 = t + 1
+            key = d0 * aoi_scale + origin * origin_scale
+        else:
+            key += 4
 
-    n = cfg.horizon - cfg.warmup
-    meta = _metadata(case, frame, ch, cfg, policy_name, **(meta_extra or {}))
+
+def _greedy_slots(frame, e_max, path) -> None:
+    """Walk the slots under the greedy baseline and mark each transmitting
+    slot t by setting bit 1 of ``path[t]``.
+
+    The running average counts from the first slot and is 0.0 there (the
+    spend before slot 1 is 0, so ``spent / 1`` gives it).
+    """
+    K = frame.K
+    spent, delta = 0, K
+    for t in range(1, len(path)):
+        if delta >= K and spent / (t - 1 or 1) < e_max:
+            spent += 1
+            h = path[t]
+            path[t] = h | 2
+            delta = (t - 1) % K + 1 if h else delta + 1
+        else:
+            delta += 1
+
+
+def _aoi_path(states: np.ndarray, K: int) -> np.ndarray:
+    """AoI at slots 1..horizon of a walked path (delivery where a state is 3).
+
+    The AoI in slot t is t minus the slot at which the freshest delivered
+    update was generated: the first slot of the frame of its delivery, or
+    1 - K before the first delivery. That slot is a forward fill, done in
+    blocks.
+    """
+    horizon = len(states) - 1
+    dtype = np.int32 if horizon + K < 2**31 else np.int64
+    aoi = np.empty(horizon, dtype=dtype)
+    generated = 1 - K
+    for start in range(0, horizon, _BLOCK):
+        stop = min(start + _BLOCK, horizon)
+        # deliveries in slots start..stop-1 set the AoI of slots start+1..stop
+        slots = np.arange(start, stop, dtype=dtype)
+        fresh = np.where(states[start:stop] == 3, slots - (slots - 1) % K, generated)
+        np.maximum.accumulate(fresh, out=fresh)
+        slots += 1
+        np.subtract(slots, fresh, out=aoi[start:stop])
+        generated = int(fresh[-1])
+    return aoi
+
+
+def _histogram(samples: np.ndarray) -> dict:
+    """Count per AoI value, by blocks: a block's bincount spans only the
+    values the block holds, so no temporary grows with the largest AoI."""
+    counts = np.zeros(int(samples.max()) + 1, dtype=np.int64)
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start:start + _BLOCK]
+        low = int(block.min())
+        found = np.bincount(block - low)
+        counts[low:low + len(found)] += found
+    values = np.flatnonzero(counts)
+    return dict(zip(map(int, values), map(int, counts[values])))
+
+
+def _result(case, frame, ch, cfg, path, record_trace, policy_name, meta_extra=None):
+    """Averages of a walked path: bit 0 of ``path[t]`` is the channel state
+    in slot t, bit 1 the action."""
+    warmup = cfg.warmup
+    states = np.frombuffer(path, dtype=np.uint8)
+    measured = states[warmup + 1:]
+    energy = int(np.count_nonzero(measured >= 2))
+    delivered = int(np.count_nonzero(measured == 3))
+    aoi = _aoi_path(states, frame.K)
+    samples = aoi[warmup:]
+    histogram = _histogram(samples)
+    # Integer samples give the float64 means of per-slot float samples
+    # exactly while every partial sum stays below 2**53; past that, the
+    # sums must round as float sums do.
+    if len(samples) * max(histogram) >= 2**53:
+        samples = samples.astype(np.float64)
+
+    trace = None
+    if record_trace:
+        walked = states[1:]
+        trace = list(zip(
+            range(1, len(states)), aoi.tolist(),
+            (np.arange(len(walked)) % frame.K + 1).tolist(),
+            (walked >> 1).tolist(), (walked == 3).astype(np.uint8).tolist(),
+            (walked & 1).tolist(),
+        ))
+
     return SimResult(
-        avg_aoi=float(aoi_samples.mean()),
-        avg_energy=energy / n,
-        aoi_histogram=dict(hist),
+        avg_aoi=float(samples.mean()),
+        avg_energy=energy / len(samples),
+        aoi_histogram=histogram,
         delivered_count=delivered,
-        aoi_se=_batch_se(aoi_samples),
-        metadata=meta,
+        aoi_se=_batch_se(samples),
+        metadata=_metadata(case, frame, ch, cfg, policy_name, **(meta_extra or {})),
         trace=trace,
     )
+
+
+def _simulate_policies(case, frame, ch, policies, picks, cfg, record_trace,
+                       policy_name, meta_extra=None) -> SimResult:
+    if case is not Case.NO_SENSING and case is not Case.DELAYED_SENSING:
+        raise ValueError(f"unknown case {case!r}")
+    path = _channel_path(ch, cfg.seed, cfg.horizon)
+    _policy_slots(case, frame, ch, policies, picks, path)
+    return _result(case, frame, ch, cfg, path, record_trace, policy_name, meta_extra)
 
 
 def simulate(
@@ -184,15 +361,12 @@ def simulate(
 
     No-sensing policies consume (delta, k, belief) with the belief maintained
     from the scheduler's own feedback; delayed-sensing policies consume
-    (delta, k, last-slot channel state).
+    (delta, k, last-slot channel state). Decisions are cached per state, so
+    ``policy.action`` must be a pure function of its arguments.
     """
-    if case is Case.NO_SENSING:
-        decide = lambda t, delta, k, omega, g: policy.action(delta, k, omega)
-    elif case is Case.DELAYED_SENSING:
-        decide = lambda t, delta, k, omega, g: policy.action(delta, k, g)
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return _run(case, frame, ch, decide, cfg, record_trace, type(policy).__name__)
+    return _simulate_policies(
+        case, frame, ch, (policy,), None, cfg, record_trace, type(policy).__name__
+    )
 
 
 def simulate_greedy(
@@ -210,17 +384,10 @@ def simulate_greedy(
     update is undelivered.
     """
     policy = GreedyPolicy(e_max)
-    spent = 0
-
-    def decide(t, delta, k, omega, g):
-        nonlocal spent
-        e_bar = 0.0 if t == 1 else spent / (t - 1)
-        u = 1 if (e_bar < policy.e_max and delta >= frame.K) else 0
-        spent += u
-        return u
-
-    return _run(
-        case, frame, ch, decide, cfg, record_trace, "GreedyPolicy", {"e_max": e_max}
+    path = _channel_path(ch, cfg.seed, cfg.horizon)
+    _greedy_slots(frame, policy.e_max, path)
+    return _result(
+        case, frame, ch, cfg, path, record_trace, "GreedyPolicy", {"e_max": e_max}
     )
 
 
@@ -241,16 +408,10 @@ def estimate_mixture(
     """
     q = mixture.q
     if per_slot:
-        coins = make_stream(cfg.seed, POLICY_STREAM)
-
-        def decide(t, delta, k, omega, g):
-            chosen = mixture.pi_minus if coins.random() < q else mixture.pi_plus
-            arg = omega if case is Case.NO_SENSING else g
-            return chosen.action(delta, k, arg)
-
-        return _run(
-            case, frame, ch, decide, cfg, False, "MixturePolicy",
-            {"q": q, "mode": "per_slot"},
+        picks_minus = make_stream(cfg.seed, POLICY_STREAM).random(cfg.horizon) < q
+        return _simulate_policies(
+            case, frame, ch, (mixture.pi_plus, mixture.pi_minus), picks_minus, cfg,
+            False, "MixturePolicy", {"q": q, "mode": "per_slot"},
         )
 
     if q == 1.0:

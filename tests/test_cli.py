@@ -227,6 +227,22 @@ class TestConfigAndValidation:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tradeoff", "greedy-compare"])
+    def test_negative_seed_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        import aoisched.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran before the seed was checked")
+
+        for name in ("bisect_lambda", "build_case", "rvi_plain"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "x.csv"
+        code = main([command, "--emax", "0.4", "--out", str(out), *FAST, "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_channel_rejected(self, tmp_path):
         code = main([
             "tradeoff", "--p11", "0.2", "--p01", "0.7",

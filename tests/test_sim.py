@@ -1,11 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from aoisched.channel import ChannelModel, stationary_good_probability
+from aoisched import sim
+from aoisched.channel import ChannelModel, one_step_update, stationary_good_probability
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.sim import (
+    CHANNEL_STREAM,
+    POLICY_STREAM,
     GreedyPolicy,
     SimConfig,
+    SimResult,
     estimate_mixture,
     make_stream,
     simulate,
@@ -40,12 +46,159 @@ class BrokenPolicy:
         return 2
 
 
+class HashPolicy:
+    """Transmits on an arbitrary but pure function of the exact arguments.
+
+    The hash of a float depends on every bit, so a belief off by one ulp
+    gives another hash and often another decision.
+    """
+
+    def __init__(self, frame_k, salt):
+        self.frame_k, self.salt = frame_k, salt
+
+    def action(self, delta, k, obs):
+        return int(delta >= self.frame_k and hash((delta, k, obs, self.salt)) % 3 != 0)
+
+
+class CountingPolicy:
+    """Counts the calls of a wrapped policy per argument tuple."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, Counter()
+
+    def action(self, delta, k, obs):
+        self.calls[(delta, k, obs)] += 1
+        return self.inner.action(delta, k, obs)
+
+
+# ---------------------------------------------------------------------------
+# the slot-by-slot simulator the integer loop replaced, kept as its oracle
+
+
+def _oracle_batch_se(samples, n_batches=50):
+    if len(samples) < 2 * n_batches:
+        n_batches = max(2, len(samples) // 2)
+    if len(samples) < 2:
+        return 0.0
+    size = len(samples) // n_batches
+    means = samples[: size * n_batches].reshape(n_batches, size).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
+def _oracle_run(case, frame, ch, decide, cfg, record_trace, policy_name, meta_extra=None):
+    """Common slot loop. ``decide(t, delta, k, omega, g)`` picks the action."""
+    rng = make_stream(cfg.seed, CHANNEL_STREAM)
+    pi_star = stationary_good_probability(ch)
+    h_prev = 1 if rng.random() < pi_star else 0
+
+    delta, k = frame.K, 1
+    omega = stationary_belief_value(ch)
+    hist: Counter = Counter()
+    aoi_samples = np.empty(cfg.horizon - cfg.warmup)
+    energy = 0
+    delivered = 0
+    trace = [] if record_trace else None
+
+    for t in range(1, cfg.horizon + 1):
+        u = decide(t, delta, k, omega, h_prev)
+        if u not in (0, 1):
+            raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
+        p_good = ch.p11 if h_prev == 1 else ch.p01
+        h = 1 if rng.random() < p_good else 0
+        theta = 1 if (u == 1 and h == 1) else 0
+
+        if t > cfg.warmup:
+            aoi_samples[t - cfg.warmup - 1] = delta
+            hist[delta] += 1
+            energy += u
+            delivered += theta
+        if record_trace:
+            trace.append((t, delta, k, u, theta, h))
+
+        delta = k if theta == 1 else delta + 1
+        omega = ch.p11 if theta == 1 else (ch.p01 if u == 1 else one_step_update(ch, omega))
+        k = frame.next_slot(k)
+        h_prev = h
+
+    n = cfg.horizon - cfg.warmup
+    meta = sim._metadata(case, frame, ch, cfg, policy_name, **(meta_extra or {}))
+    return SimResult(
+        avg_aoi=float(aoi_samples.mean()),
+        avg_energy=energy / n,
+        aoi_histogram=dict(hist),
+        delivered_count=delivered,
+        aoi_se=_oracle_batch_se(aoi_samples),
+        metadata=meta,
+        trace=trace,
+    )
+
+
+def oracle_simulate(case, frame, ch, policy, cfg, record_trace=False):
+    if case is Case.NO_SENSING:
+        decide = lambda t, delta, k, omega, g: policy.action(delta, k, omega)
+    else:
+        decide = lambda t, delta, k, omega, g: policy.action(delta, k, g)
+    return _oracle_run(case, frame, ch, decide, cfg, record_trace, type(policy).__name__)
+
+
+def oracle_greedy(case, frame, ch, e_max, cfg, record_trace=False):
+    spent = 0
+
+    def decide(t, delta, k, omega, g):
+        nonlocal spent
+        e_bar = 0.0 if t == 1 else spent / (t - 1)
+        u = 1 if (e_bar < e_max and delta >= frame.K) else 0
+        spent += u
+        return u
+
+    return _oracle_run(
+        case, frame, ch, decide, cfg, record_trace, "GreedyPolicy", {"e_max": e_max}
+    )
+
+
+def oracle_per_slot(case, frame, ch, mixture, cfg):
+    coins = make_stream(cfg.seed, POLICY_STREAM)
+
+    def decide(t, delta, k, omega, g):
+        chosen = mixture.pi_minus if coins.random() < mixture.q else mixture.pi_plus
+        arg = omega if case is Case.NO_SENSING else g
+        return chosen.action(delta, k, arg)
+
+    return _oracle_run(
+        case, frame, ch, decide, cfg, False, "MixturePolicy",
+        {"q": mixture.q, "mode": "per_slot"},
+    )
+
+
+def assert_same_result(got, want):
+    assert vars(got) == vars(want)
+    assert {k: type(v) for k, v in vars(got).items()} == {k: type(v) for k, v in vars(want).items()}
+    assert {type(v) for v in got.aoi_histogram} == {int}
+    if got.trace is not None:
+        assert {type(v) for row in got.trace for v in row} == {int}
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(horizon=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon=100, seed=1, warmup=100)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"horizon": 100.0, "seed": 1, "warmup": 0}, "horizon"),
+        ({"horizon": True, "seed": 1, "warmup": 0}, "horizon"),
+        ({"horizon": "100", "seed": 1, "warmup": 0}, "horizon"),
+        ({"horizon": 100, "seed": 1, "warmup": 0.0}, "warmup"),
+        ({"horizon": 100, "seed": 1, "warmup": False}, "warmup"),
+        ({"horizon": 100, "seed": -1, "warmup": 0}, "seed"),
+        ({"horizon": 100, "seed": 1.5, "warmup": 0}, "seed"),
+        ({"horizon": 100, "seed": 1.0, "warmup": 0}, "seed"),
+        ({"horizon": 100, "seed": None, "warmup": 0}, "seed"),
+    ])
+    def test_rejects_non_integers_and_negative_seed(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
 
 
 class TestDeterminism:
@@ -223,6 +376,11 @@ class TestErrors:
         with pytest.raises(PolicyUndefinedError):
             simulate(Case.NO_SENSING, frame, ch, BrokenPolicy(), SimConfig(10, 1, 0))
 
+    def test_case_must_be_a_case_member(self):
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        with pytest.raises(ValueError, match="unknown case"):
+            simulate("no_sensing", frame, ch, NeverTransmit(), SimConfig(10, 1, 0))
+
 
 class TestAnalyticAgreement:
     @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
@@ -262,3 +420,167 @@ class TestStreams:
         assert meta["generator"] == "philox-4x64"
         assert meta["case"] == "no_sensing"
         assert meta["p11"] == 0.7 and meta["p01"] == 0.3
+
+
+# ---------------------------------------------------------------------------
+# the integer loop against the slot-by-slot oracle
+
+IDENTITY_CHANNELS = [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0), (1.0, 0.4), (0.999, 0.001),
+                     (0.5, 0.5), (1.0, 1.0)]
+# (K, horizon, warmup): the longer run spans two path blocks and ends mid-block
+IDENTITY_RUNS = [(1, 2001, 0), (3, sim._BLOCK + 917, 613)]
+
+
+@pytest.mark.parametrize("p11, p01", IDENTITY_CHANNELS)
+@pytest.mark.parametrize("K, horizon, warmup", IDENTITY_RUNS)
+class TestOracleIdentity:
+    def test_policy_runs_and_traces(self, p11, p01, K, horizon, warmup):
+        frame, ch = FrameSpec(K), ChannelModel(p11, p01)
+        cfg = SimConfig(horizon, 11, warmup)
+        for case in Case:
+            policy = HashPolicy(K, 1)
+            assert_same_result(
+                simulate(case, frame, ch, policy, cfg, record_trace=True),
+                oracle_simulate(case, frame, ch, policy, cfg, record_trace=True),
+            )
+
+    def test_greedy(self, p11, p01, K, horizon, warmup):
+        frame, ch = FrameSpec(K), ChannelModel(p11, p01)
+        cfg = SimConfig(horizon, 13, warmup)
+        for e_max in (0.1, 0.5, 1.0):
+            assert_same_result(
+                simulate_greedy(Case.NO_SENSING, frame, ch, e_max, cfg, record_trace=True),
+                oracle_greedy(Case.NO_SENSING, frame, ch, e_max, cfg, record_trace=True),
+            )
+
+    def test_per_slot_mixture(self, p11, p01, K, horizon, warmup):
+        frame, ch = FrameSpec(K), ChannelModel(p11, p01)
+        cfg = SimConfig(horizon, 17, warmup)
+        mix = MixturePolicy(HashPolicy(K, 2), HashPolicy(K, 3), 0.3, 0, 0, 0, 0, 0, 0)
+        for case in Case:
+            assert_same_result(
+                estimate_mixture(case, frame, ch, mix, cfg, per_slot=True),
+                oracle_per_slot(case, frame, ch, mix, cfg),
+            )
+
+
+class TestOracleIdentitySolved:
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_solved_threshold_policies(self, case):
+        frame, ch = FrameSpec(3), ChannelModel(0.8, 0.4)
+        space, kern = build_case(case, frame, ch, TruncationBound(30))
+        cfg = SimConfig(30_000, 19, 1000)
+        for lam in (0.5, 4.0):
+            policy = rvi_plain(space, kern, lam, eps=1e-7).policy.as_threshold()
+            assert_same_result(
+                simulate(case, frame, ch, policy, cfg),
+                oracle_simulate(case, frame, ch, policy, cfg),
+            )
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_runs_past_the_cache_limit(self, case):
+        # the AoI runs away, so most states are never cached
+        frame, ch = FrameSpec(2), ChannelModel(0.7, 0.3)
+        cfg = SimConfig(3 * sim._CACHE_LIMIT, 23, 100)
+        assert_same_result(
+            simulate(case, frame, ch, NeverTransmit(), cfg, record_trace=True),
+            oracle_simulate(case, frame, ch, NeverTransmit(), cfg, record_trace=True),
+        )
+
+
+def scalar_path(ch, seed, horizon):
+    rng = make_stream(seed, CHANNEL_STREAM)
+    h = 1 if rng.random() < stationary_good_probability(ch) else 0
+    path = [h]
+    for _ in range(horizon):
+        h = 1 if rng.random() < (ch.p11 if h else ch.p01) else 0
+        path.append(h)
+    return path
+
+
+class TestChannelPath:
+    @pytest.mark.parametrize("p11, p01", [(0.7, 0.0), (1.0, 0.4), (0.5, 0.5), (0.9, 0.2)])
+    @pytest.mark.parametrize("horizon", [1, sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1])
+    def test_block_path_matches_scalar_recurrence(self, p11, p01, horizon):
+        ch = ChannelModel(p11, p01)
+        assert list(sim._channel_path(ch, 29, horizon)) == scalar_path(ch, 29, horizon)
+
+
+def visited_keys(case, trace, h0):
+    """The states a run's decisions depend on, read off its trace: (AoI,
+    belief origin, steps since the last transmission) without sensing and
+    (AoI, last channel state) with delayed sensing."""
+    keys = set()
+    origin, steps, g = "initial", 0, h0
+    for _t, delta, _k, u, theta, h in trace:
+        keys.add((delta, origin, steps) if case is Case.NO_SENSING else (delta, g))
+        if u:
+            origin, steps = ("good" if theta else "bad"), 0
+        else:
+            steps += 1
+        g = h
+    return keys
+
+
+class TestDecisionCache:
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_action_called_once_per_state(self, case):
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        cfg = SimConfig(20_000, 31, 0)
+        h0 = scalar_path(ch, cfg.seed, 0)[0]
+        policy = CountingPolicy(HashPolicy(3, 4))
+        trace = simulate(case, frame, ch, policy, cfg, record_trace=True).trace
+        keys = visited_keys(case, trace, h0)
+        assert len(keys) < sim._CACHE_LIMIT
+        assert sum(policy.calls.values()) == len(keys)
+
+    def test_per_slot_mixture_calls_each_component_once_per_state(self):
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        cfg = SimConfig(20_000, 37, 0)
+        lo, hi = CountingPolicy(HashPolicy(3, 5)), CountingPolicy(HashPolicy(3, 6))
+        estimate_mixture(Case.DELAYED_SENSING, frame, ch,
+                         MixturePolicy(lo, hi, 0.5, 0, 0, 0, 0, 0, 0), cfg, per_slot=True)
+        # delayed sensing: the arguments are the whole state
+        assert max(lo.calls.values()) == 1
+        assert max(hi.calls.values()) == 1
+
+    def test_cache_does_not_grow_with_the_horizon(self):
+        import tracemalloc
+
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+
+        def loop_peak(horizon):
+            # every slot of a never-transmitting run is a new state
+            path = sim._channel_path(ch, 43, horizon)
+            tracemalloc.start()
+            try:
+                sim._policy_slots(Case.NO_SENSING, frame, ch, (NeverTransmit(),), None, path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop_peak(10)  # warm up
+        assert loop_peak(8 * sim._CACHE_LIMIT) < 2 * loop_peak(2 * sim._CACHE_LIMIT)
+
+    @pytest.mark.parametrize("policy_kind", ["never", "threshold"])
+    def test_peak_memory_not_above_oracle(self, policy_kind):
+        import tracemalloc
+
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        if policy_kind == "never":
+            policy = NeverTransmit()
+        else:
+            space, kern = build_case(Case.NO_SENSING, frame, ch, TruncationBound(100))
+            policy = rvi_plain(space, kern, 1.0, eps=1e-7).policy.as_threshold()
+        cfg = SimConfig(100_000, 41, 0)
+
+        def peak(run):
+            run(Case.NO_SENSING, frame, ch, policy, SimConfig(100, 41, 0))  # warm up
+            tracemalloc.start()
+            try:
+                run(Case.NO_SENSING, frame, ch, policy, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(simulate) <= peak(oracle_simulate)
