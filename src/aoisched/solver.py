@@ -8,10 +8,13 @@ brute-force oracle over all deterministic admissible policies, and a
 dual-objective sweep.
 
 All relative value iteration runs through one loop over the vectorised
-Bellman step, which discounted value iteration shares. A threshold-aware
-variant only supplies the mask of states its cutoff rule places above the
-cutoff; its ``argmin_evals`` counts the comparisons the rule still needs, the
-paper's complexity measure, not work that is skipped.
+Bellman step, which discounted value iteration shares. Both carry a price
+axis: a single solve is a batch of one price, and the dual sweep solves its
+grid in batches, each price exactly as it would be solved alone. A
+threshold-aware variant solves one price and only supplies the mask of
+states its cutoff rule places above the cutoff; its ``argmin_evals`` counts
+the comparisons the rule still needs, the paper's complexity measure, not
+work that is skipped.
 
 The step reads the kernel's branch-major rows: one ``np.take`` gathers the
 bias at the successors of every (action, branch) row, and every later
@@ -213,102 +216,167 @@ class SolveReport:
 
 
 class _Bellman:
-    """The Bellman step of one solve, and the work arrays it writes into.
+    """The Bellman step over a batch of prices, and its work arrays.
 
-    Built once per solve; a sweep then allocates nothing. One ``np.take``
-    gathers the bias at every kernel row's successors, and every later
-    operation writes with ``out=`` in the order of the textbook expression
-    q_u = delta + lam*u + sum over u's branches of p*h, so the values are
-    those of ``kern.expected_bias`` bit for bit. With a discount ``beta`` the
-    expectation is scaled before the cost is added.
+    The bias h and the transmit cost hold one column per price, (n, m) for
+    m prices. One ``np.take`` gathers the bias rows at every kernel row's
+    successors, and every later operation writes with ``out=`` in the order
+    of q_u = delta + lam*u + sum over u's branches of p*h, so the values are
+    those of ``kern.expected_bias`` bit for bit. Rows whose probability is 1
+    at every state (suspension without sensing) skip the multiply, and the
+    transmit cost is +inf where transmission is inadmissible; neither moves
+    a bit. With a discount ``beta`` the expectation is scaled before the
+    cost is added. Work arrays are made once per solve for the widest batch,
+    and m prices use the front of each, so a sweep allocates nothing.
     """
 
-    def __init__(self, kern: CompiledKernel, lam: float, beta: float | None = None):
+    def __init__(self, kern: CompiledKernel, width: int, beta: float | None = None):
         self.kern = kern
         self.beta = beta
-        self.cost = (kern.delta, kern.delta + lam)
-        self.barred = ~kern.admissible
-        self.terms = np.empty(kern.prob.shape)
-        self.branches = (self.terms[kern.rows(0)], self.terms[kern.rows(1)])
-        self.q = np.empty((2, kern.n))
+        self.delta = kern.delta[:, None]
+        self.prob = kern.prob[:, :, None]
+        # probabilities are at most 1, so a row's minimum is 1 only on unit rows
+        bounds = np.flatnonzero(np.diff(np.r_[0, kern.prob.min(axis=1) < 1.0, 0]))
+        self.scaled = [slice(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+        self.terms = np.empty(kern.prob.size * width)
+        self.q = np.empty(2 * kern.n * width)
+        self.views: dict[int, tuple] = {}
 
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        """Action values (q0, q1) at h, with q1 = inf where it is inadmissible."""
-        np.take(h, self.kern.succ, out=self.terms, mode="clip")
-        np.multiply(self.terms, self.kern.prob, out=self.terms)
-        for rows, cost, q in zip(self.branches, self.cost, self.q):
-            expect = rows[0] if len(rows) == 1 else np.add(*rows, out=q)
+    def transmit_cost(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, len(lams)) cost of transmitting, +inf where inadmissible."""
+        cost = np.add(self.delta, lams, out=out)
+        cost[~self.kern.admissible] = np.inf
+        return cost
+
+    def _views(self, m: int) -> tuple:
+        """The work-array views that a step over m prices writes into."""
+        kern = self.kern
+        terms = _front(self.terms, kern.prob.shape + (m,))
+        scaled = [(terms[rows], self.prob[rows]) for rows in self.scaled]
+        q = tuple(_front(self.q, (2, kern.n, m)))
+        sums = [
+            [terms[r] for r in range(rows.start, rows.stop)]
+            for rows in (kern.rows(0), kern.rows(1))
+        ]
+        return terms, scaled, sums, q
+
+    def __call__(self, h: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Action values (q0, q1) at the (n, m) bias h, each (n, m), with
+        ``cost`` the transmit cost of the same m prices."""
+        m = h.shape[1]
+        views = self.views.get(m)
+        if views is None:
+            views = self.views[m] = self._views(m)
+        terms, scaled, sums, q = views
+        np.take(h, self.kern.succ, axis=0, out=terms, mode="clip")
+        for part, prob in scaled:
+            np.multiply(part, prob, out=part)
+        for branches, cost_u, q_u in zip(sums, (self.delta, cost), q):
+            expect = branches[0] if len(branches) == 1 else np.add(*branches, out=q_u)
             if self.beta is not None:
-                expect = np.multiply(expect, self.beta, out=q)
-            np.add(cost, expect, out=q)
-        np.copyto(self.q[1], np.inf, where=self.barred)
-        return self.q
+                expect = np.multiply(expect, self.beta, out=q_u)
+            np.add(cost_u, expect, out=q_u)
+        return q
+
+
+def _front(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of a flat buffer, as a C-contiguous array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) -> np.ndarray:
     return np.less(q1, q0, out=out) if tie_break == "suspend" else np.less_equal(q1, q0, out=out)
 
 
-def _finish(space, step, h, spans, argmin_evals, tie_break) -> SolveReport:
-    q0, q1 = step(h)
-    gain = float(np.minimum(q0, q1)[step.kern.reference_index])
-    actions = _transmit_beats(q0, q1, tie_break).astype(np.int8)
-    return SolveReport(
-        gain, h, TabularPolicy(space, actions), len(spans), spans[-1], argmin_evals, spans
-    )
+def _rvi(space, kern, lams, eps, max_iters, relaxation, h_init, tie_break, above=None):
+    """The one relative-value-iteration loop behind every solver: one
+    ``SolveReport`` per price of ``lams``, in that order.
 
+    A sweep is elementwise across prices or reduces within one price's
+    column, so each price is solved exactly as alone, from ``h_init`` (the
+    zero function by default). A price leaves the batch at the first sweep
+    where its own span is at most ``eps``, its report read at that iterate,
+    and the running prices close up; a finished bias is not written again.
 
-def _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above=None):
-    """The one relative-value-iteration loop behind all three solvers.
-
-    ``above`` maps the action values (q0, q1) of a sweep to the admissible
-    states that a cutoff rule already places above their cutoff. Those take
-    q1 as they are, and ``argmin_evals`` counts only the comparisons the rule
-    still needs, the complexity measure of the structure-aware algorithm.
-    Without a mask every admissible state is compared. The iterate and its
-    successor swap between two arrays of the solve; the one returned as the
-    bias is not written again.
+    ``above`` (one price only) maps the action values (q0, q1) of a sweep to
+    the admissible states a cutoff rule already places above their cutoff.
+    Those take q1 as they are, and ``argmin_evals`` counts only the
+    comparisons the rule still needs, the paper's complexity measure.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {eps}")
     if max_iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"energy price must be finite and non-negative, got {lam}")
+    lams = np.array(lams, dtype=float)
+    bad = lams[~((lams >= 0.0) & (lams < np.inf))]
+    if len(bad):
+        raise ValueError(f"energy price must be finite and non-negative, got {bad[0]}")
     if tie_break not in ("suspend", "transmit"):
         raise ValueError(f"unknown tie break {tie_break!r}")
-    step = _Bellman(kern, lam)
-    h = np.zeros(kern.n)
+    m, n = len(lams), kern.n
+    step = _Bellman(kern, m)
+    # h, its successor and the transmit cost are fronts of flat buffers
+    h_buf, new_buf, cost_buf = np.zeros(n * m), np.empty(n * m), np.empty(n * m)
+    h, h_new, cost = _front(h_buf, (n, m)), _front(new_buf, (n, m)), _front(cost_buf, (n, m))
+    step.transmit_cost(lams, out=cost)
     if h_init is not None:
-        h[:] = h_init
-    h_new = np.empty(kern.n)
+        h.T[:] = h_init
     ref = kern.reference_index
-    n_argmin = int(kern.admissible.sum())
-    argmin_evals = 0
-    spans: list[float] = []
+    ref_value, span = np.empty(m), np.empty(m)
+    n_argmin, skipped = int(kern.admissible.sum()), 0
+    price = list(range(m))  # the position in lams of each column
+    spans: list[list[float]] = [[] for _ in range(m)]
+    reports: list[SolveReport | None] = [None] * m
     for _it in range(max_iters):
-        q0, q1 = step(h)
-        up = None if above is None else above(q0, q1)
+        q0, q1 = step(h, cost)
+        up = None if above is None else above(q0[:, 0], q1[:, 0])
         v = np.minimum(q0, q1, out=q0)
-        if up is None:
-            argmin_evals += n_argmin
-        else:
-            np.copyto(v, q1, where=up)
-            argmin_evals += n_argmin - int(np.count_nonzero(up))
+        if up is not None:
+            np.copyto(v[:, 0], q1[:, 0], where=up)
+            skipped += int(np.count_nonzero(up))
         # h_new = h + relaxation * (v - v[ref] - h); q1 then takes the change
-        np.subtract(v, v[ref], out=v)
+        np.copyto(ref_value, v[ref])
+        np.subtract(v, ref_value, out=v)
         np.subtract(v, h, out=v)
         np.multiply(relaxation, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
-        spans.append(float(np.abs(q1, out=q1).max()))
-        h, h_new = h_new, h
-        if spans[-1] <= eps:
-            return _finish(space, step, h, spans, argmin_evals, tie_break)
+        np.maximum.reduce(np.abs(q1, out=q1), axis=0, out=span)
+        now = span.tolist()
+        for history, s in zip(spans, now):
+            history.append(s)
+        h, h_new, h_buf, new_buf = h_new, h, new_buf, h_buf
+        # min() skips a NaN span unless it comes first, so no finished price is missed
+        if min(now) > eps:
+            continue
+        done = span <= eps
+        finished, kept = np.flatnonzero(done), np.flatnonzero(~done)
+        if len(kept):
+            h_done, cost_done = h[:, finished], cost[:, finished]
+        else:
+            h_done, cost_done = h, cost
+        q0, q1 = step(h_done, cost_done)
+        for col, j in enumerate(finished):
+            history = spans[j]
+            actions = _transmit_beats(q0[:, col], q1[:, col], tie_break).astype(np.int8)
+            reports[price[j]] = SolveReport(
+                float(np.minimum(q0[ref, col], q1[ref, col])), h_done[:, col],
+                TabularPolicy(space, actions), len(history), history[-1],
+                n_argmin * len(history) - skipped, history,
+            )
+        if not len(kept):
+            return reports
+        m = len(kept)
+        h_kept, cost_kept = h[:, kept], cost[:, kept]
+        h, h_new, cost = _front(h_buf, (n, m)), _front(new_buf, (n, m)), _front(cost_buf, (n, m))
+        h[:], cost[:] = h_kept, cost_kept
+        ref_value, span = ref_value[:m], span[:m]
+        price, spans = [price[j] for j in kept], [spans[j] for j in kept]
+    last = spans[0][-1]  # columns keep the order of lams
     raise NonConvergenceError(
         f"relative value iteration did not reach span {eps} in {max_iters} sweeps "
-        f"(last span {spans[-1]})",
-        spans[-1],
+        f"(last span {last})",
+        last,
     )
 
 
@@ -329,7 +397,7 @@ def rvi_plain(
     Ties between equal action values resolve to suspension so that all
     solver variants agree action for action.
     """
-    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break)
+    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break)[0]
 
 
 class _FirstBeating:
@@ -403,7 +471,7 @@ def rvi_threshold_no_sensing(
         np.greater(omega, cutoff(beats), out=up)
         return np.logical_and(free, up, out=up)
 
-    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
+    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break, above)[0]
 
 
 def rvi_threshold_delayed(
@@ -440,7 +508,7 @@ def rvi_threshold_delayed(
         np.greater(delta, first, out=up)
         return np.logical_or(up, beats, out=up)
 
-    return _rvi(space, kern, lam, eps, max_iters, relaxation, h_init, tie_break, above)
+    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break, above)[0]
 
 
 def discounted_vi(
@@ -465,11 +533,12 @@ def discounted_vi(
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if n_iters is None and tol is None:
         tol = (1.0 - beta) * 1e-8
-    step = _Bellman(kern, lam, beta)
-    v, v_new = np.zeros(kern.n), np.empty(kern.n)
+    step = _Bellman(kern, 1, beta)
+    cost = step.transmit_cost(np.array([lam], dtype=float))
+    v, v_new = np.zeros((kern.n, 1)), np.empty((kern.n, 1))
     limit = n_iters if n_iters is not None else 10_000_000
     for _ in range(limit):
-        q0, q1 = step(v)
+        q0, q1 = step(v, cost)
         np.minimum(q0, q1, out=v_new)
         np.subtract(v_new, v, out=q1)
         change = float(np.abs(q1, out=q1).max())
@@ -479,7 +548,7 @@ def discounted_vi(
     else:
         if n_iters is None:
             raise NonConvergenceError("discounted value iteration stalled", change)
-    return v
+    return v[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +727,10 @@ def bisect_lambda(
     )
 
 
+# prices times states solved at once by one batch of ``dual_value_sweep``
+_DUAL_BATCH = 2 ** 14
+
+
 def dual_value_sweep(
     case: Case,
     frame: FrameSpec,
@@ -672,21 +745,22 @@ def dual_value_sweep(
     """Dual objective (priced optimum minus priced budget) along a price grid.
 
     Its maximum lower-bounds the constrained optimum and matches it when the
-    grid resolves the optimal price.
+    grid resolves the optimal price. The grid is solved in batches, each
+    price from the zero function, so every value is bit for bit
+    ``rvi_plain(...).gain - lam * e_max`` of that price alone.
     """
+    if not 0.0 < e_max <= 1.0:
+        raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     grid = [float(lam) for lam in lam_grid]
-    if not grid or any(lam < 0 for lam in grid):
-        raise ValueError("price grid must be non-empty and non-negative")
+    if not grid or not all(0.0 <= lam < np.inf for lam in grid):
+        raise ValueError("price grid must be non-empty, finite and non-negative")
     space, kern = build_case(case, frame, ch, bound)
+    size = max(1, _DUAL_BATCH // kern.n)
     out = []
-    warm = None
-    for lam in grid:
-        report = rvi_plain(
-            space, kern, lam, eps=eps, max_iters=max_iters,
-            relaxation=relaxation, h_init=warm,
-        )
-        warm = report.bias
-        out.append((lam, report.gain - lam * e_max))
+    for start in range(0, len(grid), size):
+        batch = grid[start : start + size]
+        reports = _rvi(space, kern, batch, eps, max_iters, relaxation, None, "suspend")
+        out.extend((lam, report.gain - lam * e_max) for lam, report in zip(batch, reports))
     return out
 
 

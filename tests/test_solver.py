@@ -94,6 +94,26 @@ class TestRviPlain:
         report = rvi_plain(space, kern, 0.5, eps=1e-7)
         assert np.all(report.policy.actions[space.delta < 3] == 0)
 
+    @pytest.mark.parametrize("threshold", [False, True])
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_free_inadmissible_transmission_never_chosen(self, case, threshold):
+        # at price 0 an inadmissible transmission would cost what suspension
+        # costs, so the transmit tie break would take it were it not barred
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(9))
+        solver = THRESHOLD_SOLVER[case] if threshold else rvi_plain
+        report = solver(space, kern, 0.0, eps=1e-7, tie_break="transmit")
+        assert not report.policy.actions[~kern.admissible].any()
+        assert policy_averages(kern, report.policy)[1] > 0.0
+
+    def test_warm_start_is_used(self):
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(9)
+        )
+        cold = rvi_plain(space, kern, 1.0, eps=1e-7)
+        warm = rvi_plain(space, kern, 1.0, eps=1e-7, h_init=cold.bias)
+        assert warm.iterations < cold.iterations
+        assert warm.gain == pytest.approx(cold.gain, abs=1e-7)
+
 
 GRID = [
     (K, p11, p01, lam)
@@ -444,13 +464,85 @@ class TestBisection:
         assert (mix.aoi_plus, mix.energy_plus) == (aoi_plus, energy_plus)
 
 
+def cold_dual_values(case, frame, ch, bound, e_max, grid, eps):
+    """Each grid price solved on its own by ``rvi_plain`` from the zero function."""
+    space, kern = build_case(case, frame, ch, bound)
+    return [(lam, rvi_plain(space, kern, lam, eps=eps).gain - lam * e_max) for lam in grid]
+
+
 class TestDualSweep:
     def test_price_zero_entry_is_unconstrained_aoi(self):
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(10)
         sweep = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, [0.0, 0.5, 1.0], eps=1e-9)
         space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
         unconstrained = rvi_plain(space, kern, 0.0, eps=1e-9).gain
-        assert sweep[0][1] == pytest.approx(unconstrained, abs=1e-7)
+        assert sweep[0][1] == unconstrained
+
+    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_every_entry_is_the_cold_solve(self, case, p11, p01):
+        # the (0.6, 0.0) channel prices suspension and a zero-belief
+        # transmission identically
+        frame, ch, bound = FrameSpec(2), ChannelModel(p11, p01), TruncationBound(8)
+        grid = np.arange(0.0, 6.0001, 0.25)
+        sweep = dual_value_sweep(case, frame, ch, bound, 0.3, grid, eps=1e-8)
+        assert sweep == cold_dual_values(case, frame, ch, bound, 0.3, grid, 1e-8)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param([1.5], id="one-price"),
+            pytest.param([2.0, 0.5, 2.0, 0.0, 1.25, 0.5, 7.0], id="unsorted-repeated"),
+            pytest.param(np.arange(0.0, 3.01, 0.5), id="ascending"),
+        ],
+    )
+    @pytest.mark.parametrize("prices_per_batch", [3, None])
+    def test_batches_leave_every_value_unchanged(self, monkeypatch, grid, prices_per_batch):
+        frame, ch, bound = FrameSpec(3), ChannelModel(0.8, 0.3), TruncationBound(9)
+        _space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
+        if prices_per_batch is not None:
+            # three prices per batch cross a batch boundary in every grid of
+            # more than three prices
+            monkeypatch.setattr("aoisched.solver._DUAL_BATCH", prices_per_batch * kern.n)
+        sweep = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.5, grid, eps=1e-8)
+        assert sweep == cold_dual_values(Case.NO_SENSING, frame, ch, bound, 0.5, grid, 1e-8)
+
+    def test_one_price_per_batch_matches_default_batches(self, monkeypatch):
+        frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(12)
+        grid = np.arange(0.0, 12.0001, 0.05)
+        default = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
+        monkeypatch.setattr("aoisched.solver._DUAL_BATCH", 1)
+        single = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
+        assert single == default
+
+    def test_criterion_10_sweep_memory_is_bounded(self):
+        import tracemalloc
+
+        frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(30)
+        build_case(Case.NO_SENSING, frame, ch, bound)
+        tracemalloc.start()
+        try:
+            dual_value_sweep(
+                Case.NO_SENSING, frame, ch, bound, 0.4, np.arange(0.0, 20.0001, 0.01), eps=1e-8
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_non_convergence_reports_the_first_unconverged_price(self):
+        # alone, 4.0 converges in 61 sweeps, 1.0 and 0.0 need 62
+        frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8)
+        space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
+        rvi_plain(space, kern, 4.0, eps=1e-8, max_iters=61)
+        with pytest.raises(NonConvergenceError) as alone:
+            rvi_plain(space, kern, 1.0, eps=1e-8, max_iters=61)
+        with pytest.raises(NonConvergenceError) as batched:
+            dual_value_sweep(
+                Case.NO_SENSING, frame, ch, bound, 0.4, [4.0, 1.0, 0.0], eps=1e-8, max_iters=61
+            )
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.span == alone.value.span
 
     def test_dual_curve_concave_along_grid(self):
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8)
@@ -465,6 +557,31 @@ class TestDualSweep:
             dual_value_sweep(
                 Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8),
                 0.4, [],
+            )
+
+    @pytest.mark.parametrize(
+        "e_max,grid,match",
+        [
+            (float("nan"), [0.0, 1.0], "energy budget"),
+            (-3.0, [0.0, 1.0], "energy budget"),
+            (0.0, [0.0, 1.0], "energy budget"),
+            (1.5, [0.0, 1.0], "energy budget"),
+            (0.4, [0.0, 1.0, float("nan")], "price grid"),
+            (0.4, [0.0, float("inf")], "price grid"),
+            (0.4, [0.5, -0.25], "price grid"),
+        ],
+    )
+    def test_rejects_bad_input_before_any_solve(self, monkeypatch, e_max, grid, match):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating the input")
+
+        monkeypatch.setattr("aoisched.solver.build_case", no_solve)
+        monkeypatch.setattr("aoisched.solver._rvi", no_solve)
+        monkeypatch.setattr("aoisched.solver.rvi_plain", no_solve)
+        with pytest.raises(ValueError, match=match):
+            dual_value_sweep(
+                Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8),
+                e_max, grid,
             )
 
 
