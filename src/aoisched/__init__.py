@@ -9,7 +9,6 @@ from .channel import (
     ChannelModel,
     belief_table,
     m_step_update,
-    observed_update,
     one_step_update,
     stationary_good_probability,
 )
@@ -22,13 +21,11 @@ from .mdp import (
     StateDelayed,
     StateNoSensing,
     TruncationBound,
-    aoi_step,
     build_case,
     enumerate_states_delayed,
     enumerate_states_no_sensing,
     kernel_delayed,
     kernel_no_sensing,
-    stage_cost,
 )
 from .sim import GreedyPolicy, SimConfig, SimResult, estimate_mixture, simulate, simulate_greedy
 from .solver import (

@@ -23,7 +23,6 @@ __all__ = [
     "ChannelModel",
     "belief_table",
     "m_step_update",
-    "observed_update",
     "one_step_update",
     "stationary_good_probability",
 ]
@@ -88,22 +87,6 @@ def m_step_update(ch: ChannelModel, omega: float, m: int) -> float:
     return value
 
 
-def observed_update(ch: ChannelModel, omega: float, u: int, theta: int) -> float:
-    """Belief update given the action u and observation theta of one slot.
-
-    A transmission reveals the true state (ACK means good), so the next
-    belief restarts from p11 or p01. Suspension yields no observation and the
-    belief advances by the one-step map. The pair (u=0, theta=1) cannot occur.
-    """
-    if (u, theta) == (1, 1):
-        return ch.p11
-    if (u, theta) == (1, 0):
-        return ch.p01
-    if (u, theta) == (0, 0):
-        return one_step_update(ch, omega)
-    raise ValueError(f"invalid action/observation pair (u={u}, theta={theta})")
-
-
 def stationary_good_probability(ch: ChannelModel) -> float:
     """Long-run probability of the good state, the fixed point of the belief map."""
     denom = 1.0 - ch.memory
@@ -130,17 +113,16 @@ class BeliefTable:
     Values from the bad anchor are non-decreasing in the step count and
     values from the good anchor are non-increasing (enforced against 1-ulp
     rounding wobble), both converging to the stationary probability. Symbols
-    whose values differ by less than ``tol`` are merged into one canonical
+    whose values differ by less than ``DEDUPE_TOL`` are merged into one canonical
     symbol, keeping the smallest step count (good anchor on exact ties, so
     the p11 reference belief survives the memory-zero collapse).
     """
 
-    def __init__(self, ch: ChannelModel, max_steps: int, tol: float = DEDUPE_TOL):
+    def __init__(self, ch: ChannelModel, max_steps: int):
         if max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         self.channel = ch
         self.max_steps = max_steps
-        self.tol = tol
 
         values = {BeliefOrigin.FROM_GOOD: [ch.p11], BeliefOrigin.FROM_BAD: [ch.p01]}
         for _ in range(max_steps):
@@ -157,7 +139,7 @@ class BeliefTable:
             for origin in (BeliefOrigin.FROM_GOOD, BeliefOrigin.FROM_BAD):
                 v = values[origin][m]
                 near = self._nearest(kept_values, v)
-                if near is not None and abs(kept_values[near] - v) < tol:
+                if near is not None and abs(kept_values[near] - v) < DEDUPE_TOL:
                     canon[(origin, m)] = kept_symbols[near]
                 else:
                     symbol = Belief(origin, m, v)

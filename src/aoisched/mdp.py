@@ -1,4 +1,4 @@
-"""State spaces, transition kernels, and stage costs for both CSI cases.
+"""State spaces and transition kernels for both CSI cases.
 
 Case NO_SENSING is the belief MDP over (aoi, slot, belief): the channel is
 revealed only through ACK/NACK feedback after a transmission. Case
@@ -30,13 +30,11 @@ __all__ = [
     "StateDelayed",
     "StateNoSensing",
     "TruncationBound",
-    "aoi_step",
     "build_case",
     "enumerate_states_delayed",
     "enumerate_states_no_sensing",
     "kernel_delayed",
     "kernel_no_sensing",
-    "stage_cost",
 ]
 
 
@@ -99,36 +97,6 @@ class TruncationBound:
 
     def clamp(self, aoi: int) -> int:
         return min(aoi, self.cap)
-
-
-def aoi_step(frame: FrameSpec, delta: int, k: int, u: int, theta: int) -> int:
-    """One-slot AoI recursion: reset to k on a delivery, otherwise grow by one.
-
-    The congruence delta = prev_slot(k) mod K holds on reachable paths but is
-    not enforced here; it is an invariant of the enumerated spaces.
-    """
-    if delta < 1:
-        raise ValueError(f"AoI must be positive, got {delta}")
-    if not 1 <= k <= frame.K:
-        raise ValueError(f"slot index must be in 1..{frame.K}, got {k}")
-    if (u, theta) == (1, 1):
-        return k
-    if (u, theta) in ((1, 0), (0, 0)):
-        return delta + 1
-    raise ValueError(f"invalid action/observation pair (u={u}, theta={theta})")
-
-
-def stage_cost(state_or_delta, u: int, lam: float) -> float:
-    """Priced one-slot cost: the AoI plus lam per transmission.
-
-    Accepts a state tuple or a bare AoI value.
-    """
-    if lam < 0:
-        raise ValueError(f"energy price must be non-negative, got {lam}")
-    if u not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {u}")
-    delta = getattr(state_or_delta, "delta", state_or_delta)
-    return float(delta) + lam * u
 
 
 @dataclass(frozen=True)

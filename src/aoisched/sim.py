@@ -3,10 +3,11 @@
 The true channel evolves independently of the scheduler. In the no-sensing
 case the scheduler tracks a belief that only feedback from its own
 transmissions can reset; in the delayed-sensing case it sees the previous
-slot's true state. A run is bit-reproducible from its seed: channel noise and
-policy randomization draw from separately keyed streams of a counter-based
-generator, so the channel path is identical across policies and cases at a
-matched seed.
+slot's true state. A run is bit-reproducible from its seed: the channel noise
+draws from one keyed stream of a counter-based generator, so the channel path
+is identical across policies and cases at a matched seed. A two-policy
+mixture is read as one coin flipped at the start: each component runs on the
+same path and their averages are weighted by the mixing probability.
 
 A run draws its whole channel path once, before the first decision, in
 fixed-size blocks from the channel stream (the same doubles slot-by-slot
@@ -16,11 +17,10 @@ trace are rebuilt from the marked path afterwards.
 
 Decisions are cached. The loop keys each slot on what the decision can depend
 on: AoI, slot index, the belief's origin (start of run, last delivery or last
-failed transmission) and unobserved steps since it, the last channel state
-under delayed sensing, and which mixture component acts. ``policy.action`` is
-called only the first time a key occurs, so it must be a pure function of
-(delta, k, observation): the belief value without sensing, the last channel
-state with delayed sensing.
+failed transmission) and unobserved steps since it, or the last channel
+state under delayed sensing. ``policy.action`` is called only the first time
+a key occurs, so it must be a pure function of (delta, k, observation): the
+belief value without sensing, the last channel state with delayed sensing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "CHANNEL_STREAM",
     "GENERATOR_NAME",
     "GreedyPolicy",
-    "POLICY_STREAM",
     "SimConfig",
     "SimResult",
     "estimate_mixture",
@@ -50,7 +49,6 @@ __all__ = [
 
 GENERATOR_NAME = "philox-4x64"
 CHANNEL_STREAM = 0
-POLICY_STREAM = 1
 
 # Channel draws per block of the pre-drawn path; a block's temporaries stay
 # small whatever the horizon.
@@ -147,7 +145,7 @@ def _metadata(case, frame, ch, cfg, policy_name, **extra) -> dict:
         "warmup": cfg.warmup,
         "seed": cfg.seed,
         "generator": GENERATOR_NAME,
-        "streams": {"channel": CHANNEL_STREAM, "policy": POLICY_STREAM},
+        "streams": {"channel": CHANNEL_STREAM},
         "policy": policy_name,
     }
     meta.update(extra)
@@ -179,34 +177,27 @@ def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
     return path
 
 
-def _policy_slots(case, frame, ch, policies, picks, path) -> None:
-    """Walk the slots under ``policies[0]``, or per slot under
-    ``policies[picks[t-1]]``, and mark each transmitting slot t by setting
-    bit 1 of ``path[t]``.
+def _policy_slots(case, frame, ch, policy, path) -> None:
+    """Walk the slots under ``policy`` and mark each transmitting slot t by
+    setting bit 1 of ``path[t]``.
 
     The slot index k is a function of the AoI (the AoI is k - 1 modulo K),
     so a decision depends on (AoI, belief origin, steps since the last
-    transmission) without sensing, on (AoI, last channel state) with delayed
-    sensing, and on the acting policy. The cache key encodes exactly that,
-    with a side code (observed channel bit plus twice the policy index) in
-    its two low bits, and advances by 4 per slot between transmissions.
+    transmission) without sensing and on (AoI, last channel state) with
+    delayed sensing. The cache key encodes exactly that, with the observed
+    channel bit (always 0 without sensing) as its low bit, and advances by 2
+    per slot between transmissions.
     """
     K = frame.K
     horizon = len(path) - 1
     if case is Case.NO_SENSING:
-        span = 4 * len(path)  # key values per (AoI, origin) at a reset
+        span = 2 * len(path)  # key values per (AoI, origin) at a reset
         aoi_scale, origin_scale = 3 * span, span
         origin_value = (ch.p01, ch.p11, stationary_belief_value(ch))
+        side = repeat(0, horizon)
     else:
-        aoi_scale, origin_scale = 4, 0
-    side = repeat(0, horizon)
-    if case is Case.DELAYED_SENSING or picks is not None:
-        side = bytearray(horizon)
-        codes = np.frombuffer(side, dtype=np.uint8)
-        if case is Case.DELAYED_SENSING:
-            codes |= np.frombuffer(path, dtype=np.uint8)[:-1]
-        if picks is not None:
-            codes |= picks.astype(np.uint8) << 1
+        aoi_scale, origin_scale = 2, 0
+        side = path[:-1]  # a copy: the walk marks path as it goes
     p11, p01 = ch.p11, ch.p01
     # the last belief computed, advanced along its origin's iterates
     w_origin = w_steps = w = None
@@ -227,8 +218,8 @@ def _policy_slots(case, frame, ch, policies, picks, path) -> None:
                     w_steps += 1
                 obs = w
             else:
-                obs = code & 1
-            u = policies[code >> 1].action(d0 + steps, (t - 1) % K + 1, obs)
+                obs = code
+            u = policy.action(d0 + steps, (t - 1) % K + 1, obs)
             if u not in (0, 1):
                 raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
             if len(cache) < _CACHE_LIMIT:
@@ -243,7 +234,7 @@ def _policy_slots(case, frame, ch, policies, picks, path) -> None:
             t0 = t + 1
             key = d0 * aoi_scale + origin * origin_scale
         else:
-            key += 4
+            key += 2
 
 
 def _greedy_slots(frame, e_max, path) -> None:
@@ -340,13 +331,9 @@ def _result(case, frame, ch, cfg, path, record_trace, policy_name, meta_extra=No
     )
 
 
-def _simulate_policies(case, frame, ch, policies, picks, cfg, record_trace,
-                       policy_name, meta_extra=None) -> SimResult:
+def _check_case(case) -> None:
     if case is not Case.NO_SENSING and case is not Case.DELAYED_SENSING:
         raise ValueError(f"unknown case {case!r}")
-    path = _channel_path(ch, cfg.seed, cfg.horizon)
-    _policy_slots(case, frame, ch, policies, picks, path)
-    return _result(case, frame, ch, cfg, path, record_trace, policy_name, meta_extra)
 
 
 def simulate(
@@ -364,9 +351,10 @@ def simulate(
     (delta, k, last-slot channel state). Decisions are cached per state, so
     ``policy.action`` must be a pure function of its arguments.
     """
-    return _simulate_policies(
-        case, frame, ch, (policy,), None, cfg, record_trace, type(policy).__name__
-    )
+    _check_case(case)
+    path = _channel_path(ch, cfg.seed, cfg.horizon)
+    _policy_slots(case, frame, ch, policy, path)
+    return _result(case, frame, ch, cfg, path, record_trace, type(policy).__name__)
 
 
 def simulate_greedy(
@@ -383,6 +371,7 @@ def simulate_greedy(
     defined as zero at t=1, so the first slot transmits whenever its frame's
     update is undelivered.
     """
+    _check_case(case)
     policy = GreedyPolicy(e_max)
     path = _channel_path(ch, cfg.seed, cfg.horizon)
     _greedy_slots(frame, policy.e_max, path)
@@ -397,23 +386,14 @@ def estimate_mixture(
     ch: ChannelModel,
     mixture: MixturePolicy,
     cfg: SimConfig,
-    per_slot: bool = False,
 ) -> SimResult:
-    """Empirical averages of a two-policy mixture.
+    """Empirical averages of a two-policy mixture, read as one coin flipped
+    at the start.
 
-    Default mode simulates each component on the same channel path and
-    combines the averages with the mixing weight, matching the
-    randomize-once reading. ``per_slot`` instead draws which component acts
-    independently every slot, for comparison.
+    Simulates each component on the same channel path and combines the
+    averages with the mixing weight.
     """
     q = mixture.q
-    if per_slot:
-        picks_minus = make_stream(cfg.seed, POLICY_STREAM).random(cfg.horizon) < q
-        return _simulate_policies(
-            case, frame, ch, (mixture.pi_plus, mixture.pi_minus), picks_minus, cfg,
-            False, "MixturePolicy", {"q": q, "mode": "per_slot"},
-        )
-
     if q == 1.0:
         return simulate(case, frame, ch, mixture.pi_minus, cfg)
     if q == 0.0:

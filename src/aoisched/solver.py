@@ -23,11 +23,11 @@ made once per solve. Power-iteration rounds likewise write into arrays made
 once per evaluation. Each sum keeps the order of the expression it computes,
 so the loops give the same bits as the textbook expressions.
 
-All value iteration here applies a relaxation factor to the update. The slot
-index cycles deterministically with the frame, so every induced chain is
-periodic and the literal synchronous update oscillates instead of settling;
-averaging the new iterate with the old one removes the periodicity while
-keeping the same fixed point, optimal policy, and average cost.
+Relative value iteration damps every update by a fixed factor of 0.5. The
+slot index cycles deterministically with the frame, so every induced chain
+is periodic and the literal synchronous update oscillates instead of
+settling; averaging the new iterate with the old one removes the periodicity
+while keeping the same fixed point, optimal policy, and average cost.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ __all__ = [
     "stationary_distribution",
     "threshold_ordering_violations",
 ]
+
+
+# Aperiodicity damping of relative value iteration: each sweep moves the bias
+# this fraction of the way to the Bellman update (Puterman 1994, 8.5.4).
+_RELAXATION = 0.5
+# Price doublings a budget search tries before it gives up.
+_MAX_DOUBLINGS = 60
 
 
 class NonConvergenceError(RuntimeError):
@@ -127,7 +134,6 @@ class ThresholdPolicyBelief:
     thresholds: Mapping[tuple[int, int], float]
     belief_tol: float = 1e-9
     actions: np.ndarray | None = None
-    space: object | None = None
 
     def cutoff(self, delta: int, k: int) -> float:
         if delta < self.frame_k:
@@ -153,7 +159,6 @@ class ThresholdPolicyAoI:
     frame_k: int
     thresholds: Mapping[tuple[int, int], float]
     actions: np.ndarray | None = None
-    space: object | None = None
 
     def action(self, delta: int, k: int, g: int) -> int:
         if delta < self.frame_k:
@@ -243,7 +248,11 @@ class _Bellman:
         self.views: dict[int, tuple] = {}
 
     def transmit_cost(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, len(lams)) cost of transmitting, +inf where inadmissible."""
+        """The (n, len(lams)) cost of transmitting, +inf where inadmissible.
+        Every price must be finite and non-negative."""
+        bad = lams[~((lams >= 0.0) & (lams < np.inf))]
+        if len(bad):
+            raise ValueError(f"energy price must be finite and non-negative, got {bad[0]}")
         cost = np.add(self.delta, lams, out=out)
         cost[~self.kern.admissible] = np.inf
         return cost
@@ -288,15 +297,16 @@ def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) ->
     return np.less(q1, q0, out=out) if tie_break == "suspend" else np.less_equal(q1, q0, out=out)
 
 
-def _rvi(space, kern, lams, eps, max_iters, relaxation, h_init, tie_break, above=None):
+def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
     """The one relative-value-iteration loop behind every solver: one
     ``SolveReport`` per price of ``lams``, in that order.
 
     A sweep is elementwise across prices or reduces within one price's
     column, so each price is solved exactly as alone, from ``h_init`` (the
-    zero function by default). A price leaves the batch at the first sweep
-    where its own span is at most ``eps``, its report read at that iterate,
-    and the running prices close up; a finished bias is not written again.
+    zero function by default), each sweep damped by ``_RELAXATION``. A price
+    leaves the batch at the first sweep where its own span is at most
+    ``eps``, its report read at that iterate, and the running prices close
+    up; a finished bias is not written again.
 
     ``above`` (one price only) maps the action values (q0, q1) of a sweep to
     the admissible states a cutoff rule already places above their cutoff.
@@ -308,9 +318,6 @@ def _rvi(space, kern, lams, eps, max_iters, relaxation, h_init, tie_break, above
     if max_iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     lams = np.array(lams, dtype=float)
-    bad = lams[~((lams >= 0.0) & (lams < np.inf))]
-    if len(bad):
-        raise ValueError(f"energy price must be finite and non-negative, got {bad[0]}")
     if tie_break not in ("suspend", "transmit"):
         raise ValueError(f"unknown tie break {tie_break!r}")
     m, n = len(lams), kern.n
@@ -334,11 +341,11 @@ def _rvi(space, kern, lams, eps, max_iters, relaxation, h_init, tie_break, above
         if up is not None:
             np.copyto(v[:, 0], q1[:, 0], where=up)
             skipped += int(np.count_nonzero(up))
-        # h_new = h + relaxation * (v - v[ref] - h); q1 then takes the change
+        # h_new = h + _RELAXATION * (v - v[ref] - h); q1 then takes the change
         np.copyto(ref_value, v[ref])
         np.subtract(v, ref_value, out=v)
         np.subtract(v, h, out=v)
-        np.multiply(relaxation, v, out=v)
+        np.multiply(_RELAXATION, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
         np.maximum.reduce(np.abs(q1, out=q1), axis=0, out=span)
@@ -386,18 +393,18 @@ def rvi_plain(
     lam: float,
     eps: float = 1e-6,
     max_iters: int = 200_000,
-    relaxation: float = 0.5,
     h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
     """Relative value iteration anchored at the reference state.
 
     One sweep evaluates both actions at every admissible state, takes the
-    minimum, subtracts the reference value, and relaxes toward the result.
+    minimum, subtracts the reference value, and moves halfway toward the
+    result.
     Ties between equal action values resolve to suspension so that all
     solver variants agree action for action.
     """
-    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break)[0]
+    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break)[0]
 
 
 class _FirstBeating:
@@ -441,7 +448,6 @@ def rvi_threshold_no_sensing(
     lam: float,
     eps: float = 1e-6,
     max_iters: int = 200_000,
-    relaxation: float = 0.5,
     h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
@@ -471,7 +477,7 @@ def rvi_threshold_no_sensing(
         np.greater(omega, cutoff(beats), out=up)
         return np.logical_and(free, up, out=up)
 
-    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break, above)[0]
+    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break, above)[0]
 
 
 def rvi_threshold_delayed(
@@ -480,7 +486,6 @@ def rvi_threshold_delayed(
     lam: float,
     eps: float = 1e-6,
     max_iters: int = 200_000,
-    relaxation: float = 0.5,
     h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
@@ -508,7 +513,7 @@ def rvi_threshold_delayed(
         np.greater(delta, first, out=up)
         return np.logical_or(up, beats, out=up)
 
-    return _rvi(space, kern, [lam], eps, max_iters, relaxation, h_init, tie_break, above)[0]
+    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break, above)[0]
 
 
 def discounted_vi(
@@ -517,22 +522,18 @@ def discounted_vi(
     lam: float,
     beta: float,
     n_iters: int | None = None,
-    tol: float | None = None,
 ) -> np.ndarray:
     """Discounted value iteration from the zero function.
 
     Runs exactly ``n_iters`` sweeps when given, otherwise iterates until the
-    sup-norm change drops below ``tol`` (default (1-beta) * 1e-8). Used by the
-    structural property checks, which need value functions, not policies.
+    sup-norm change drops below (1-beta) * 1e-8. Used by the structural
+    property checks, which need value functions, not policies.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"discount factor must be in (0, 1), got {beta}")
     if n_iters is not None and n_iters < 0:
         raise ValueError(f"sweep count must be non-negative, got {n_iters}")
-    if tol is not None and not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if n_iters is None and tol is None:
-        tol = (1.0 - beta) * 1e-8
+    tol = (1.0 - beta) * 1e-8
     step = _Bellman(kern, 1, beta)
     cost = step.transmit_cost(np.array([lam], dtype=float))
     v, v_new = np.zeros((kern.n, 1)), np.empty((kern.n, 1))
@@ -649,14 +650,10 @@ def bisect_lambda(
     e_max: float,
     eps: float = 1e-6,
     eps_lam: float = 1e-4,
-    lam_hi_init: float = 1.0,
-    max_doublings: int = 60,
-    relaxation: float = 0.5,
-    max_iters: int = 200_000,
 ) -> MixturePolicy:
     """Smallest energy price meeting the budget, plus the two-policy mixture.
 
-    Doubles the price from ``lam_hi_init`` until the priced optimum is
+    Doubles the price from 1 until the priced optimum is
     feasible, then bisects down to width ``eps_lam``. The returned mixture
     pairs the last infeasible price's policy with the last feasible one and
     mixes them so that the average energy equals the budget exactly. A
@@ -668,17 +665,13 @@ def bisect_lambda(
     """
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
-    for name, value in (("eps_lam", eps_lam), ("lam_hi_init", lam_hi_init)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 0.0 < eps_lam < np.inf:
+        raise ValueError(f"eps_lam must be finite and positive, got {eps_lam}")
     space, kern = build_case(case, frame, ch, bound)
     averages: dict[bytes, tuple[float, float]] = {}
 
     def solve(lam: float, warm: np.ndarray | None):
-        report = rvi_plain(
-            space, kern, lam, eps=eps, max_iters=max_iters,
-            relaxation=relaxation, h_init=warm,
-        )
+        report = rvi_plain(space, kern, lam, eps=eps, h_init=warm)
         key = np.packbits(report.policy.actions).tobytes()
         if key not in averages:
             averages[key] = policy_averages(kern, report.policy)
@@ -691,14 +684,14 @@ def bisect_lambda(
         return MixturePolicy(single, single, 1.0, 0.0, 0.0, energy0, energy0, aoi0, aoi0)
 
     lo, report_lo, aoi_lo, energy_lo = 0.0, report0, aoi0, energy0
-    hi = lam_hi_init
+    hi = 1.0
     report_hi, aoi_hi, energy_hi = solve(hi, report0.bias)
     doublings = 0
     while energy_hi > e_max:
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > _MAX_DOUBLINGS:
             raise NonConvergenceError(
-                f"no feasible price found below {hi} after {max_doublings} doublings",
+                f"no feasible price found below {hi} after {_MAX_DOUBLINGS} doublings",
                 energy_hi - e_max,
             )
         lo, report_lo, aoi_lo, energy_lo = hi, report_hi, aoi_hi, energy_hi
@@ -739,7 +732,6 @@ def dual_value_sweep(
     e_max: float,
     lam_grid,
     eps: float = 1e-8,
-    relaxation: float = 0.5,
     max_iters: int = 200_000,
 ) -> list[tuple[float, float]]:
     """Dual objective (priced optimum minus priced budget) along a price grid.
@@ -759,7 +751,7 @@ def dual_value_sweep(
     out = []
     for start in range(0, len(grid), size):
         batch = grid[start : start + size]
-        reports = _rvi(space, kern, batch, eps, max_iters, relaxation, None, "suspend")
+        reports = _rvi(space, kern, batch, eps, max_iters, None, "suspend")
         out.extend((lam, report.gain - lam * e_max) for lam, report in zip(batch, reports))
     return out
 
@@ -965,11 +957,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
         first = np.flatnonzero(pattern)
         thresholds[(delta, k)] = float(omega[interior[first[0]]]) if len(first) else np.inf
     return ThresholdPolicyBelief(
-        frame_k=space.frame.K,
-        cap=space.bound.cap,
-        thresholds=thresholds,
-        actions=acts,
-        space=space,
+        frame_k=space.frame.K, cap=space.bound.cap, thresholds=thresholds, actions=acts
     )
 
 
@@ -987,9 +975,7 @@ def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
                 f"{pattern.tolist()} along ascending AoI"
             )
         thresholds[(k, g)] = int(deltas[first[0]]) if len(first) else np.inf
-    return ThresholdPolicyAoI(
-        frame_k=space.frame.K, thresholds=thresholds, actions=acts, space=space
-    )
+    return ThresholdPolicyAoI(frame_k=space.frame.K, thresholds=thresholds, actions=acts)
 
 
 def threshold_ordering_violations(policy: ThresholdPolicyAoI) -> list[tuple]:
@@ -1004,22 +990,26 @@ def threshold_ordering_violations(policy: ThresholdPolicyAoI) -> list[tuple]:
     return out
 
 
-def _interior_mask(space, slack_aoi: int = 1) -> np.ndarray:
+# Rounding error the value-function checks forgive.
+_SLACK = 1e-7
+
+
+def _interior_mask(space) -> np.ndarray:
     """States whose successors are untouched by the truncation clamps."""
     cap = space.bound.cap
-    mask = space.delta + slack_aoi <= cap
+    mask = space.delta < cap
     if space.case is Case.NO_SENSING:
-        mask &= space.steps + 1 <= cap
+        mask &= space.steps < cap
     return mask
 
 
-def aoi_monotonicity_violations(
-    space, values: np.ndarray, interior_only: bool = True, slack: float = 1e-7
-) -> list[tuple]:
-    """Pairs of states equal but for a larger AoI where the value drops."""
-    keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
+def aoi_monotonicity_violations(space, values: np.ndarray) -> list[tuple]:
+    """Pairs of interior states equal but for a larger AoI where the value
+    drops by more than ``_SLACK``."""
     runs = _runs((space.k, space.sym), space.delta)
-    return _neighbour_violations(space, runs, keep, values, lambda lo, hi: hi < lo - slack)
+    return _neighbour_violations(
+        space, runs, _interior_mask(space), values, lambda lo, hi: hi < lo - _SLACK
+    )
 
 
 def _neighbour_violations(space, runs, keep, values, worse) -> list[tuple]:
@@ -1037,29 +1027,24 @@ def _neighbour_violations(space, runs, keep, values, worse) -> list[tuple]:
     return out
 
 
-def belief_monotonicity_violations(
-    space: NoSensingSpace, values: np.ndarray, interior_only: bool = True, slack: float = 1e-7
-) -> list[tuple]:
-    """Belief pairs at one (delta, k) where a larger belief costs more."""
-    keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
+def belief_monotonicity_violations(space: NoSensingSpace, values: np.ndarray) -> list[tuple]:
+    """Interior belief pairs at one (delta, k) where a larger belief costs
+    more by more than ``_SLACK``."""
     return _neighbour_violations(
-        space, _cutoff_runs(space), keep, values, lambda lo, hi: hi > lo + slack
+        space, _cutoff_runs(space), _interior_mask(space), values,
+        lambda lo, hi: hi > lo + _SLACK,
     )
 
 
 def belief_mix_inequality_violations(
-    space: NoSensingSpace,
-    values: np.ndarray,
-    lam: float,
-    interior_only: bool = True,
-    slack: float = 1e-7,
+    space: NoSensingSpace, values: np.ndarray, lam: float
 ) -> list[tuple]:
     """Violations of the mixing bound on value functions.
 
-    For in-space beliefs y <= z <= x at one (delta, k) and the weight w with
-    z = w*x + (1-w)*y, checks (1-w)*lam + w*V(x) + (1-w)*V(y) >= V(z).
+    For interior beliefs y <= z <= x at one (delta, k) and the weight w with
+    z = w*x + (1-w)*y, checks (1-w)*lam + w*V(x) + (1-w)*V(y) >= V(z) - ``_SLACK``.
     """
-    keep = _interior_mask(space) if interior_only else np.ones(space.n, dtype=bool)
+    keep = _interior_mask(space)
     omega = space.omega
     out = []
     for idxs in _cutoff_runs(space):
@@ -1077,7 +1062,7 @@ def belief_mix_inequality_violations(
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = (w_vals[zi] - w_vals[lo][None, :]) / span
             lhs = (1.0 - w) * lam + w * v_vals[hi][:, None] + (1.0 - w) * v_vals[lo][None, :]
-            bad = (span > 0) & (lhs < v_vals[zi] - slack)
+            bad = (span > 0) & (lhs < v_vals[zi] - _SLACK)
             for hi_i, lo_i in zip(*np.nonzero(bad)):
                 out.append(
                     (

@@ -9,7 +9,6 @@ from aoisched.channel import (
     ChannelModel,
     belief_table,
     m_step_update,
-    observed_update,
     one_step_update,
     stationary_good_probability,
 )
@@ -87,22 +86,6 @@ class TestMStepUpdate:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             m_step_update(ChannelModel(0.7, 0.3), 0.5, -1)
-
-
-class TestObservedUpdate:
-    def test_ack_resets_to_p11(self):
-        assert observed_update(ChannelModel(0.7, 0.3), 0.12, 1, 1) == 0.7
-
-    def test_nack_resets_to_p01(self):
-        assert observed_update(ChannelModel(0.7, 0.3), 0.88, 1, 0) == 0.3
-
-    def test_suspension_applies_one_step(self):
-        ch = ChannelModel(0.7, 0.3)
-        assert observed_update(ch, 0.5, 0, 0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_impossible_observation(self):
-        with pytest.raises(ValueError):
-            observed_update(ChannelModel(0.7, 0.3), 0.5, 0, 1)
 
 
 class TestStationary:

@@ -10,13 +10,11 @@ from aoisched.mdp import (
     FrameSpec,
     StateNoSensing,
     TruncationBound,
-    aoi_step,
     build_case,
     enumerate_states_delayed,
     enumerate_states_no_sensing,
     kernel_delayed,
     kernel_no_sensing,
-    stage_cost,
 )
 from aoisched.solver import rvi_plain
 
@@ -42,46 +40,6 @@ class TestFrameSpec:
     def test_rejects_empty_frame(self):
         with pytest.raises(ValueError):
             FrameSpec(0)
-
-
-class TestAoiStep:
-    def test_delivery_resets_to_slot_index(self):
-        assert aoi_step(FrameSpec(4), 7, 3, 1, 1) == 3
-
-    def test_failure_grows(self):
-        assert aoi_step(FrameSpec(4), 7, 3, 0, 0) == 8
-
-    def test_suspension_grows(self):
-        assert aoi_step(FrameSpec(4), 3, 4, 0, 0) == 4
-
-    def test_rejects_impossible_pair(self):
-        with pytest.raises(ValueError):
-            aoi_step(FrameSpec(4), 7, 3, 0, 1)
-
-    def test_rejects_bad_slot(self):
-        with pytest.raises(ValueError):
-            aoi_step(FrameSpec(4), 7, 5, 0, 0)
-
-
-class TestStageCost:
-    def test_transmission_adds_price(self):
-        assert stage_cost(5, 1, 2.5) == 7.5
-
-    def test_accepts_state_objects(self):
-        assert stage_cost(StateNoSensing(5, 2, None), 1, 2.5) == 7.5
-        from aoisched.mdp import StateDelayed
-
-        assert stage_cost(StateDelayed(4, 1, 0), 0, 9.0) == 4.0
-
-    def test_suspension_is_aoi_only(self):
-        assert stage_cost(5, 0, 123.0) == 5.0
-
-    def test_free_price_limit(self):
-        assert stage_cost(1, 1, 0.0) == 1.0
-
-    def test_rejects_negative_price(self):
-        with pytest.raises(ValueError):
-            stage_cost(5, 1, -0.1)
 
 
 def bfs_reachable(frame, ch, bound):

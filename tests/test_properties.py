@@ -9,17 +9,9 @@ from aoisched.channel import (
     BeliefTable,
     ChannelModel,
     m_step_update,
-    observed_update,
     one_step_update,
 )
-from aoisched.mdp import (
-    Case,
-    FrameSpec,
-    TruncationBound,
-    aoi_step,
-    build_case,
-    stage_cost,
-)
+from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.solver import randomization_factor
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
@@ -67,15 +59,6 @@ def test_m_step_matches_repeated_one_step(ch, w, m):
     assert m_step_update(ch, w, m) == pytest.approx(value, abs=1e-12)
 
 
-@given(channels(), probabilities)
-def test_observed_update_cases(ch, w):
-    assert observed_update(ch, w, 1, 1) == ch.p11
-    assert observed_update(ch, w, 1, 0) == ch.p01
-    assert observed_update(ch, w, 0, 0) == one_step_update(ch, w)
-    with pytest.raises(ValueError):
-        observed_update(ch, w, 0, 1)
-
-
 @given(channels(), st.integers(min_value=1, max_value=60))
 def test_belief_table_canonical_contract(ch, max_steps):
     table = BeliefTable(ch, max_steps)
@@ -86,26 +69,6 @@ def test_belief_table_canonical_contract(ch, max_steps):
             assert abs(symbol.value - table.raw_value(origin, m)) < 1e-12
     values = sorted(s.value for s in table.symbols)
     assert all(b - a >= 1e-12 for a, b in zip(values, values[1:]))
-
-
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=30),
-    st.booleans(),
-)
-def test_aoi_step_preserves_congruence(K, frames_old, extra, delivered):
-    frame = FrameSpec(K)
-    k = (extra - 1) % K + 1
-    delta = (frames_old - 1) * K + frame.prev_slot(k)
-    nxt = aoi_step(frame, delta, k, 1 if delivered else 0, 1 if delivered else 0)
-    assert nxt % K == frame.prev_slot(frame.next_slot(k)) % K
-
-
-@given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=0, max_value=1),
-       st.floats(min_value=0, max_value=100, width=64))
-def test_stage_cost_decomposes(delta, u, lam):
-    assert stage_cost(delta, u, lam) == delta + lam * u
 
 
 @st.composite

@@ -8,7 +8,6 @@ from aoisched.channel import ChannelModel, one_step_update, stationary_good_prob
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.sim import (
     CHANNEL_STREAM,
-    POLICY_STREAM,
     GreedyPolicy,
     SimConfig,
     SimResult,
@@ -153,20 +152,6 @@ def oracle_greedy(case, frame, ch, e_max, cfg, record_trace=False):
 
     return _oracle_run(
         case, frame, ch, decide, cfg, record_trace, "GreedyPolicy", {"e_max": e_max}
-    )
-
-
-def oracle_per_slot(case, frame, ch, mixture, cfg):
-    coins = make_stream(cfg.seed, POLICY_STREAM)
-
-    def decide(t, delta, k, omega, g):
-        chosen = mixture.pi_minus if coins.random() < mixture.q else mixture.pi_plus
-        arg = omega if case is Case.NO_SENSING else g
-        return chosen.action(delta, k, arg)
-
-    return _oracle_run(
-        case, frame, ch, decide, cfg, False, "MixturePolicy",
-        {"q": mixture.q, "mode": "per_slot"},
     )
 
 
@@ -361,15 +346,6 @@ class TestMixtureEstimation:
         # sawtooth floor: even instant delivery every frame cannot beat it
         assert res.avg_aoi >= (frame.K + 1) / 2 - 0.01
 
-    def test_per_slot_mode_runs_and_is_deterministic(self):
-        frame, ch, mix = self.make_mixture(0.5)
-        cfg = SimConfig(horizon=3000, seed=43, warmup=100)
-        a = estimate_mixture(Case.NO_SENSING, frame, ch, mix, cfg, per_slot=True)
-        b = estimate_mixture(Case.NO_SENSING, frame, ch, mix, cfg, per_slot=True)
-        assert a.avg_aoi == b.avg_aoi
-        assert a.metadata["mode"] == "per_slot"
-
-
 class TestErrors:
     def test_broken_policy_signalled(self):
         frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
@@ -380,6 +356,13 @@ class TestErrors:
         frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
         with pytest.raises(ValueError, match="unknown case"):
             simulate("no_sensing", frame, ch, NeverTransmit(), SimConfig(10, 1, 0))
+
+    def test_greedy_case_must_be_a_case_member(self, monkeypatch):
+        # rejected before the channel path is drawn
+        monkeypatch.setattr(sim, "_channel_path", None)
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        with pytest.raises(ValueError, match="unknown case"):
+            simulate_greedy("no_sensing", frame, ch, 0.5, SimConfig(10, 1, 0))
 
 
 class TestAnalyticAgreement:
@@ -453,17 +436,6 @@ class TestOracleIdentity:
                 oracle_greedy(Case.NO_SENSING, frame, ch, e_max, cfg, record_trace=True),
             )
 
-    def test_per_slot_mixture(self, p11, p01, K, horizon, warmup):
-        frame, ch = FrameSpec(K), ChannelModel(p11, p01)
-        cfg = SimConfig(horizon, 17, warmup)
-        mix = MixturePolicy(HashPolicy(K, 2), HashPolicy(K, 3), 0.3, 0, 0, 0, 0, 0, 0)
-        for case in Case:
-            assert_same_result(
-                estimate_mixture(case, frame, ch, mix, cfg, per_slot=True),
-                oracle_per_slot(case, frame, ch, mix, cfg),
-            )
-
-
 class TestOracleIdentitySolved:
     @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
     def test_solved_threshold_policies(self, case):
@@ -534,16 +506,6 @@ class TestDecisionCache:
         assert len(keys) < sim._CACHE_LIMIT
         assert sum(policy.calls.values()) == len(keys)
 
-    def test_per_slot_mixture_calls_each_component_once_per_state(self):
-        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
-        cfg = SimConfig(20_000, 37, 0)
-        lo, hi = CountingPolicy(HashPolicy(3, 5)), CountingPolicy(HashPolicy(3, 6))
-        estimate_mixture(Case.DELAYED_SENSING, frame, ch,
-                         MixturePolicy(lo, hi, 0.5, 0, 0, 0, 0, 0, 0), cfg, per_slot=True)
-        # delayed sensing: the arguments are the whole state
-        assert max(lo.calls.values()) == 1
-        assert max(hi.calls.values()) == 1
-
     def test_cache_does_not_grow_with_the_horizon(self):
         import tracemalloc
 
@@ -554,7 +516,7 @@ class TestDecisionCache:
             path = sim._channel_path(ch, 43, horizon)
             tracemalloc.start()
             try:
-                sim._policy_slots(Case.NO_SENSING, frame, ch, (NeverTransmit(),), None, path)
+                sim._policy_slots(Case.NO_SENSING, frame, ch, NeverTransmit(), path)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -74,16 +74,18 @@ class TestRviPlain:
             rvi_plain(space, kern, 1.0, eps=1e-12, max_iters=2)
         assert err.value.span > 0
 
-    def test_relaxation_needed_on_periodic_frames(self):
+    def test_relaxation_needed_on_periodic_frames(self, monkeypatch):
         # the slot index cycles deterministically, so the unrelaxed sweep
         # oscillates forever while the relaxed one settles to the true gain
         space, kern = build_case(
             Case.DELAYED_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(6)
         )
-        with pytest.raises(NonConvergenceError) as err:
-            rvi_plain(space, kern, 1.0, eps=1e-9, max_iters=3000, relaxation=1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr("aoisched.solver._RELAXATION", 1.0)
+            with pytest.raises(NonConvergenceError) as err:
+                rvi_plain(space, kern, 1.0, eps=1e-9, max_iters=3000)
         assert err.value.span > 1e-3  # stuck on a cycle, not slowly converging
-        relaxed = rvi_plain(space, kern, 1.0, eps=1e-9, relaxation=0.5)
+        relaxed = rvi_plain(space, kern, 1.0, eps=1e-9)
         oracle_gain, _ = enumerate_and_evaluate(space, kern, 1.0, cap=14)
         assert relaxed.gain == pytest.approx(oracle_gain, abs=1e-7)
 
@@ -302,18 +304,22 @@ class TestDiscountedVi:
         with pytest.raises(ValueError):
             discounted_vi(space, kern, 0.0, beta=1.0)
 
-    @pytest.mark.parametrize(
-        "setting",
-        [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-9},
-         {"n_iters": -1}],
-    )
-    def test_rejects_bad_tolerance_or_sweep_count(self, setting):
-        # a NaN or zero tolerance would run the whole sweep budget
+    def test_rejects_negative_sweep_count(self):
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(4)
         )
-        with pytest.raises(ValueError, match="tolerance|sweep count"):
-            discounted_vi(space, kern, 0.0, beta=0.9, **setting)
+        with pytest.raises(ValueError, match="sweep count"):
+            discounted_vi(space, kern, 0.0, beta=0.9, n_iters=-1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_price(self, lam):
+        # a NaN price would return all-NaN values, a negative one a value
+        # function of no priced problem
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12)
+        )
+        with pytest.raises(ValueError, match="energy price must be finite and non-negative"):
+            discounted_vi(space, kern, lam, 0.9, n_iters=3)
 
 
 class TestPolicyEvaluation:
@@ -431,7 +437,7 @@ class TestBisection:
             )
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["eps_lam", "lam_hi_init"])
+    @pytest.mark.parametrize("name", ["eps_lam"])
     def test_rejects_bad_search_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             bisect_lambda(
