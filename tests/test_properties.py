@@ -12,7 +12,7 @@ from aoisched.channel import (
     one_step_update,
 )
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
-from aoisched.solver import randomization_factor
+from aoisched.solver import _Bellman, randomization_factor
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
 
@@ -103,6 +103,27 @@ def test_reference_state_always_enumerated(instance):
         i = space.reference_index
         assert space.delta[i] == frame.K and space.k[i] == 1
         assert space.sym[i] == space.reference_sym
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_instances(),
+    st.sampled_from(list(Case)),
+    st.floats(min_value=0.0, max_value=100.0, width=64),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bellman_step_decomposes(instance, case, lam, seed):
+    # q_u = delta + lam*u + expected successor bias, bit for bit
+    frame, ch, bound = instance
+    _space, kern = build_case(case, frame, ch, bound)
+    h = np.random.default_rng(seed).normal(size=kern.n)
+    step = _Bellman(kern, 1)
+    q0, q1 = step(h[:, None], step.transmit_cost(np.array([lam])))
+    assert np.array_equal(q0[:, 0], kern.delta + kern.expected_bias(h, 0))
+    adm = kern.admissible
+    want = (kern.delta + lam) + kern.expected_bias(h, 1)
+    assert np.array_equal(q1[adm, 0], want[adm])
+    assert np.all(np.isposinf(q1[~adm, 0]))
 
 
 @given(

@@ -59,6 +59,17 @@ class HashPolicy:
         return int(delta >= self.frame_k and hash((delta, k, obs, self.salt)) % 3 != 0)
 
 
+class RecordingPolicy:
+    """Records the arguments of every call of a wrapped policy, in order."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def action(self, delta, k, obs):
+        self.seen.append((delta, k, obs))
+        return self.inner.action(delta, k, obs)
+
+
 class CountingPolicy:
     """Counts the calls of a wrapped policy per argument tuple."""
 
@@ -152,6 +163,33 @@ def oracle_greedy(case, frame, ch, e_max, cfg, record_trace=False):
 
     return _oracle_run(
         case, frame, ch, decide, cfg, record_trace, "GreedyPolicy", {"e_max": e_max}
+    )
+
+
+def oracle_mixture(case, frame, ch, mixture, cfg):
+    """The start-of-run coin: both components on the same path, weighted."""
+    q = mixture.q
+    lo = oracle_simulate(case, frame, ch, mixture.pi_minus, cfg)
+    hi = oracle_simulate(case, frame, ch, mixture.pi_plus, cfg)
+
+    def weigh(a, b):
+        return q * a + (1.0 - q) * b
+
+    hist = {
+        v: weigh(lo.aoi_histogram.get(v, 0), hi.aoi_histogram.get(v, 0))
+        for v in lo.aoi_histogram.keys() | hi.aoi_histogram.keys()
+    }
+    meta = sim._metadata(
+        case, frame, ch, cfg, "MixturePolicy", q=q, mode="initial_randomization",
+        components=[lo.metadata["policy"], hi.metadata["policy"]],
+    )
+    return SimResult(
+        avg_aoi=weigh(lo.avg_aoi, hi.avg_aoi),
+        avg_energy=weigh(lo.avg_energy, hi.avg_energy),
+        aoi_histogram=hist,
+        delivered_count=weigh(lo.delivered_count, hi.delivered_count),
+        aoi_se=weigh(lo.aoi_se, hi.aoi_se),
+        metadata=meta,
     )
 
 
@@ -284,6 +322,83 @@ class TestSamplePathValidity:
         for (phat, p, n) in [(trans[(1, 1)] / n1, 0.7, n1), (trans[(0, 1)] / n0, 0.3, n0)]:
             sigma = (p * (1 - p) / n) ** 0.5
             assert abs(phat - p) <= 3 * sigma
+
+
+class TestSlotDynamics:
+    """What the policy is shown in each slot, against the recorded trace.
+    With no decision cached, ``policy.action`` is called once per slot, in
+    slot order. A trace row is (t, aoi, k, u, delivered, channel state)."""
+
+    def run(self, monkeypatch, case):
+        monkeypatch.setattr(sim, "_CACHE_LIMIT", 0)
+        frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
+        policy = RecordingPolicy(HashPolicy(3, 4))
+        res = simulate(case, frame, ch, policy, SimConfig(3000, 29, 0), record_trace=True)
+        assert len(policy.seen) == len(res.trace)
+        return ch, policy.seen, res.trace
+
+    def next_slots(self, monkeypatch, case, keep):
+        """(this slot's trace row, next slot's shown arguments and trace row)
+        for the slots ``keep`` selects; at least one slot is kept."""
+        ch, seen, trace = self.run(monkeypatch, case)
+        pairs = [
+            (row, shown, nxt)
+            for row, shown, nxt in zip(trace, seen[1:], trace[1:])
+            if keep(row)
+        ]
+        assert pairs
+        return ch, pairs
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_policy_sees_the_traced_aoi_and_slot(self, monkeypatch, case):
+        _ch, seen, trace = self.run(monkeypatch, case)
+        assert [(delta, k) for delta, k, _obs in seen] == [row[1:3] for row in trace]
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_delivery_iff_transmission_in_good_state(self, monkeypatch, case):
+        _ch, _seen, trace = self.run(monkeypatch, case)
+        assert all(delivered == (u & h) for _t, _d, _k, u, delivered, h in trace)
+        assert any(row[4] for row in trace) and any(row[3] and not row[4] for row in trace)
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_delivery_resets_to_slot_index(self, monkeypatch, case):
+        _ch, pairs = self.next_slots(monkeypatch, case, lambda row: row[4])
+        assert all(nxt[1] == row[2] for row, _shown, nxt in pairs)
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_failure_grows(self, monkeypatch, case):
+        _ch, pairs = self.next_slots(monkeypatch, case, lambda row: row[3] and not row[4])
+        assert all(nxt[1] == row[1] + 1 for row, _shown, nxt in pairs)
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_suspension_grows(self, monkeypatch, case):
+        _ch, pairs = self.next_slots(monkeypatch, case, lambda row: not row[3])
+        assert all(nxt[1] == row[1] + 1 for row, _shown, nxt in pairs)
+
+    def test_ack_resets_belief_to_p11(self, monkeypatch):
+        ch, pairs = self.next_slots(monkeypatch, Case.NO_SENSING, lambda row: row[4])
+        assert {shown[2] for _row, shown, _nxt in pairs} == {ch.p11}
+
+    def test_nack_resets_belief_to_p01(self, monkeypatch):
+        ch, pairs = self.next_slots(
+            monkeypatch, Case.NO_SENSING, lambda row: row[3] and not row[4]
+        )
+        assert {shown[2] for _row, shown, _nxt in pairs} == {ch.p01}
+
+    def test_suspension_applies_one_step(self, monkeypatch):
+        ch, seen, trace = self.run(monkeypatch, Case.NO_SENSING)
+        assert seen[0][2] == stationary_belief_value(ch)
+        stepped = [
+            (after[2], one_step_update(ch, before[2]))
+            for before, after, row in zip(seen, seen[1:], trace)
+            if not row[3]
+        ]
+        assert stepped
+        assert all(got == want for got, want in stepped)
+
+    def test_delayed_sensing_shows_the_last_channel_state(self, monkeypatch):
+        _ch, pairs = self.next_slots(monkeypatch, Case.DELAYED_SENSING, lambda row: True)
+        assert all(shown[2] == row[5] for row, shown, _nxt in pairs)
 
 
 class TestGreedy:
@@ -434,6 +549,16 @@ class TestOracleIdentity:
             assert_same_result(
                 simulate_greedy(Case.NO_SENSING, frame, ch, e_max, cfg, record_trace=True),
                 oracle_greedy(Case.NO_SENSING, frame, ch, e_max, cfg, record_trace=True),
+            )
+
+    def test_start_coin_mixture(self, p11, p01, K, horizon, warmup):
+        frame, ch = FrameSpec(K), ChannelModel(p11, p01)
+        cfg = SimConfig(horizon, 17, warmup)
+        mix = MixturePolicy(HashPolicy(K, 2), HashPolicy(K, 3), 0.3, 0, 0, 0, 0, 0, 0)
+        for case in Case:
+            assert_same_result(
+                estimate_mixture(case, frame, ch, mix, cfg),
+                oracle_mixture(case, frame, ch, mix, cfg),
             )
 
 class TestOracleIdentitySolved:

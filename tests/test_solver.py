@@ -7,6 +7,7 @@ from aoisched.channel import ChannelModel
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, TruncationBound, build_case
 from aoisched.solver import (
     CapExceededError,
+    _Bellman,
     NonConvergenceError,
     ThresholdStructureError,
     bisect_lambda,
@@ -304,6 +305,14 @@ class TestDiscountedVi:
         with pytest.raises(ValueError):
             discounted_vi(space, kern, 0.0, beta=1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_discount_outside_unit_interval(self, beta):
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(4)
+        )
+        with pytest.raises(ValueError, match="discount factor"):
+            discounted_vi(space, kern, 0.0, beta=beta)
+
     def test_rejects_negative_sweep_count(self):
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(4)
@@ -320,6 +329,55 @@ class TestDiscountedVi:
         )
         with pytest.raises(ValueError, match="energy price must be finite and non-negative"):
             discounted_vi(space, kern, lam, 0.9, n_iters=3)
+
+
+class TestBellmanStep:
+    """The stage cost inside one Bellman step: AoI, plus the price when
+    transmitting, plus the expected bias of the successors."""
+
+    lams = np.array([0.0, 2.5, 123.0])
+
+    def make(self, case=Case.NO_SENSING):
+        _space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        return kern, _Bellman(kern, len(self.lams))
+
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_transmission_adds_price(self, case):
+        kern, step = self.make(case)
+        cost = step.transmit_cost(self.lams)
+        adm = kern.admissible
+        assert cost.shape == (kern.n, len(self.lams))
+        assert np.array_equal(cost[adm], kern.delta[adm, None] + self.lams)
+
+    def test_inadmissible_transmission_costs_infinity(self):
+        kern, step = self.make()
+        cost = step.transmit_cost(self.lams)
+        assert (~kern.admissible).any()
+        assert np.all(np.isposinf(cost[~kern.admissible]))
+
+    def test_suspension_is_aoi_only(self):
+        kern, step = self.make()
+        h = np.zeros((kern.n, len(self.lams)))
+        q0, q1 = (q.copy() for q in step(h, step.transmit_cost(self.lams)))
+        assert np.array_equal(q0, np.broadcast_to(kern.delta[:, None], q0.shape))
+        adm = kern.admissible
+        assert np.array_equal(q1[adm], kern.delta[adm, None] + self.lams)
+
+    def test_free_price_leaves_only_the_bias(self):
+        # at price 0 the two actions differ only in their successors
+        kern, step = self.make()
+        h = np.random.default_rng(3).normal(size=(kern.n, 1))
+        q0, q1 = step(h, step.transmit_cost(np.zeros(1)))
+        adm = kern.admissible
+        assert np.array_equal(
+            (q1 - q0)[adm, 0],
+            (kern.delta + kern.expected_bias(h[:, 0], 1) - q0[:, 0])[adm],
+        )
+
+    def test_rejects_bad_price_in_a_batch(self):
+        _kern, step = self.make()
+        with pytest.raises(ValueError, match="got nan"):
+            step.transmit_cost(np.array([1.0, float("nan"), -1.0]))
 
 
 class TestPolicyEvaluation:
@@ -435,6 +493,27 @@ class TestBisection:
             bisect_lambda(
                 Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 0.0
             )
+
+    @pytest.mark.parametrize("e_max", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_rejects_budget_outside_unit_interval(self, e_max):
+        with pytest.raises(ValueError, match="energy budget"):
+            bisect_lambda(
+                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), e_max
+            )
+
+    def test_doubling_limit_is_enforced(self, monkeypatch):
+        # the optimal price here is about 21.4, so the search doubles from
+        # 1 to 32: five doublings
+        args = (Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 0.2)
+        def search(mix):
+            return mix.lam_minus, mix.lam_plus, mix.q
+
+        unlimited = search(bisect_lambda(*args))
+        monkeypatch.setattr("aoisched.solver._MAX_DOUBLINGS", 5)
+        assert search(bisect_lambda(*args)) == unlimited
+        monkeypatch.setattr("aoisched.solver._MAX_DOUBLINGS", 4)
+        with pytest.raises(NonConvergenceError, match="below 16.0 after 4 doublings"):
+            bisect_lambda(*args)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["eps_lam"])
