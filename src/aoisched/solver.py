@@ -2,10 +2,16 @@
 
 Contains relative value iteration (plain and threshold-aware variants for
 both CSI cases), discounted value iteration used by the structural property
-checks, policy evaluation by damped power iteration on the induced chain,
-bisection on the energy price with the two-policy mixture construction, a
-brute-force oracle over all deterministic admissible policies, and a
-dual-objective sweep.
+checks, policy evaluation by damped power iteration on the induced chain and
+exactly by AoI layers, bisection on the energy price with the two-policy
+mixture construction, a brute-force oracle over all deterministic admissible
+policies, and a dual-objective sweep.
+
+The price search decides each price's feasibility on the exact energy of its
+policy. Power iteration, whose averages the reported mixture carries, runs
+only for the two reported components and for decisions whose exact energy
+lies within ``_EXACT_MARGIN`` of the budget, which is far above power
+iteration's error; so the search takes every decision power iteration would.
 
 All relative value iteration runs through one loop over the vectorised
 Bellman step, which discounted value iteration shares. Both carry a price
@@ -47,6 +53,7 @@ __all__ = [
     "MixturePolicy",
     "NonConvergenceError",
     "PolicyUndefinedError",
+    "PriceStep",
     "SolveReport",
     "TabularPolicy",
     "ThresholdPolicyAoI",
@@ -77,6 +84,13 @@ __all__ = [
 _RELAXATION = 0.5
 # Price doublings a budget search tries before it gives up.
 _MAX_DOUBLINGS = 60
+# A price search decision whose exact energy lies this close to the budget is
+# taken on power iteration's energy, which the reported mixture carries.
+_EXACT_MARGIN = 1e-6
+# Most cap-layer states the exact evaluator eliminates as one dense matrix,
+# and most states whose branches it reads from the kernel at once.
+_CORE_WIDTH = 1024
+_CHUNK = 1024
 
 
 class NonConvergenceError(RuntimeError):
@@ -170,12 +184,25 @@ class ThresholdPolicyAoI:
         return int(delta >= cutoff)
 
 
+@dataclass(frozen=True)
+class PriceStep:
+    """One solve of a price search: the price, its RVI sweeps, the energy its
+    feasibility was decided on and the evaluator that gave it, ``"exact"``
+    (by AoI layers) or ``"power"`` (power iteration)."""
+
+    lam: float
+    sweeps: int
+    energy: float
+    evaluator: str
+
+
 @dataclass(eq=False)
 class MixturePolicy:
     """Randomized mixture of two priced policies meeting the energy budget.
 
     The scheduler draws one of the two component policies once at the start
     (the minus component with probability q) and follows it forever.
+    ``steps`` holds the search's solves in order.
     """
 
     pi_minus: object
@@ -187,6 +214,7 @@ class MixturePolicy:
     energy_plus: float
     aoi_minus: float
     aoi_plus: float
+    steps: tuple[PriceStep, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
@@ -586,6 +614,8 @@ def stationary_distribution(
     branch by branch, so ``np.bincount`` adds each state's mass in one fixed
     order; every round writes into arrays made once per call.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     actions = _checked_actions(kern.n, actions)
@@ -626,6 +656,202 @@ def policy_averages(kern: CompiledKernel, policy) -> tuple[float, float]:
     return float(pi @ kern.delta), float(pi @ actions)
 
 
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with a @ x = b for a small dense a, by Gaussian elimination with
+    partial pivoting; None if a pivot is zero or not finite. Written in
+    elementwise numpy: ``np.linalg.solve`` on the 177-state cap layer raised
+    the process's peak memory by about 1 MB of LAPACK work buffers."""
+    a, x = a.copy(), b.copy()
+    n = len(a)
+    for i in range(n):
+        p = i + int(np.argmax(np.abs(a[i:, i])))
+        if not 0.0 < abs(a[p, i]) < np.inf:
+            return None
+        if p != i:
+            a[[i, p]], x[[i, p]] = a[[p, i]], x[[p, i]]
+        f = a[i + 1 :, i, None] / a[i, i]
+        a[i + 1 :, i:] -= f * a[i, i:]
+        x[i + 1 :] -= f * x[i]
+    for i in range(n - 1, -1, -1):
+        x[i] /= a[i, i]
+        x[:i] -= a[:i, i, None] * x[i]
+    return x
+
+
+def _cap_mass(prob: np.ndarray, dest: np.ndarray, inflow: np.ndarray) -> np.ndarray | None:
+    """The cap layer's mass M = inflow + P^T M, (width, columns), with P read
+    from the layer's (state, branch) arrays of probability and destination,
+    a destination below the width being the cap state the branch stays at.
+
+    None if a cap state can never deliver, which leaves a closed class in the
+    layer, or the solve fails. A state whose incoming branches all come from
+    solved states is solved by pushing its mass on, in rounds; only the
+    states downstream of a cycle go into one dense elimination, and None if
+    there are more than ``_CORE_WIDTH`` of them.
+    """
+    w = len(inflow)
+    stays = (prob > 0.0) & (dest < w)
+    src, dst, p = np.nonzero(stays)[0], dest[stays], prob[stays]
+    reach = ((prob > 0.0) & ~stays).any(axis=1)
+    while True:
+        more = reach[dst] & ~reach[src]
+        if not more.any():
+            break
+        reach[src[more]] = True
+    if not reach.all():
+        return None
+    M, waiting = inflow.copy(), np.bincount(dst, minlength=w)
+    solved, ready = np.zeros(w, dtype=bool), waiting == 0
+    while ready.any():
+        solved |= ready
+        out = ready[src]
+        np.add.at(M, dst[out], p[out, None] * M[src[out]])
+        waiting -= np.bincount(dst[out], minlength=w)
+        ready = (waiting == 0) & ~solved
+    core = np.flatnonzero(~solved)
+    if len(core) > _CORE_WIDTH:
+        return None
+    if len(core):
+        # every branch left comes from the core and stays in it
+        local, r, inner = np.cumsum(~solved) - 1, len(core), ~solved[src]
+        stay = np.bincount(local[dst[inner]] * r + local[src[inner]], p[inner], minlength=r * r)
+        solution = _eliminate(np.eye(r) - stay.reshape(r, r), M[core])
+        if solution is None:
+            return None
+        M[core] = solution
+    return M
+
+
+class _AoiLayers:
+    """Exact long-run averages of deterministic policies, by AoI layers.
+
+    Every transition either raises the AoI by one, clamped at the cap, or
+    delivers, which resets it to one of at most K target states. So the
+    stationary law is renewal reward at deliveries (Puterman 1994, 8.2):
+    unit inflow at each target is pushed forward one layer at a time, the cap
+    layer, whose growth stays in the layer, is solved by ``_cap_mass``, and
+    the delivery rates solve a fixed point over the targets with the law's
+    normalisation. Only one layer's (width, targets) mass is held at a time,
+    and the policy's branches are read from the kernel for at most
+    ``_CHUNK`` states at a time. The layering is built per evaluation, so
+    nothing the size of the state space outlives it while RVI solves run.
+
+    ``averages`` returns None where the chain may have another recurrent
+    class than the one through the targets, so that power iteration's law is
+    not determined by them, or where a solve fails: a cap-layer state that
+    can never deliver (a policy that never transmits, an absorbing bad
+    state), targets with several closed classes, a cap-layer cycle core
+    wider than ``_CORE_WIDTH``, or a zero or non-finite pivot.
+    """
+
+    def __init__(self, kern: CompiledKernel):
+        self.kern = kern
+        delta = kern.delta
+        self.order = np.lexsort((delta,))
+        cut = np.flatnonzero(np.diff(delta[self.order])) + 1
+        starts = np.r_[0, cut]
+        self.widths = np.diff(np.r_[starts, kern.n])
+        # the width of the layer each layer grows into; the cap grows into itself
+        self.next_widths = np.r_[self.widths[1:], self.widths[-1]]
+        self.starts = starts.tolist() + [kern.n]
+        self.values = delta[self.order[starts]]
+        self.cap = self.values[-1]
+        self.pos = np.empty(kern.n, dtype=np.int64)
+        self.pos[self.order] = np.arange(kern.n) - np.repeat(starts, self.widths)
+        # any successor that does not grow the AoI is a delivery target
+        grown, target = np.minimum(delta + 1.0, self.cap), np.zeros(kern.n, dtype=bool)
+        for succ, prob in zip(kern.succ, kern.prob):
+            target[succ[(prob > 0.0) & (delta[succ] != grown)]] = True
+        self.targets = np.flatnonzero(target)
+        self.usable = len(self.targets) > 0 and np.array_equal(
+            self.values, np.arange(self.values[0], self.cap + 1.0)
+        )
+        # runs of whole layers below the cap, each of at most _CHUNK states
+        self.chunks, first = [], 0
+        for layer in range(1, len(self.values)):
+            if layer == len(self.values) - 1 or self.starts[layer + 1] - self.starts[first] > _CHUNK:
+                self.chunks.append((first, layer))
+                first = layer
+
+    def _branches(self, acts: np.ndarray, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The policy's branches at layers [first, stop), as (state, branch)
+        arrays of weight and destination, states in layer order. A branch's
+        destination is its growth successor's position in the next layer, or
+        past that layer's width the target it delivers to. Three branches
+        follow that only count, into the bins after the targets', each
+        state's mass, AoI times mass and transmitting mass."""
+        kern, T = self.kern, len(self.targets)
+        lo, hi = self.starts[first], self.starts[stop]
+        blocks = (kern.rows(0), kern.rows(1))
+        width = max(rows.stop - rows.start for rows in blocks)
+        prob = np.zeros((hi - lo, width + 3))
+        dest = np.zeros(prob.shape, dtype=np.int64)
+        next_width = np.repeat(self.next_widths[first:stop], self.widths[first:stop])
+        for u, rows in enumerate(blocks):
+            at = np.flatnonzero(acts[lo:hi] == u)
+            src = self.order[lo + at]
+            grown = np.minimum(kern.delta[src] + 1.0, self.cap)
+            for b, r in enumerate(range(rows.start, rows.stop)):
+                succ, p = kern.succ[r, src], kern.prob[r, src]
+                target = np.searchsorted(self.targets, succ).clip(max=T - 1)
+                to = np.where(kern.delta[succ] == grown, self.pos[succ], next_width[at] + target)
+                prob[at, b], dest[at, b] = p, np.where(p > 0.0, to, 0)
+        prob[:, width], prob[:, width + 1], prob[:, width + 2] = 1.0, kern.delta[self.order[lo:hi]], acts[lo:hi]
+        dest[:, width:] = next_width[:, None] + np.arange(T, T + 3)
+        return prob, dest
+
+    def averages(self, actions: np.ndarray) -> tuple[float, float] | None:
+        """(average AoI, average energy) of an admissible action table, or None."""
+        if not self.usable:
+            return None
+        T, last = len(self.targets), len(self.values) - 1
+        acts = actions[self.order]
+        inject: dict[int, list[tuple[int, int]]] = {}
+        for j, t in enumerate(self.targets):
+            layer = int(np.searchsorted(self.values, self.kern.delta[t]))
+            inject.setdefault(layer, []).append((int(self.pos[t]), j))
+        columns = np.arange(T)
+        # per unit inflow at each target (columns): the deliveries into each
+        # target, then the mass, AoI times mass and transmitting mass
+        totals = np.zeros((T + 3) * T)
+        M = np.zeros((int(self.widths[0]), T))
+        next_widths = self.next_widths.tolist()
+        for first, stop in self.chunks + [(last, last + 1)]:
+            prob, dest = self._branches(acts, first, stop)
+            # the bin of each (state, branch, column) triple
+            bins = dest[:, :, None] * T + columns
+            for layer in range(first, stop):
+                for i, j in inject.get(layer, ()):
+                    M[i, j] += 1.0
+                if layer == last:
+                    M = _cap_mass(prob[:, :-3], dest[:, :-3], M)
+                    if M is None:
+                        return None
+                s, e = self.starts[layer] - self.starts[first], self.starts[layer + 1] - self.starts[first]
+                w_next = next_widths[layer]
+                out = np.bincount(
+                    bins[s:e].ravel(), (prob[s:e, :, None] * M[:, None, :]).ravel(),
+                    minlength=(w_next + T + 3) * T,
+                )
+                totals += out[w_next * T :]
+                M = out[: w_next * T].reshape(w_next, T)
+        sums = totals.reshape(T + 3, T)
+        # rates[j, t]: deliveries into target t per unit inflow at target j
+        rates = sums[:T].T
+        closure = (rates > 0.0) | np.eye(T, dtype=bool)
+        for _ in range(T):
+            closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
+        if not closure.all(axis=0).any():
+            return None
+        system = (rates - np.eye(T)).T
+        system[-1] = sums[T]
+        x = _eliminate(system, np.eye(T)[:, -1:])
+        if x is None:
+            return None
+        found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
+        return found if np.isfinite(found).all() else None
+
+
 # ---------------------------------------------------------------------------
 # constrained solve: bisection on the energy price and the policy mixture
 
@@ -659,33 +885,54 @@ def bisect_lambda(
     mixes them so that the average energy equals the budget exactly. A
     feasible unpriced optimum short-circuits to a single-policy mixture.
 
-    Most solves of a search return a policy it has already seen. All of them
-    share one kernel and the evaluation is deterministic, so each distinct
-    action table is evaluated once and its averages are reused bit for bit.
+    Feasibility is decided on each policy's exact energy, evaluated by AoI
+    layers once per distinct action table; a policy whose exact energy lies
+    within ``_EXACT_MARGIN`` of the budget, or that the layers cannot
+    evaluate, is decided on power iteration's energy instead. Power
+    iteration's error is far below the margin, so every decision is the one
+    power iteration would take. The reported components carry power
+    iteration's averages (``policy_averages``), once per distinct table.
+    ``steps`` records each solve's price, sweeps, deciding energy and
+    evaluator.
     """
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     if not 0.0 < eps_lam < np.inf:
         raise ValueError(f"eps_lam must be finite and positive, got {eps_lam}")
     space, kern = build_case(case, frame, ch, bound)
+    exact: dict[bytes, float | None] = {}
     averages: dict[bytes, tuple[float, float]] = {}
+    steps: list[PriceStep] = []
+
+    def reported(report) -> tuple[float, float]:
+        key = np.packbits(report.policy.actions).tobytes()
+        if key not in averages:
+            averages[key] = policy_averages(kern, report.policy)
+        return averages[key]
 
     def solve(lam: float, warm: np.ndarray | None):
         report = rvi_plain(space, kern, lam, eps=eps, h_init=warm)
         key = np.packbits(report.policy.actions).tobytes()
-        if key not in averages:
-            averages[key] = policy_averages(kern, report.policy)
-        aoi, energy = averages[key]
-        return report, aoi, energy
+        if key not in exact:
+            found = _AoiLayers(kern).averages(report.policy.actions)
+            exact[key] = None if found is None else found[1]
+        energy, evaluator = exact[key], "exact"
+        if energy is None or abs(energy - e_max) <= _EXACT_MARGIN:
+            energy, evaluator = reported(report)[1], "power"
+        steps.append(PriceStep(lam, report.iterations, energy, evaluator))
+        return report, energy
 
-    report0, aoi0, energy0 = solve(0.0, None)
+    report0, energy0 = solve(0.0, None)
     if energy0 <= e_max:
         single = report0.policy.as_threshold()
-        return MixturePolicy(single, single, 1.0, 0.0, 0.0, energy0, energy0, aoi0, aoi0)
+        aoi0, energy0 = reported(report0)
+        return MixturePolicy(
+            single, single, 1.0, 0.0, 0.0, energy0, energy0, aoi0, aoi0, tuple(steps)
+        )
 
-    lo, report_lo, aoi_lo, energy_lo = 0.0, report0, aoi0, energy0
+    lo, report_lo = 0.0, report0
     hi = 1.0
-    report_hi, aoi_hi, energy_hi = solve(hi, report0.bias)
+    report_hi, energy_hi = solve(hi, report0.bias)
     doublings = 0
     while energy_hi > e_max:
         doublings += 1
@@ -694,18 +941,20 @@ def bisect_lambda(
                 f"no feasible price found below {hi} after {_MAX_DOUBLINGS} doublings",
                 energy_hi - e_max,
             )
-        lo, report_lo, aoi_lo, energy_lo = hi, report_hi, aoi_hi, energy_hi
+        lo, report_lo = hi, report_hi
         hi *= 2.0
-        report_hi, aoi_hi, energy_hi = solve(hi, report_hi.bias)
+        report_hi, energy_hi = solve(hi, report_hi.bias)
 
     while hi - lo > eps_lam:
         mid = 0.5 * (lo + hi)
-        report_mid, aoi_mid, energy_mid = solve(mid, report_lo.bias)
+        report_mid, energy_mid = solve(mid, report_lo.bias)
         if energy_mid <= e_max:
-            hi, report_hi, aoi_hi, energy_hi = mid, report_mid, aoi_mid, energy_mid
+            hi, report_hi = mid, report_mid
         else:
-            lo, report_lo, aoi_lo, energy_lo = mid, report_mid, aoi_mid, energy_mid
+            lo, report_lo = mid, report_mid
 
+    aoi_lo, energy_lo = reported(report_lo)
+    aoi_hi, energy_hi = reported(report_hi)
     q = randomization_factor(e_max, energy_lo, energy_hi)
     return MixturePolicy(
         report_lo.policy.as_threshold(),
@@ -717,6 +966,7 @@ def bisect_lambda(
         energy_hi,
         aoi_lo,
         aoi_hi,
+        tuple(steps),
     )
 
 

@@ -5,9 +5,12 @@ import pytest
 
 from aoisched.channel import ChannelModel
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, TruncationBound, build_case
+from aoisched import solver
 from aoisched.solver import (
     CapExceededError,
+    _AoiLayers,
     _Bellman,
+    _exact_average_cost,
     NonConvergenceError,
     ThresholdStructureError,
     bisect_lambda,
@@ -431,6 +434,138 @@ class TestPolicyEvaluation:
             )
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_stationary_law_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            stationary_distribution(
+                single_state_kernel(1.0), np.zeros(1, np.int8), tol=tol, max_iters=10
+            )
+
+
+def dense_chain(kern: CompiledKernel, actions: np.ndarray) -> np.ndarray:
+    """The policy's transition matrix, entry by entry from the kernel rows."""
+    chain = np.zeros((kern.n, kern.n))
+    for u in (0, 1):
+        at = np.flatnonzero(actions == u)
+        for r in range(kern.rows(u).start, kern.rows(u).stop):
+            np.add.at(chain, (at, kern.succ[r, at]), kern.prob[r, at])
+    return chain
+
+
+def two_target_classes(N):
+    """A K=2 no-sensing policy whose deliveries from either target return to
+    it: transmit one suspension after an observation, and at the cap at
+    every belief but the observed ones, so every cap state delivers."""
+    space, kern = build_case(NS, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(N))
+    observed = [space.reference_sym, space._failed_sym]
+    once = space._sym_suspended[observed]
+    capped = (space.delta == N) & ~np.isin(space.sym, observed)
+    return space, kern, (kern.admissible & (np.isin(space.sym, once) | capped)).astype(np.int8)
+
+
+class TestExactEvaluation:
+    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_matches_exact_average_cost(self, case, K, p11, p01):
+        # the dense oracle's cost grows as n^3, so no sensing stops at N=12
+        compared = 0
+        for N in (K + 1, 12, 20) if case is DS else (K + 1, 12):
+            space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+            layers = _AoiLayers(kern)
+            for lam in (0.0, 0.5, 2.0, 10.0):
+                actions = rvi_plain(space, kern, lam).policy.actions
+                chain, start = dense_chain(kern, actions), kern.reference_index
+                aoi = _exact_average_cost(chain, kern.delta, start)
+                energy = _exact_average_cost(chain, actions.astype(float), start)
+                found = layers.averages(actions)
+                if found is None:
+                    # only a chain that stops delivering is left to power iteration
+                    assert energy == pytest.approx(0.0, abs=1e-12)
+                    continue
+                compared += 1
+                assert found[0] == pytest.approx(aoi, rel=1e-12, abs=0.0)
+                assert found[1] == pytest.approx(energy, rel=1e-12, abs=0.0)
+        assert compared >= (0 if p01 == 0.0 else 4)
+
+    @pytest.mark.parametrize("N,lam", [(40, 0.0), (40, 3.0), (60, 8.0), (120, 60.0)])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_matches_power_iteration(self, case, N, lam):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(N))
+        actions = rvi_plain(space, kern, lam).policy.actions
+        aoi, energy = _AoiLayers(kern).averages(actions)
+        law = stationary_distribution(kern, actions)
+        assert aoi == pytest.approx(law @ kern.delta, rel=1e-7, abs=0.0)
+        assert energy == pytest.approx(law @ actions, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_never_transmitting_falls_back(self, case):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        assert _AoiLayers(kern).averages(np.zeros(kern.n, dtype=np.int8)) is None
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_closed_class_at_the_cap_falls_back(self, case):
+        # suspending throughout the cap layer keeps the AoI there for good
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        actions = rvi_plain(space, kern, 1.0).policy.actions
+        layers = _AoiLayers(kern)
+        assert layers.averages(actions) is not None
+        actions[space.delta == 12] = 0
+        assert layers.averages(actions) is None
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_absorbing_bad_state_falls_back(self, case):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.6, 0.0), TruncationBound(12))
+        layers = _AoiLayers(kern)
+        for lam in (0.0, 1.0):
+            assert layers.averages(rvi_plain(space, kern, lam).policy.actions) is None
+
+    @pytest.mark.parametrize("N", [12, 17])
+    def test_targets_in_two_closed_classes_fall_back(self, N):
+        # at N=17 the delivery rates miss 0 and 1 by rounding, so the
+        # fixed point's pivots alone would not show the two classes
+        space, kern, actions = two_target_classes(N)
+        assert _AoiLayers(kern).averages(actions) is None
+        # the targets after deliveries in slots 2 and 1 are recurrent in
+        # different classes, whose average AoI differ
+        chain = dense_chain(kern, actions)
+        targets = [int(space.locate(k % 2 + 1, k, space.reference_sym)) for k in (1, 2)]
+        aoi = [_exact_average_cost(chain, kern.delta, t) for t in targets]
+        assert aoi[0] != pytest.approx(aoi[1], rel=1e-3)
+
+    def test_cap_core_wider_than_the_limit_falls_back(self, monkeypatch):
+        # of the cap layer's states only the few on or after a cycle, not
+        # all of them, go into the dense elimination
+        space, kern = build_case(NS, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        actions = rvi_plain(space, kern, 1.0).policy.actions
+        assert np.count_nonzero(space.delta == 12) > 16
+        monkeypatch.setattr(solver, "_CORE_WIDTH", 8)
+        assert _AoiLayers(kern).averages(actions) is not None
+        monkeypatch.setattr(solver, "_CORE_WIDTH", 0)
+        assert _AoiLayers(kern).averages(actions) is None
+
+    def test_single_state_kernel_has_no_delivery(self):
+        assert _AoiLayers(single_state_kernel(2.0)).averages(np.ones(1, np.int8)) is None
+
+    def test_fallback_decisions_carry_power_iteration_energy(self, monkeypatch):
+        # on an absorbing bad state no policy delivers in the long run, so
+        # every decision of the search is power iteration's
+        reports = []
+
+        def recording_rvi(*args, **kwargs):
+            reports.append(rvi_plain(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        frame, ch, bound = FrameSpec(3), ChannelModel(0.6, 0.0), TruncationBound(12)
+        mix = bisect_lambda(DS, frame, ch, bound, 0.3)
+        _space, kern = build_case(DS, frame, ch, bound)
+        assert [step.evaluator for step in mix.steps] == ["power"] * len(reports)
+        assert [step.energy for step in mix.steps] == [
+            policy_averages(kern, report.policy)[1] for report in reports
+        ]
+
+
 class TestOracle:
     def test_cap_enforced(self):
         space, kern = build_case(
@@ -525,28 +660,245 @@ class TestBisection:
             )
 
     def test_each_distinct_policy_evaluated_once(self, monkeypatch):
-        tables, evaluated = [], []
+        # the exact evaluator sees each distinct table once; power iteration
+        # runs once per reported component or decision the margin hands it
+        tables, exact, powered = [], [], []
+        exact_averages = _AoiLayers.averages
 
         def recording_rvi(*args, **kwargs):
             report = rvi_plain(*args, **kwargs)
             tables.append(report.policy.actions.tobytes())
             return report
 
+        def recording_exact(layers, actions):
+            exact.append(actions.tobytes())
+            return exact_averages(layers, actions)
+
         def counting_averages(kern, policy):
-            evaluated.append(policy)
+            powered.append(policy.actions.tobytes())
             return policy_averages(kern, policy)
 
         monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        monkeypatch.setattr(_AoiLayers, "averages", recording_exact)
         monkeypatch.setattr("aoisched.solver.policy_averages", counting_averages)
         frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40)
         mix = bisect_lambda(Case.NO_SENSING, frame, ch, bound, 0.3, eps=1e-7)
         assert len(set(tables)) < len(tables)  # the search revisits policies
-        assert len(evaluated) == len(set(tables))
+        assert sorted(exact) == sorted(set(tables))
+        assert len(mix.steps) == len(tables)
+        in_margin = {t for t, step in zip(tables, mix.steps) if step.evaluator == "power"}
+        components = {mix.pi_minus.actions.tobytes(), mix.pi_plus.actions.tobytes()}
+        assert sorted(powered) == sorted(components | in_margin)
+        assert len(powered) < len(exact)
         _space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
         aoi_minus, energy_minus = policy_averages(kern, mix.pi_minus.actions)
         aoi_plus, energy_plus = policy_averages(kern, mix.pi_plus.actions)
         assert (mix.aoi_minus, mix.energy_minus) == (aoi_minus, energy_minus)
         assert (mix.aoi_plus, mix.energy_plus) == (aoi_plus, energy_plus)
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_steps_record_every_solve(self, monkeypatch, case):
+        reports = []
+
+        def recording_rvi(space, kern, lam, **kwargs):
+            reports.append((lam, rvi_plain(space, kern, lam, **kwargs)))
+            return reports[-1][1]
+
+        monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        frame, ch, bound, e_max = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30), 0.2
+        mix = bisect_lambda(case, frame, ch, bound, e_max)
+        _space, kern = build_case(case, frame, ch, bound)
+        layers = _AoiLayers(kern)
+        assert len(mix.steps) == len(reports) > 2
+        for step, (lam, report) in zip(mix.steps, reports):
+            assert (step.lam, step.sweeps) == (lam, report.iterations)
+            exact = layers.averages(report.policy.actions)
+            if step.evaluator == "exact":
+                assert step.energy == exact[1]
+                assert abs(step.energy - e_max) > solver._EXACT_MARGIN
+            else:
+                assert step.evaluator == "power"
+                assert step.energy == policy_averages(kern, report.policy)[1]
+        assert [step.lam for step in mix.steps[:2]] == [0.0, 1.0]
+        assert mix.lam_minus in [step.lam for step in mix.steps]
+        assert mix.lam_plus in [step.lam for step in mix.steps]
+
+    def test_decision_at_the_budget_is_taken_on_power_iteration(self, monkeypatch):
+        # a budget equal to the exact energy of the first feasible doubling
+        # puts that decision, reached on the same prices, inside the margin
+        frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30)
+        first = bisect_lambda(NS, frame, ch, bound, 0.2)
+        k = next(i for i, step in enumerate(first.steps) if step.energy <= 0.2)
+        assert k >= 2 and first.steps[k].evaluator == "exact"
+        reports = []
+
+        def recording_rvi(*args, **kwargs):
+            reports.append(rvi_plain(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        mix = bisect_lambda(NS, frame, ch, bound, first.steps[k].energy)
+        _space, kern = build_case(NS, frame, ch, bound)
+        assert [step.lam for step in mix.steps[: k + 1]] == [step.lam for step in first.steps[: k + 1]]
+        assert mix.steps[k].evaluator == "power"
+        assert mix.steps[k].energy == policy_averages(kern, reports[k].policy)[1]
+        assert mix.steps[k].energy != first.steps[k].energy
+
+    def test_single_policy_mixture_records_its_solve(self):
+        mix = bisect_lambda(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 1.0
+        )
+        assert [(step.lam, step.evaluator) for step in mix.steps] == [(0.0, "exact")]
+        assert mix.steps[0].energy == pytest.approx(mix.energy_minus, abs=1e-9)
+
+
+# (case, p11, p01, N, e_max): the MixturePolicy of bisect_lambda on K=3 at
+# the default eps and eps_lam, as float.hex of q, lam_minus, lam_plus,
+# energy_minus, energy_plus, aoi_minus and aoi_plus, then the leading 16 hex
+# digits of the sha256 of both components' action tables. Recorded before the
+# search decided feasibility with the exact evaluator; any changed decision
+# moves a price, a component or its averages. The (0.9, 0.2) no-sensing
+# search at N=20, e_max=0.05 ends on a policy that is not of threshold type.
+SEARCH_PINS = {
+    (NS, 0.7, 0.3, 20, 0.05): (
+        "0x1.9fffff757aec8p-1", "0x1.7bfff00000000p+6", "0x1.7c00000000000p+6", "0x1.a41a41b56fe44p-5",
+        "0x1.6c16c171cbaeep-5", "0x1.e41a41f27e4b5p+3", "0x1.f8e38e2f1e748p+3", "4031d73dfa248f39",
+    ),
+    (NS, 0.7, 0.3, 20, 0.3): (
+        "0x1.9856b4f5fba28p-3", "0x1.18a9800000000p+3", "0x1.18aa000000000p+3", "0x1.819201a3cb5d0p-2",
+        "0x1.1faeca37e6a68p-2", "0x1.228659bbb3842p+2", "0x1.582f0ee1237a8p+2", "808ef4b4e0377f8e",
+    ),
+    (NS, 0.7, 0.3, 20, 0.6): (
+        "0x1.89a8626a18a55p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbaep-1",
+        "0x1.16d07e212b860p-1", "0x1.d4f896bd2ad62p+1", "0x1.e58b1e5cec1dfp+1", "736def560e4f2740",
+    ),
+    (NS, 0.7, 0.3, 40, 0.05): (
+        "0x1.42c26efd0566ep-1", "0x1.4f47980000000p+8", "0x1.4f479c0000000p+8", "0x1.a4b3454bb0f65p-5",
+        "0x1.86aafb9ad2506p-5", "0x1.4481dfa51f4ddp+4", "0x1.582c7efa156d3p+4", "6d0b61d668cd5b28",
+    ),
+    (NS, 0.7, 0.3, 40, 0.3): (
+        "0x1.9856b4f420632p-3", "0x1.1967800000000p+3", "0x1.1968000000000p+3", "0x1.819201a405ecdp-2",
+        "0x1.1faeca37f4704p-2", "0x1.22fd2625cf91cp+2", "0x1.58ca25c50cfa4p+2", "4f3a622a6bee80bb",
+    ),
+    (NS, 0.7, 0.3, 40, 0.6): (
+        "0x1.89a8626a18b7cp-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbb98p-1",
+        "0x1.16d07e212b84dp-1", "0x1.d5554264226dbp+1", "0x1.e5f24f297b1fcp+1", "02b4b268b01df9b0",
+    ),
+    (NS, 0.9, 0.2, 20, 0.05): ThresholdStructureError,
+    (NS, 0.9, 0.2, 20, 0.3): (
+        "0x1.77381d7dbad4cp-1", "0x1.4ad9000000000p+3", "0x1.4ad9800000000p+3", "0x1.555555555554dp-2",
+        "0x1.ab213c5acfdeep-3", "0x1.0d5718f2add82p+2", "0x1.5fe70ab725e80p+2", "1d1210469b6be050",
+    ),
+    (NS, 0.9, 0.2, 20, 0.6): (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.11111111378e2p-1",
+        "0x1.11111111378e2p-1", "0x1.d16d1c249f72cp+1", "0x1.d16d1c249f72cp+1", "387368a7f1fce409",
+    ),
+    (NS, 0.9, 0.2, 40, 0.05): (
+        "0x1.2a47f7b82f47cp-3", "0x1.0598340000000p+8", "0x1.0598380000000p+8", "0x1.be381f4b39ee6p-5",
+        "0x1.935b7d7857138p-5", "0x1.eb6f2c6675944p+3", "0x1.0b9dcc85e8a70p+4", "5fe09b712f245861",
+    ),
+    (NS, 0.9, 0.2, 40, 0.3): (
+        "0x1.6276443cd9034p-1", "0x1.4fc8000000000p+3", "0x1.4fc8800000000p+3", "0x1.59f198af5aaa9p-2",
+        "0x1.b80d6f981c48dp-3", "0x1.0deb51cb428c8p+2", "0x1.607fb4f807a0bp+2", "c07908ff4cb42af7",
+    ),
+    (NS, 0.9, 0.2, 40, 0.6): (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.111111111427cp-1",
+        "0x1.111111111427cp-1", "0x1.d549cd3696b76p+1", "0x1.d549cd3696b76p+1", "ad5ef6258aaba80f",
+    ),
+    (DS, 0.7, 0.3, 20, 0.05): (
+        "0x1.e55988c4e7600p-1", "0x1.09fff80000000p+7", "0x1.0a00000000000p+7", "0x1.b017443aff868p-5",
+        "0x0.0p+0", "0x1.9f83e98a1e6c4p+3", "0x1.3ffffffffb02dp+4", "7cd8eb6feb93bc32",
+    ),
+    (DS, 0.7, 0.3, 20, 0.3): (
+        "0x1.d3d18dfd1b087p-3", "0x1.2870800000000p+3", "0x1.2871000000000p+3", "0x1.3d4095d3a91cap-2",
+        "0x1.303956f9bbd5fp-2", "0x1.3092937fdb4c7p+2", "0x1.381da219c6408p+2", "cc2aa4f0bdcc97c8",
+    ),
+    (DS, 0.7, 0.3, 20, 0.6): (
+        "0x1.89a8626a189f3p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
+        "0x1.16d07e212b864p-1", "0x1.d4f896bd31634p+1", "0x1.e58b1e5cd9d2ep+1", "55fa49b059cbb773",
+    ),
+    (DS, 0.7, 0.3, 40, 0.05): (
+        "0x1.8c758e5f69a6fp-6", "0x1.ea97700000000p+7", "0x1.ea97780000000p+7", "0x1.c056a9ddfe6f4p-5",
+        "0x1.98a3ad32af67ap-5", "0x1.ca58f5b73ef2bp+3", "0x1.f063003dd5ed5p+3", "5fbdc62afac8aeac",
+    ),
+    (DS, 0.7, 0.3, 40, 0.3): (
+        "0x1.d3d18e1a203b7p-3", "0x1.2b07000000000p+3", "0x1.2b07800000000p+3", "0x1.3d4095d3e4aeep-2",
+        "0x1.303956f96cf27p-2", "0x1.310d014cb6bc4p+2", "0x1.38a8eb9e4c03fp+2", "533e600a9508f7aa",
+    ),
+    (DS, 0.7, 0.3, 40, 0.6): (
+        "0x1.89a8626a189ffp-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
+        "0x1.16d07e212b860p-1", "0x1.d5554264091f0p+1", "0x1.e5f24f2962849p+1", "8b7cd9c3a2ee5339",
+    ),
+    (DS, 0.9, 0.2, 20, 0.05): (
+        "0x1.32dded5c61250p-1", "0x1.4d51600000000p+7", "0x1.4d51680000000p+7", "0x1.af1c66c9e5d2ap-5",
+        "0x1.796bc0b12c23fp-5", "0x1.60f1196da27ffp+3", "0x1.83e50646a75acp+3", "6fb2b07e3ec8a80b",
+    ),
+    (DS, 0.9, 0.2, 20, 0.3): (
+        "0x1.4acc05bb2c604p-2", "0x1.15a2000000000p+2", "0x1.15a3000000000p+2", "0x1.399ef8120aa4bp-2",
+        "0x1.3022cad426ed2p-2", "0x1.02ffb69891f69p+2", "0x1.0592102959425p+2", "11fa79140fa5c662",
+    ),
+    (DS, 0.9, 0.2, 20, 0.6): (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.11111111398adp-1",
+        "0x1.11111111398adp-1", "0x1.d16d1c24d0b63p+1", "0x1.d16d1c24d0b63p+1", "e957c4f1f842f654",
+    ),
+    (DS, 0.9, 0.2, 40, 0.05): (
+        "0x1.0daa762a27336p-1", "0x1.a79ff80000000p+7", "0x1.a7a0000000000p+7", "0x1.b2968590217a0p-5",
+        "0x1.7dcb330f544d4p-5", "0x1.73113babccbdap+3", "0x1.9ebfb530fc560p+3", "24e934c4184482a3",
+    ),
+    (DS, 0.9, 0.2, 40, 0.3): (
+        "0x1.4acc0655a255ap-2", "0x1.192f000000000p+2", "0x1.1930000000000p+2", "0x1.399ef810c6d26p-2",
+        "0x1.3022cad2a4674p-2", "0x1.055f13d8a134fp+2", "0x1.07f9d7aaa9b01p+2", "7abe5185672c3ce4",
+    ),
+    (DS, 0.9, 0.2, 40, 0.6): (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1111111114129p-1",
+        "0x1.1111111114129p-1", "0x1.d549cd3673fd4p+1", "0x1.d549cd3673fd4p+1", "01a1442710219642",
+    ),
+}
+MIXTURE_FIELDS = ("q", "lam_minus", "lam_plus", "energy_minus", "energy_plus", "aoi_minus", "aoi_plus")
+
+
+def search_pin(mix) -> tuple[str, ...]:
+    tables = mix.pi_minus.actions.tobytes() + mix.pi_plus.actions.tobytes()
+    fields = tuple(float(getattr(mix, name)).hex() for name in MIXTURE_FIELDS)
+    return fields + (hashlib.sha256(tables).hexdigest()[:16],)
+
+
+def pinned_search(key):
+    """The search of a SEARCH_PINS key, checked against its pin."""
+    case, p11, p01, N, e_max = key
+    args = (case, FrameSpec(3), ChannelModel(p11, p01), TruncationBound(N), e_max)
+    if SEARCH_PINS[key] is ThresholdStructureError:
+        with pytest.raises(ThresholdStructureError):
+            bisect_lambda(*args)
+        return None
+    mix = bisect_lambda(*args)
+    assert search_pin(mix) == SEARCH_PINS[key]
+    return mix
+
+
+def search_id(key) -> str:
+    return f"{key[0].value}-p{key[1]}-{key[2]}-N{key[3]}-emax{key[4]}"
+
+
+@pytest.mark.parametrize("key", [pytest.param(key, id=search_id(key)) for key in SEARCH_PINS])
+def test_price_search_is_byte_pinned(key):
+    pinned_search(key)
+
+
+@pytest.mark.parametrize("key", [pytest.param(key, id=search_id(key)) for key in SEARCH_PINS])
+def test_power_iteration_decisions_give_the_same_search(monkeypatch, key):
+    # a margin no energy clears sends every decision through power iteration
+    monkeypatch.setattr(solver, "_EXACT_MARGIN", np.inf)
+    mix = pinned_search(key)
+    assert mix is None or all(step.evaluator == "power" for step in mix.steps)
+
+
+@pytest.mark.parametrize("key", [pytest.param(key, id=search_id(key)) for key in SEARCH_PINS if key[3] == 20])
+def test_search_falls_back_to_power_iteration(monkeypatch, key):
+    # an evaluator that never applies leaves every decision to power iteration
+    monkeypatch.setattr(_AoiLayers, "averages", lambda layers, actions: None)
+    mix = pinned_search(key)
+    assert mix is None or all(step.evaluator == "power" for step in mix.steps)
 
 
 def cold_dual_values(case, frame, ch, bound, e_max, grid, eps):
