@@ -8,7 +8,6 @@ from .channel import (
     BeliefTable,
     ChannelModel,
     belief_table,
-    m_step_update,
     one_step_update,
     stationary_good_probability,
 )
@@ -18,16 +17,10 @@ from .mdp import (
     DelayedSpace,
     FrameSpec,
     NoSensingSpace,
-    StateDelayed,
-    StateNoSensing,
     TruncationBound,
     build_case,
-    enumerate_states_delayed,
-    enumerate_states_no_sensing,
-    kernel_delayed,
-    kernel_no_sensing,
 )
-from .sim import GreedyPolicy, SimConfig, SimResult, estimate_mixture, simulate, simulate_greedy
+from .sim import SimConfig, SimResult, estimate_mixture, simulate, simulate_greedy
 from .solver import (
     MixturePolicy,
     SolveReport,
@@ -37,7 +30,6 @@ from .solver import (
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,
-    enumerate_and_evaluate,
     policy_averages,
     randomization_factor,
     rvi_plain,

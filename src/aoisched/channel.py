@@ -22,7 +22,6 @@ __all__ = [
     "BeliefTable",
     "ChannelModel",
     "belief_table",
-    "m_step_update",
     "one_step_update",
     "stationary_good_probability",
 ]
@@ -70,21 +69,6 @@ def one_step_update(ch: ChannelModel, omega: float) -> float:
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"belief must lie in [0, 1], got {omega}")
     return omega * ch.p11 + (1.0 - omega) * ch.p01
-
-
-def m_step_update(ch: ChannelModel, omega: float, m: int) -> float:
-    """Belief after m consecutive unobserved transitions (m=0 returns omega)."""
-    if m < 0:
-        raise ValueError(f"step count must be non-negative, got {m}")
-    value = omega
-    if m > 0:
-        # validate once; the iterates stay inside [p01, p11] U {omega}
-        value = one_step_update(ch, value)
-        for _ in range(m - 1):
-            value = value * ch.p11 + (1.0 - value) * ch.p01
-    elif not 0.0 <= omega <= 1.0:
-        raise ValueError(f"belief must lie in [0, 1], got {omega}")
-    return value
 
 
 def stationary_good_probability(ch: ChannelModel) -> float:

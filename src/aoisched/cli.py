@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -110,6 +111,11 @@ class ExperimentSpec:
         if not (0.0 < self.eps < math.inf and 0.0 < self.eps_lambda < math.inf):
             raise ValueError("tolerances must be finite and positive")
         SimConfig(self.horizon, self.seed, self.warmup)
+        if self.out:
+            if os.path.isdir(self.out):
+                raise ValueError(f"output path {self.out!r} is a directory")
+            if not os.path.isdir(os.path.dirname(self.out) or "."):
+                raise ValueError(f"output directory of {self.out!r} does not exist")
 
     def cases(self) -> list[Case]:
         if self.case == "both":
@@ -623,6 +629,9 @@ def _cmd_tradeoff(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_greedy(spec: ExperimentSpec, args) -> int:
+    if spec.case != "both":
+        raise ValueError("greedy-compare always compares both cases; drop --case "
+                         "or give --case both")
     _write_csv(spec.out, GREEDY_COLUMNS, run_greedy_comparison(spec))
     return EXIT_OK
 

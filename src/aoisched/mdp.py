@@ -8,8 +8,11 @@ step count at N; AoI beyond the cap clamps to N and beliefs that would fall
 strictly inside the unreachable gap between the two N-step limits clamp up
 to the good-anchor limit.
 
-Spaces are built directly as integer columns; the per-state dataclasses,
-their enumeration and the scalar kernels are kept only as test oracles.
+Spaces are built directly as integer columns. The per-state dataclasses and
+their enumerators are test oracles that no runtime path calls; they stay
+here, unexported, only because the benchmark's tracer patches the two
+enumerators. The scalar per-state kernels live with the other oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ __all__ = [
     "DelayedSpace",
     "FrameSpec",
     "NoSensingSpace",
-    "StateDelayed",
-    "StateNoSensing",
     "TruncationBound",
     "build_case",
-    "enumerate_states_delayed",
-    "enumerate_states_no_sensing",
-    "kernel_delayed",
-    "kernel_no_sensing",
 ]
 
 
@@ -95,10 +92,8 @@ class TruncationBound:
                 f"truncation cap must exceed the frame length, got N={self.cap} K={frame.K}"
             )
 
-    def clamp(self, aoi: int) -> int:
-        return min(aoi, self.cap)
 
-
+# Kept in the package only for the benchmark tracer's enumerator patch sites.
 @dataclass(frozen=True)
 class StateNoSensing:
     delta: int
@@ -157,71 +152,6 @@ def _suspend_successor(table: BeliefTable, b: Belief, cap: int) -> Belief:
         # N-step limits; clamp up to the good-anchor limit.
         return table.canonical(BeliefOrigin.FROM_GOOD, cap)
     return table.canonical(b.origin, b.steps + 1)
-
-
-def _check_action(delta: int, frame: FrameSpec, u: int) -> None:
-    if u not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {u}")
-    if u == 1 and delta < frame.K:
-        raise ValueError(
-            f"transmission inadmissible at AoI {delta} < K={frame.K}: "
-            "the update of this frame was already delivered"
-        )
-
-
-def kernel_no_sensing(
-    frame: FrameSpec,
-    ch: ChannelModel,
-    bound: TruncationBound,
-    s: StateNoSensing,
-    u: int,
-) -> list[tuple[StateNoSensing, float]]:
-    """Successor distribution of one truncated belief-MDP transition.
-
-    Suspension moves deterministically to the one-step-updated belief; a
-    transmission succeeds with probability equal to the current belief and
-    restarts the belief from the observed state. Zero-probability branches
-    are dropped.
-    """
-    _check_action(s.delta, frame, u)
-    table = belief_table(ch, bound.cap)
-    k_next = frame.next_slot(s.k)
-    grown = bound.clamp(s.delta + 1)
-    if u == 0:
-        return [(StateNoSensing(grown, k_next, _suspend_successor(table, s.belief, bound.cap)), 1.0)]
-    w = s.belief.value
-    out = []
-    if w > 0.0:
-        out.append((StateNoSensing(s.k, k_next, table.after_observation(1)), w))
-    if w < 1.0:
-        out.append((StateNoSensing(grown, k_next, table.after_observation(0)), 1.0 - w))
-    return out
-
-
-def kernel_delayed(
-    frame: FrameSpec,
-    ch: ChannelModel,
-    bound: TruncationBound,
-    s: StateDelayed,
-    u: int,
-) -> list[tuple[StateDelayed, float]]:
-    """Successor distribution of one truncated delayed-CSI transition."""
-    _check_action(s.delta, frame, u)
-    k_next = frame.next_slot(s.k)
-    grown = bound.clamp(s.delta + 1)
-    p_good = ch.p11 if s.g == 1 else ch.p01
-    out = []
-    if u == 1:
-        if p_good > 0.0:
-            out.append((StateDelayed(s.k, k_next, 1), p_good))
-        if p_good < 1.0:
-            out.append((StateDelayed(grown, k_next, 0), 1.0 - p_good))
-        return out
-    if p_good < 1.0:
-        out.append((StateDelayed(grown, k_next, 0), 1.0 - p_good))
-    if p_good > 0.0:
-        out.append((StateDelayed(grown, k_next, 1), p_good))
-    return out
 
 
 class _SpaceBase:
@@ -333,7 +263,7 @@ class CompiledKernel:
     probability is non-zero at some state, so suspension keeps one row without
     sensing (it is deterministic) and two with delayed sensing; transmission
     keeps two. Rows come in action order and, within an action, in the branch
-    order of ``kernel_no_sensing`` and ``kernel_delayed``. Where transmission
+    order of the per-state kernels in ``tests/oracles.py``. Where transmission
     is inadmissible its rows repeat the suspension branches, with zero beyond
     them; the solvers mask those states out.
     """
@@ -361,7 +291,7 @@ class CompiledKernel:
 
 def _compile(space: _SpaceBase) -> CompiledKernel:
     """Successor rows by index arithmetic over the state columns. Rows keep
-    the branch order of ``kernel_no_sensing`` and ``kernel_delayed``, zero
+    the branch order of the per-state kernels in ``tests/oracles.py``, zero
     entries point at in-space states, and a pair whose probability is zero
     everywhere is dropped, so sums over the kept rows match the per-state
     kernels term for term."""

@@ -37,7 +37,6 @@ from .solver import MixturePolicy, PolicyUndefinedError
 __all__ = [
     "CHANNEL_STREAM",
     "GENERATOR_NAME",
-    "GreedyPolicy",
     "SimConfig",
     "SimResult",
     "estimate_mixture",
@@ -96,18 +95,6 @@ class SimResult:
     aoi_se: float
     metadata: dict
     trace: list | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class GreedyPolicy:
-    """Transmit whenever the running average energy is under budget and the
-    frame's update is still undelivered. Channel-state oblivious."""
-
-    e_max: float
-
-    def __post_init__(self):
-        if not 0.0 < self.e_max <= 1.0:
-            raise ValueError(f"energy budget must lie in (0, 1], got {self.e_max}")
 
 
 def stationary_belief_value(ch: ChannelModel) -> float:
@@ -365,16 +352,19 @@ def simulate_greedy(
     cfg: SimConfig,
     record_trace: bool = False,
 ) -> SimResult:
-    """Run the budget-tracking greedy baseline.
+    """Run the budget-tracking greedy baseline: transmit whenever the running
+    average energy is under the budget e_max in (0, 1] and the frame's update
+    is still undelivered, oblivious of the channel state.
 
     The running average counts from the first slot (warmup included) and is
     defined as zero at t=1, so the first slot transmits whenever its frame's
     update is undelivered.
     """
     _check_case(case)
-    policy = GreedyPolicy(e_max)
+    if not 0.0 < e_max <= 1.0:
+        raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     path = _channel_path(ch, cfg.seed, cfg.horizon)
-    _greedy_slots(frame, policy.e_max, path)
+    _greedy_slots(frame, e_max, path)
     return _result(
         case, frame, ch, cfg, path, record_trace, "GreedyPolicy", {"e_max": e_max}
     )

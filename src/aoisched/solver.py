@@ -4,8 +4,7 @@ Contains relative value iteration (plain and threshold-aware variants for
 both CSI cases), discounted value iteration used by the structural property
 checks, policy evaluation by damped power iteration on the induced chain and
 exactly by AoI layers, bisection on the energy price with the two-policy
-mixture construction, a brute-force oracle over all deterministic admissible
-policies, and a dual-objective sweep.
+mixture construction, and a dual-objective sweep.
 
 The price search decides each price's feasibility on the exact energy of its
 policy. Power iteration, whose averages the reported mixture carries, runs
@@ -38,7 +37,6 @@ while keeping the same fixed point, optimal policy, and average cost.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -49,7 +47,6 @@ from .mdp import Case, CompiledKernel, DelayedSpace, FrameSpec, NoSensingSpace, 
 from .channel import ChannelModel
 
 __all__ = [
-    "CapExceededError",
     "MixturePolicy",
     "NonConvergenceError",
     "PolicyUndefinedError",
@@ -65,8 +62,6 @@ __all__ = [
     "aoi_monotonicity_violations",
     "discounted_vi",
     "dual_value_sweep",
-    "enumerate_and_evaluate",
-    "enumerate_threshold_optimum",
     "extract_threshold_aoi",
     "extract_threshold_belief",
     "policy_averages",
@@ -82,6 +77,12 @@ __all__ = [
 # Aperiodicity damping of relative value iteration: each sweep moves the bias
 # this fraction of the way to the Bellman update (Puterman 1994, 8.5.4).
 _RELAXATION = 0.5
+# Power iteration stops once the L1 change of one round is at most this
+# residual, and gives up after this many rounds.
+_POWER_TOL = 1e-10
+_POWER_ROUNDS = 200_000
+# Slack of a belief compared against its cutoff (see ThresholdPolicyBelief).
+_BELIEF_TOL = 1e-9
 # Price doublings a budget search tries before it gives up.
 _MAX_DOUBLINGS = 60
 # A price search decision whose exact energy lies this close to the budget is
@@ -99,10 +100,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, span: float):
         super().__init__(message)
         self.span = span
-
-
-class CapExceededError(ValueError):
-    """Brute-force enumeration would exceed the configured size cap."""
 
 
 class ThresholdStructureError(RuntimeError):
@@ -146,7 +143,6 @@ class ThresholdPolicyBelief:
     frame_k: int
     cap: int
     thresholds: Mapping[tuple[int, int], float]
-    belief_tol: float = 1e-9
     actions: np.ndarray | None = None
 
     def cutoff(self, delta: int, k: int) -> float:
@@ -163,7 +159,7 @@ class ThresholdPolicyBelief:
         return self.thresholds[key]
 
     def action(self, delta: int, k: int, omega: float) -> int:
-        return int(omega >= self.cutoff(delta, k) - self.belief_tol)
+        return int(omega >= self.cutoff(delta, k) - _BELIEF_TOL)
 
 
 @dataclass(eq=False)
@@ -600,12 +596,7 @@ def _checked_actions(n: int, policy) -> np.ndarray:
     return actions.astype(np.int8)
 
 
-def stationary_distribution(
-    kern: CompiledKernel,
-    actions: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: int = 200_000,
-) -> np.ndarray:
+def stationary_distribution(kern: CompiledKernel, actions: np.ndarray) -> np.ndarray:
     """Stationary law of the chain induced by a deterministic policy.
 
     Damped power iteration (half lazy) because the frame structure makes
@@ -614,10 +605,6 @@ def stationary_distribution(
     branch by branch, so ``np.bincount`` adds each state's mass in one fixed
     order; every round writes into arrays made once per call.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     actions = _checked_actions(kern.n, actions)
     n = kern.n
     blocks = [kern.rows(u) for u in (0, 1)]
@@ -630,7 +617,7 @@ def stationary_distribution(
     flat_succ = succ.ravel()
     pi, pi_new = np.full(n, 1.0 / n), np.empty(n)
     weights = np.empty((n, width))
-    for _ in range(max_iters):
+    for _ in range(_POWER_ROUNDS):
         np.multiply(pi, prob, out=weights.T)
         pushed = np.bincount(flat_succ, weights=weights.ravel(), minlength=n)
         # pi_new = 0.5 * pi + 0.5 * pushed; pushed then takes the change
@@ -640,10 +627,11 @@ def stationary_distribution(
         np.subtract(pi_new, pi, out=pushed)
         residual = float(np.abs(pushed, out=pushed).sum())
         pi, pi_new = pi_new, pi
-        if residual <= tol:
+        if residual <= _POWER_TOL:
             return pi
     raise NonConvergenceError(
-        f"power iteration residual {residual} above {tol} after {max_iters} rounds", residual
+        f"power iteration residual {residual} above {_POWER_TOL} after {_POWER_ROUNDS} rounds",
+        residual,
     )
 
 
@@ -1004,170 +992,6 @@ def dual_value_sweep(
         reports = _rvi(space, kern, batch, eps, max_iters, None, "suspend")
         out.extend((lam, report.gain - lam * e_max) for lam, report in zip(batch, reports))
     return out
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def _reachable_from(kern: CompiledKernel, start: int) -> list[int]:
-    moves = kern.prob > 0.0
-    moves[kern.rows(1)] &= kern.admissible
-    seen = np.zeros(kern.n, dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        reached = np.zeros(kern.n, dtype=bool)
-        reached[kern.succ[:, frontier][moves[:, frontier]]] = True
-        frontier = reached & ~seen
-        seen |= reached
-    return np.flatnonzero(seen).tolist()
-
-
-def _exact_average_cost(P: np.ndarray, cost: np.ndarray, start: int) -> float:
-    """Average cost from ``start`` of a finite chain, via its recurrent classes."""
-    n = P.shape[0]
-    reach = (P > 0.0) | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(np.ceil(np.log2(n))) + 1)):
-        reach = reach | (reach @ reach)
-    recurrent = np.all(~reach | reach.T, axis=1)
-
-    classes: list[np.ndarray] = []
-    assigned = np.full(n, -1)
-    for i in np.flatnonzero(recurrent):
-        if assigned[i] < 0:
-            members = np.flatnonzero(reach[i] & reach[:, i])
-            assigned[members] = len(classes)
-            classes.append(members)
-
-    gains = []
-    for members in classes:
-        sub = P[np.ix_(members, members)]
-        m = len(members)
-        a = sub.T - np.eye(m)
-        a[-1, :] = 1.0
-        b = np.zeros(m)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-        gains.append(float(pi @ cost[members]))
-
-    if recurrent[start]:
-        return gains[int(assigned[start])]
-
-    transient = np.flatnonzero(~recurrent)
-    ptt = P[np.ix_(transient, transient)]
-    rhs = np.zeros((len(transient), len(classes)))
-    for c, members in enumerate(classes):
-        rhs[:, c] = P[np.ix_(transient, members)].sum(axis=1)
-    absorb = np.linalg.solve(np.eye(len(transient)) - ptt, rhs)
-    return float(absorb[np.searchsorted(transient, start)] @ np.array(gains))
-
-
-class _OracleEnumeration:
-    """Shared machinery for the brute-force sweeps over all policies.
-
-    Only the states reachable from the reference matter for the average cost
-    from the reference; actions elsewhere are fixed to suspension.
-    """
-
-    def __init__(self, space, kern: CompiledKernel, lam: float, cap: int):
-        self.space = space
-        self.kern = kern
-        self.lam = lam
-        reachable = _reachable_from(kern, kern.reference_index)
-        self.free = [g for g in reachable if kern.admissible[g]]
-        if len(self.free) > cap:
-            raise CapExceededError(
-                f"{len(self.free)} free states exceed the cap of {cap} "
-                f"(2**{len(self.free)} policies)"
-            )
-        nr = len(reachable)
-        local = np.full(kern.n, -1)
-        local[reachable] = np.arange(nr)
-        self.start = int(local[kern.reference_index])
-        self.base_cost = kern.delta[reachable]
-        # rows[1] is only read at the free states, where transmission is admissible
-        self.rows = {}
-        for u in (0, 1):
-            succ = kern.succ[kern.rows(u)][:, reachable]
-            p = kern.prob[kern.rows(u)][:, reachable]
-            b, i = np.nonzero(p > 0.0)
-            self.rows[u] = np.zeros((nr, nr))
-            np.add.at(self.rows[u], (i, local[succ[b, i]]), p[b, i])
-        self.free_local = local[self.free]
-
-    def gain_of(self, bits) -> float:
-        P = self.rows[0].copy()
-        cost = self.base_cost.copy()
-        for pos, bit in zip(self.free_local, bits):
-            if bit:
-                P[pos] = self.rows[1][pos]
-                cost[pos] += self.lam
-        return _exact_average_cost(P, cost, self.start)
-
-    def gains(self):
-        for bits in itertools.product((0, 1), repeat=len(self.free)):
-            yield self.gain_of(bits), bits
-
-    def materialize(self, bits: tuple[int, ...]) -> np.ndarray:
-        actions = np.zeros(self.kern.n, dtype=np.int8)
-        actions[self.free] = bits
-        return actions
-
-
-def enumerate_and_evaluate(
-    space, kern: CompiledKernel, lam: float, cap: int = 14
-) -> tuple[float, TabularPolicy]:
-    """Exact minimizer over all deterministic admissible policies.
-
-    Evaluates every induced chain exactly through its recurrent classes.
-    Independent of the value-iteration machinery; intended as the ground
-    truth for it. Ties keep the first policy in enumeration order.
-    """
-    sweep = _OracleEnumeration(space, kern, lam, cap)
-    best_gain = np.inf
-    best_bits: tuple[int, ...] | None = None
-    for gain, bits in sweep.gains():
-        if gain < best_gain - 1e-15:
-            best_gain = gain
-            best_bits = bits
-    return best_gain, TabularPolicy(space, sweep.materialize(best_bits))
-
-
-def enumerate_threshold_optimum(
-    space, kern: CompiledKernel, lam: float, cap: int = 14
-) -> tuple[float, TabularPolicy]:
-    """Exact minimizer over cutoff rules only.
-
-    A cutoff rule transmits at a (delta, k) group exactly from some belief
-    upward, or at a (k, g) group from some AoI upward. When its best gain
-    matches ``enumerate_and_evaluate``, restricting the search to threshold
-    policies provably loses nothing on that instance. The comparison cannot
-    be made through arbitrary minimizers: the average cost is flat across
-    states the optimal chain never revisits, so brute-force ties are free to
-    look non-threshold there.
-    """
-    sweep = _OracleEnumeration(space, kern, lam, cap)
-    groups = [idxs[kern.admissible[idxs]] for idxs in _cutoff_runs(space)]
-
-    n_rules = math.prod(len(idxs) + 1 for idxs in groups)
-    if n_rules > 2 ** cap:
-        raise CapExceededError(f"{n_rules} cutoff rules exceed the cap of 2**{cap}")
-
-    best_gain, best_actions = np.inf, None
-    seen: set[tuple[int, ...]] = set()
-    for choice in itertools.product(*[range(len(idxs) + 1) for idxs in groups]):
-        actions = np.zeros(kern.n, dtype=np.int8)
-        for idxs, start in zip(groups, choice):
-            actions[idxs[start:]] = 1
-        bits = tuple(int(actions[g]) for g in sweep.free)
-        if bits in seen:
-            continue
-        seen.add(bits)
-        gain = sweep.gain_of(bits)
-        if gain < best_gain - 1e-15:
-            best_gain, best_actions = gain, actions
-    return best_gain, TabularPolicy(space, best_actions)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from aoisched.solver import (
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,
-    enumerate_and_evaluate,
-    enumerate_threshold_optimum,
     extract_threshold_aoi,
     extract_threshold_belief,
     policy_averages,
@@ -28,6 +26,7 @@ from aoisched.solver import (
     rvi_threshold_no_sensing,
     threshold_ordering_violations,
 )
+from oracles import enumerate_and_evaluate, enumerate_threshold_optimum
 
 SEED = 20250809
 PAIRS = [(0.7, 0.3), (0.9, 0.3), (0.9, 0.5)]

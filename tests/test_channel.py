@@ -8,10 +8,10 @@ from aoisched.channel import (
     BeliefTable,
     ChannelModel,
     belief_table,
-    m_step_update,
     one_step_update,
     stationary_good_probability,
 )
+from oracles import m_step_update
 
 
 def iterate_to_fixpoint(ch, omega, tol=1e-12, limit=10_000_000):

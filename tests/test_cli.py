@@ -19,6 +19,18 @@ FAST = [
 ]
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make every solve the CLI can start fail the test."""
+    import aoisched.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran before the arguments were checked")
+
+    for name in ("bisect_lambda", "build_case", "rvi_plain", "simulate_greedy"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -132,6 +144,14 @@ class TestGreedyCompare:
             ("2", "0.3"), ("2", "0.5"), ("3", "0.3"), ("3", "0.5"),
         ]
 
+    @pytest.mark.parametrize("case", ["no_sensing", "delayed_sensing"])
+    def test_single_case_rejected_before_any_solve(self, tmp_path, capsys, no_solve, case):
+        out = tmp_path / "greedy.csv"
+        code = main(["greedy-compare", "--case", case, "--emax", "0.4", "--out", str(out), *FAST])
+        assert code == EXIT_USAGE
+        assert "both cases" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_dumps_belief_cutoffs(self, tmp_path):
@@ -228,20 +248,30 @@ class TestConfigAndValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tradeoff", "greedy-compare"])
-    def test_negative_seed_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
-                                                     command):
-        import aoisched.cli as cli
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a solve ran before the seed was checked")
-
-        for name in ("bisect_lambda", "build_case", "rvi_plain"):
-            monkeypatch.setattr(cli, name, refuse)
+    def test_negative_seed_rejected_before_any_solve(self, tmp_path, capsys, no_solve, command):
         out = tmp_path / "x.csv"
         code = main([command, "--emax", "0.4", "--out", str(out), *FAST, "--seed", "-1"])
         assert code == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, message", [
+        ("missing/x.csv", "does not exist"),
+        ("", "is a directory"),
+    ], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--emax", "0.4"],
+        ["greedy-compare", "--emax", "0.4"],
+        ["solve", "--case", "no_sensing", "--emax", "0.4"],
+        ["properties"],
+    ], ids=["tradeoff", "greedy-compare", "solve", "properties"])
+    def test_unusable_out_rejected_before_any_solve(self, tmp_path, capsys, no_solve, argv,
+                                                    target, message):
+        out = tmp_path / target
+        code = main([*argv, "--out", str(out), *FAST])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_channel_rejected(self, tmp_path):
         code = main([

@@ -8,15 +8,15 @@ from aoisched.channel import BeliefOrigin, ChannelModel, belief_table
 from aoisched.mdp import (
     Case,
     FrameSpec,
+    StateDelayed,
     StateNoSensing,
     TruncationBound,
     build_case,
     enumerate_states_delayed,
     enumerate_states_no_sensing,
-    kernel_delayed,
-    kernel_no_sensing,
 )
 from aoisched.solver import rvi_plain
+from oracles import kernel_delayed, kernel_no_sensing
 
 
 class TestFrameSpec:
@@ -197,8 +197,6 @@ class TestKernelDelayed:
         self.bound = TruncationBound(6)
 
     def test_good_state_transmission(self):
-        from aoisched.mdp import StateDelayed
-
         s = StateDelayed(6, 3, 1)
         rows = dict()
         for nxt, p in kernel_delayed(self.frame, self.ch, self.bound, s, 1):
@@ -207,8 +205,6 @@ class TestKernelDelayed:
         assert rows[(6, 1, 0)] == pytest.approx(0.3)
 
     def test_bad_state_suspension(self):
-        from aoisched.mdp import StateDelayed
-
         s = StateDelayed(4, 2, 0)
         rows = {(n.delta, n.k, n.g): p for n, p in kernel_delayed(self.frame, self.ch, self.bound, s, 0)}
         assert rows[(5, 3, 1)] == pytest.approx(0.3)
@@ -223,8 +219,6 @@ class TestKernelDelayed:
                 assert sum(p for _n, p in rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_transmission_after_delivery(self):
-        from aoisched.mdp import StateDelayed
-
         with pytest.raises(ValueError):
             kernel_delayed(self.frame, self.ch, self.bound, StateDelayed(1, 2, 1), 1)
 
@@ -303,13 +297,14 @@ class TestCompiledKernel:
 
 
 def test_runtime_path_calls_no_oracle(monkeypatch):
-    """Building a space and solving it never touches the per-state oracles."""
+    """Building a space and solving it never touches the per-state oracles
+    that stay in ``mdp``; the others live in ``tests/oracles.py``."""
 
     def banned(*args, **kwargs):
         raise AssertionError("a per-state oracle was called on the runtime path")
 
     for name in ("enumerate_states_no_sensing", "enumerate_states_delayed",
-                 "kernel_no_sensing", "kernel_delayed", "StateNoSensing", "StateDelayed"):
+                 "StateNoSensing", "StateDelayed"):
         monkeypatch.setattr(mdp, name, banned)
     for case in Case:
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.75, 0.25), TruncationBound(13))

@@ -8,11 +8,11 @@ from aoisched.channel import (
     BeliefOrigin,
     BeliefTable,
     ChannelModel,
-    m_step_update,
     one_step_update,
 )
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.solver import _Bellman, randomization_factor
+from oracles import m_step_update
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
 

@@ -8,7 +8,6 @@ from aoisched.channel import ChannelModel, one_step_update, stationary_good_prob
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.sim import (
     CHANNEL_STREAM,
-    GreedyPolicy,
     SimConfig,
     SimResult,
     estimate_mixture,
@@ -409,9 +408,15 @@ class TestGreedy:
             res = simulate_greedy(Case.NO_SENSING, frame, ch, e_max, cfg)
             assert res.avg_energy <= e_max + 1.0 / cfg.horizon
 
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            GreedyPolicy(0.0)
+    def test_rejects_bad_budget(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the channel path was drawn before the budget was checked")
+
+        monkeypatch.setattr(sim, "_channel_path", refuse)
+        frame, ch, cfg = FrameSpec(3), ChannelModel(0.7, 0.3), SimConfig(horizon=100, seed=1, warmup=0)
+        for e_max in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="energy budget must lie in"):
+                simulate_greedy(Case.NO_SENSING, frame, ch, e_max, cfg)
 
     def test_first_slot_transmits(self):
         frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)

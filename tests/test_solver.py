@@ -7,16 +7,13 @@ from aoisched.channel import ChannelModel
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, TruncationBound, build_case
 from aoisched import solver
 from aoisched.solver import (
-    CapExceededError,
     _AoiLayers,
     _Bellman,
-    _exact_average_cost,
     NonConvergenceError,
     ThresholdStructureError,
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,
-    enumerate_and_evaluate,
     extract_threshold_aoi,
     extract_threshold_belief,
     policy_averages,
@@ -26,6 +23,12 @@ from aoisched.solver import (
     rvi_threshold_no_sensing,
     stationary_distribution,
     threshold_ordering_violations,
+)
+from oracles import (
+    CapExceededError,
+    enumerate_and_evaluate,
+    enumerate_threshold_optimum,
+    exact_average_cost,
 )
 
 
@@ -426,20 +429,15 @@ class TestPolicyEvaluation:
         with pytest.raises(ValueError, match="action table"):
             evaluate(kern, table)
 
-    @pytest.mark.parametrize("max_iters", [0, -1])
-    def test_stationary_law_rejects_budget_below_one(self, max_iters):
-        with pytest.raises(ValueError, match="iteration budget"):
-            stationary_distribution(
-                single_state_kernel(1.0), np.zeros(1, np.int8), max_iters=max_iters
-            )
-
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
-    def test_stationary_law_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
-            stationary_distribution(
-                single_state_kernel(1.0), np.zeros(1, np.int8), tol=tol, max_iters=10
-            )
+    def test_power_iteration_out_of_rounds_signals_residual(self, monkeypatch):
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12)
+        )
+        actions = rvi_plain(space, kern, 1.0).policy.actions
+        monkeypatch.setattr(solver, "_POWER_ROUNDS", 3)
+        with pytest.raises(NonConvergenceError, match="after 3 rounds") as err:
+            stationary_distribution(kern, actions)
+        assert err.value.span > solver._POWER_TOL
 
 
 def dense_chain(kern: CompiledKernel, actions: np.ndarray) -> np.ndarray:
@@ -476,8 +474,8 @@ class TestExactEvaluation:
             for lam in (0.0, 0.5, 2.0, 10.0):
                 actions = rvi_plain(space, kern, lam).policy.actions
                 chain, start = dense_chain(kern, actions), kern.reference_index
-                aoi = _exact_average_cost(chain, kern.delta, start)
-                energy = _exact_average_cost(chain, actions.astype(float), start)
+                aoi = exact_average_cost(chain, kern.delta, start)
+                energy = exact_average_cost(chain, actions.astype(float), start)
                 found = layers.averages(actions)
                 if found is None:
                     # only a chain that stops delivering is left to power iteration
@@ -530,7 +528,7 @@ class TestExactEvaluation:
         # different classes, whose average AoI differ
         chain = dense_chain(kern, actions)
         targets = [int(space.locate(k % 2 + 1, k, space.reference_sym)) for k in (1, 2)]
-        aoi = [_exact_average_cost(chain, kern.delta, t) for t in targets]
+        aoi = [exact_average_cost(chain, kern.delta, t) for t in targets]
         assert aoi[0] != pytest.approx(aoi[1], rel=1e-3)
 
     def test_cap_core_wider_than_the_limit_falls_back(self, monkeypatch):
@@ -584,8 +582,6 @@ class TestOracle:
         assert gain == pytest.approx(3.0, abs=1e-9)
 
     def test_cutoff_rules_achieve_the_brute_force_optimum(self):
-        from aoisched.solver import enumerate_threshold_optimum
-
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(3)
         )
