@@ -2,9 +2,10 @@
 
 Subcommands write one CSV per sweep with a fixed, documented column order.
 Every row carries the full parameter tuple and the seed, so any row can be
-regenerated in isolation. Rows are computed point by point (optionally on a
-process pool) and sorted before writing, so the worker count never changes
-the file content. Reruns with equal arguments produce byte-identical files.
+regenerated in isolation. Rows are computed one job per curve (optionally on
+a process pool), each (case, K, channel) curve's budgets sharing one price
+search, and sorted before writing, so the worker count never changes the
+file content. Reruns with equal arguments produce byte-identical files.
 
 Exit codes: 0 success, 2 argument or config errors, 3 solver non-convergence,
 4 property-suite failure.
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +101,9 @@ class ExperimentSpec:
             raise ValueError("workers must be at least 1")
         if not self.frame_k_list or not self.emax_list:
             raise ValueError("frame-length and energy-budget lists must be non-empty")
+        for flag, values in (("--frame-K", self.frame_k_list), ("--emax", self.emax_list)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{flag} lists a value more than once: {values}")
         for k in self.frame_k_list:
             for p11, p01 in self.pairs:
                 TruncationBound(self.bound_n).validate_against(FrameSpec(k))
@@ -154,10 +157,15 @@ def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
 
 
 def _map_points(fn, jobs: list, workers: int) -> list:
+    """The rows of every job, in job order; each job returns a list of rows."""
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        results = [fn(job) for job in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, jobs))
+    return [row for rows in results for row in rows]
 
 
 def _provenance(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float) -> dict:
@@ -176,35 +184,42 @@ def _provenance(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float
 
 
 # ---------------------------------------------------------------------------
-# sweep points (top level so a process pool can pickle them)
+# sweep jobs, one per curve (top level so a process pool can pickle them)
 
 
-def _constrained_point(job) -> dict:
-    spec, case, k, p11, p01, emax = job
-    frame, ch = FrameSpec(k), ChannelModel(p11, p01)
-    mix = bisect_lambda(
-        case, frame, ch, TruncationBound(spec.bound_n), emax,
-        eps=spec.eps, eps_lam=spec.eps_lambda,
-    )
-    res = estimate_mixture(case, frame, ch, mix, spec.sim_config())
-    row = _provenance(spec, case, k, p11, p01)
-    row.update(
-        row_kind="constrained", emax=emax,
-        lambda_minus=mix.lam_minus, lambda_plus=mix.lam_plus, q=mix.q,
-        energy_minus=mix.energy_minus, energy_plus=mix.energy_plus,
-        aoi_analytic=mix.analytic_aoi(), energy_analytic=mix.analytic_energy(),
-        aoi_mc=res.avg_aoi, energy_mc=res.avg_energy, aoi_mc_se=res.aoi_se,
-    )
-    return row
-
-
-def _unconstrained_point(job) -> dict:
+def _constrained_point(job) -> list[dict]:
+    """One curve's rows: one per budget, then the unconstrained optimum. No
+    policy spends more than every slot, so that is the optimum at budget 1,
+    which the curve's search solves with its own price-0 solve."""
     spec, case, k, p11, p01 = job
     frame, ch = FrameSpec(k), ChannelModel(p11, p01)
-    space, kern = build_case(case, frame, ch, TruncationBound(spec.bound_n))
-    report = rvi_plain(space, kern, 0.0, eps=spec.eps)
-    aoi, energy = policy_averages(kern, report.policy)
-    res = simulate(case, frame, ch, report.policy.as_threshold(), spec.sim_config())
+    budgets = spec.emax_list + (() if 1.0 in spec.emax_list else (1.0,))
+    mixes = bisect_lambda(
+        case, frame, ch, TruncationBound(spec.bound_n), budgets,
+        eps=spec.eps, eps_lam=spec.eps_lambda,
+    )
+    rows = []
+    for emax, mix in zip(spec.emax_list, mixes):
+        res = estimate_mixture(case, frame, ch, mix, spec.sim_config())
+        row = _provenance(spec, case, k, p11, p01)
+        row.update(
+            row_kind="constrained", emax=emax,
+            lambda_minus=mix.lam_minus, lambda_plus=mix.lam_plus, q=mix.q,
+            energy_minus=mix.energy_minus, energy_plus=mix.energy_plus,
+            aoi_analytic=mix.analytic_aoi(), energy_analytic=mix.analytic_energy(),
+            aoi_mc=res.avg_aoi, energy_mc=res.avg_energy, aoi_mc_se=res.aoi_se,
+        )
+        rows.append(row)
+    rows.append(_unconstrained_point(spec, case, k, p11, p01, mixes[budgets.index(1.0)]))
+    return rows
+
+
+def _unconstrained_point(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float,
+                         mix) -> dict:
+    """The unconstrained row from the single-policy mixture of price 0."""
+    frame, ch = FrameSpec(k), ChannelModel(p11, p01)
+    aoi, energy = mix.aoi_minus, mix.energy_minus
+    res = simulate(case, frame, ch, mix.pi_minus, spec.sim_config())
     row = _provenance(spec, case, k, p11, p01)
     row.update(
         row_kind="unconstrained", emax="",
@@ -216,29 +231,37 @@ def _unconstrained_point(job) -> dict:
     return row
 
 
-def _greedy_point(job) -> dict:
-    spec, k, p11, p01, emax = job
+def _greedy_point(job) -> list[dict]:
+    """One (K, channel) curve's rows: both cases' mixtures against the
+    greedy baseline, one row per budget."""
+    spec, k, p11, p01 = job
     frame, ch = FrameSpec(k), ChannelModel(p11, p01)
     cfg = spec.sim_config()
-    aoi = {}
-    for case in (Case.NO_SENSING, Case.DELAYED_SENSING):
-        mix = bisect_lambda(
-            case, frame, ch, TruncationBound(spec.bound_n), emax,
+    cases = (Case.NO_SENSING, Case.DELAYED_SENSING)
+    mixes = {
+        case: bisect_lambda(
+            case, frame, ch, TruncationBound(spec.bound_n), spec.emax_list,
             eps=spec.eps, eps_lam=spec.eps_lambda,
         )
-        aoi[case] = estimate_mixture(case, frame, ch, mix, cfg).avg_aoi
-    greedy = simulate_greedy(Case.NO_SENSING, frame, ch, emax, cfg).avg_aoi
-    row = {"emax": emax, "frame_k": k, "p11": p11, "p01": p01,
-           "bound_n": spec.bound_n, "eps": spec.eps, "eps_lambda": spec.eps_lambda,
-           "seed": spec.seed, "horizon": spec.horizon, "warmup": spec.warmup}
-    row.update(
-        aoi_no_sensing=aoi[Case.NO_SENSING],
-        aoi_delayed=aoi[Case.DELAYED_SENSING],
-        aoi_greedy=greedy,
-        gap_no_sensing=greedy - aoi[Case.NO_SENSING],
-        gap_delayed=greedy - aoi[Case.DELAYED_SENSING],
-    )
-    return row
+        for case in cases
+    }
+    rows = []
+    for i, emax in enumerate(spec.emax_list):
+        aoi = {case: estimate_mixture(case, frame, ch, mixes[case][i], cfg).avg_aoi
+               for case in cases}
+        greedy = simulate_greedy(Case.NO_SENSING, frame, ch, emax, cfg).avg_aoi
+        row = {"emax": emax, "frame_k": k, "p11": p11, "p01": p01,
+               "bound_n": spec.bound_n, "eps": spec.eps, "eps_lambda": spec.eps_lambda,
+               "seed": spec.seed, "horizon": spec.horizon, "warmup": spec.warmup}
+        row.update(
+            aoi_no_sensing=aoi[Case.NO_SENSING],
+            aoi_delayed=aoi[Case.DELAYED_SENSING],
+            aoi_greedy=greedy,
+            gap_no_sensing=greedy - aoi[Case.NO_SENSING],
+            gap_delayed=greedy - aoi[Case.DELAYED_SENSING],
+        )
+        rows.append(row)
+    return rows
 
 
 def _row_sort_key(row: dict):
@@ -250,35 +273,23 @@ def _row_sort_key(row: dict):
 
 def run_tradeoff_sweep(spec: ExperimentSpec) -> list[dict]:
     """AoI/energy tradeoff rows over the budget sweep, plus, per channel and
-    case, the unconstrained optimum."""
+    case, the unconstrained optimum; one job per (case, K, channel) curve."""
     jobs = [
-        (spec, case, k, p11, p01, emax)
-        for case in spec.cases()
-        for k in spec.frame_k_list
-        for p11, p01 in spec.pairs
-        for emax in spec.emax_list
-    ]
-    ujobs = [
         (spec, case, k, p11, p01)
         for case in spec.cases()
         for k in spec.frame_k_list
         for p11, p01 in spec.pairs
     ]
     rows = _map_points(_constrained_point, jobs, spec.workers)
-    rows += _map_points(_unconstrained_point, ujobs, spec.workers)
     rows.sort(key=_row_sort_key)
     return rows
 
 
 def run_greedy_comparison(spec: ExperimentSpec) -> list[dict]:
     """Optimal mixtures of both cases against the greedy baseline, matched
-    seeds, one row per frame length, channel pair and budget."""
-    jobs = [
-        (spec, k, p11, p01, emax)
-        for k in spec.frame_k_list
-        for p11, p01 in spec.pairs
-        for emax in spec.emax_list
-    ]
+    seeds, one row per frame length, channel pair and budget; one job per
+    (K, channel) curve."""
+    jobs = [(spec, k, p11, p01) for k in spec.frame_k_list for p11, p01 in spec.pairs]
     rows = _map_points(_greedy_point, jobs, spec.workers)
     rows.sort(key=lambda r: (r["frame_k"], r["p11"], r["p01"], r["emax"]))
     return rows
@@ -305,8 +316,8 @@ def _solve_rows(spec: ExperimentSpec, case: Case, lam: float | None) -> list[dic
         )
         components = [("priced", report.policy.as_threshold())]
     else:
-        mix = bisect_lambda(case, frame, ch, bound, spec.emax_list[0],
-                            eps=spec.eps, eps_lam=spec.eps_lambda)
+        [mix] = bisect_lambda(case, frame, ch, bound, spec.emax_list[:1],
+                              eps=spec.eps, eps_lam=spec.eps_lambda)
         print(
             f"# {case.value}: emax={spec.emax_list[0]} q={mix.q:.6f} "
             f"lam_minus={mix.lam_minus:.6f} lam_plus={mix.lam_plus:.6f} "
@@ -481,8 +492,8 @@ def run_property_suite(spec: ExperimentSpec, inject_tie_break_bug: bool = False)
             np.arange(0.0, 12.0001, 0.01), eps=1e-8,
         )
         dual = max(v for _lam, v in sweep)
-        mix = bisect_lambda(Case.NO_SENSING, frame, ch, bound, e_max,
-                            eps=1e-8, eps_lam=1e-5)
+        [mix] = bisect_lambda(Case.NO_SENSING, frame, ch, bound, (e_max,),
+                              eps=1e-8, eps_lam=1e-5)
         gap = abs(mix.analytic_aoi() - dual)
         return (gap <= 1e-2, f"primal={mix.analytic_aoi():.6f} dual={dual:.6f} gap={gap:.2e}")
 

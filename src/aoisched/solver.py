@@ -11,6 +11,8 @@ policy. Power iteration, whose averages the reported mixture carries, runs
 only for the two reported components and for decisions whose exact energy
 lies within ``_EXACT_MARGIN`` of the budget, which is far above power
 iteration's error; so the search takes every decision power iteration would.
+One search serves all budgets of a tradeoff curve and runs each solve their
+searches have in common once.
 
 All relative value iteration runs through one loop over the vectorised
 Bellman step, which discounted value iteration shares. Both carry a price
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -861,101 +863,112 @@ def bisect_lambda(
     frame: FrameSpec,
     ch: ChannelModel,
     bound: TruncationBound,
-    e_max: float,
+    budgets: Sequence[float],
     eps: float = 1e-6,
     eps_lam: float = 1e-4,
-) -> MixturePolicy:
-    """Smallest energy price meeting the budget, plus the two-policy mixture.
+) -> list[MixturePolicy]:
+    """Smallest energy price meeting each budget, plus the two-policy mixture:
+    one ``MixturePolicy`` per budget of ``budgets``, in that order.
 
-    Doubles the price from 1 until the priced optimum is
-    feasible, then bisects down to width ``eps_lam``. The returned mixture
-    pairs the last infeasible price's policy with the last feasible one and
-    mixes them so that the average energy equals the budget exactly. A
-    feasible unpriced optimum short-circuits to a single-policy mixture.
+    For each budget the search doubles the price from 1 until the priced
+    optimum is feasible, then bisects down to width ``eps_lam``, every
+    bisection solve warm-started from the last infeasible price's bias. The
+    mixture pairs the last infeasible price's policy with the last feasible
+    one and mixes them so that the average energy equals the budget exactly.
+    A feasible unpriced optimum short-circuits to a single-policy mixture.
+
+    The budgets share one state space and one tree of solves. Budgets whose
+    decisions have agreed so far wait on the same price and warm start, so
+    they share its solve, and a solve that some find feasible and others not
+    splits them in two branches. The tree is walked depth first, keeping only
+    the warm starts of pending branches, so each budget makes exactly the
+    solves and decisions of its search alone, and each solve runs once.
 
     Feasibility is decided on each policy's exact energy, evaluated by AoI
     layers once per distinct action table; a policy whose exact energy lies
-    within ``_EXACT_MARGIN`` of the budget, or that the layers cannot
-    evaluate, is decided on power iteration's energy instead. Power
+    within ``_EXACT_MARGIN`` of a budget, or that the layers cannot evaluate,
+    is decided for that budget on power iteration's energy instead. Power
     iteration's error is far below the margin, so every decision is the one
     power iteration would take. The reported components carry power
     iteration's averages (``policy_averages``), once per distinct table.
-    ``steps`` records each solve's price, sweeps, deciding energy and
-    evaluator.
+    Each mixture's ``steps`` records its budget's solves, shared ones
+    included: price, sweeps, deciding energy and evaluator.
     """
-    if not 0.0 < e_max <= 1.0:
-        raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ValueError("at least one energy budget is needed")
+    for e_max in budgets:
+        if not 0.0 < e_max <= 1.0:
+            raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     if not 0.0 < eps_lam < np.inf:
         raise ValueError(f"eps_lam must be finite and positive, got {eps_lam}")
     space, kern = build_case(case, frame, ch, bound)
     exact: dict[bytes, float | None] = {}
     averages: dict[bytes, tuple[float, float]] = {}
-    steps: list[PriceStep] = []
+    steps: list[list[PriceStep]] = [[] for _ in budgets]
+    mixes: list[MixturePolicy | None] = [None] * len(budgets)
 
-    def reported(report) -> tuple[float, float]:
-        key = np.packbits(report.policy.actions).tobytes()
+    def reported(policy: TabularPolicy) -> tuple[float, float]:
+        key = np.packbits(policy.actions).tobytes()
         if key not in averages:
-            averages[key] = policy_averages(kern, report.policy)
+            averages[key] = policy_averages(kern, policy)
         return averages[key]
 
-    def solve(lam: float, warm: np.ndarray | None):
-        report = rvi_plain(space, kern, lam, eps=eps, h_init=warm)
+    def solve(lam: float, warm: SolveReport | None, group):
+        """The solve at ``lam`` from ``warm``'s bias, and the budgets of
+        ``group`` it leaves feasible and infeasible."""
+        report = rvi_plain(space, kern, lam, eps=eps, h_init=None if warm is None else warm.bias)
         key = np.packbits(report.policy.actions).tobytes()
         if key not in exact:
             found = _AoiLayers(kern).averages(report.policy.actions)
             exact[key] = None if found is None else found[1]
-        energy, evaluator = exact[key], "exact"
-        if energy is None or abs(energy - e_max) <= _EXACT_MARGIN:
-            energy, evaluator = reported(report)[1], "power"
-        steps.append(PriceStep(lam, report.iterations, energy, evaluator))
-        return report, energy
+        fits, over = [], []
+        for b in group:
+            energy, evaluator = exact[key], "exact"
+            if energy is None or abs(energy - budgets[b]) <= _EXACT_MARGIN:
+                energy, evaluator = reported(report.policy)[1], "power"
+            steps[b].append(PriceStep(lam, report.iterations, energy, evaluator))
+            # no policy transmits in more than every slot: an energy above 1
+            # is rounding, and budget 1 never binds
+            (fits if min(energy, 1.0) <= budgets[b] else over).append(b)
+        return report, fits, over
 
-    report0, energy0 = solve(0.0, None)
-    if energy0 <= e_max:
-        single = report0.policy.as_threshold()
-        aoi0, energy0 = reported(report0)
-        return MixturePolicy(
-            single, single, 1.0, 0.0, 0.0, energy0, energy0, aoi0, aoi0, tuple(steps)
-        )
-
-    lo, report_lo = 0.0, report0
-    hi = 1.0
-    report_hi, energy_hi = solve(hi, report0.bias)
-    doublings = 0
-    while energy_hi > e_max:
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise NonConvergenceError(
-                f"no feasible price found below {hi} after {_MAX_DOUBLINGS} doublings",
-                energy_hi - e_max,
+    report, fits, over = solve(0.0, None, range(len(budgets)))
+    if fits:
+        single = report.policy.as_threshold()
+        aoi0, energy0 = reported(report.policy)
+        for b in fits:
+            mixes[b] = MixturePolicy(
+                single, single, 1.0, 0.0, 0.0, energy0, energy0, aoi0, aoi0, tuple(steps[b])
             )
-        lo, report_lo = hi, report_hi
-        hi *= 2.0
-        report_hi, energy_hi = solve(hi, report_hi.bias)
-
-    while hi - lo > eps_lam:
-        mid = 0.5 * (lo + hi)
-        report_mid, energy_mid = solve(mid, report_lo.bias)
-        if energy_mid <= e_max:
-            hi, report_hi = mid, report_mid
-        else:
-            lo, report_lo = mid, report_mid
-
-    aoi_lo, energy_lo = reported(report_lo)
-    aoi_hi, energy_hi = reported(report_hi)
-    q = randomization_factor(e_max, energy_lo, energy_hi)
-    return MixturePolicy(
-        report_lo.policy.as_threshold(),
-        report_hi.policy.as_threshold(),
-        q,
-        lo,
-        hi,
-        energy_lo,
-        energy_hi,
-        aoi_lo,
-        aoi_hi,
-        tuple(steps),
-    )
+    # a branch: its budgets, the last infeasible price and its solve, then
+    # the price to double to (no feasible policy yet) or the last feasible
+    # price and its policy
+    branches = [(over, 0.0, report, 1.0, None)] if over else []
+    while branches:
+        group, lo, report_lo, hi, policy_hi = branches.pop()
+        if policy_hi is not None and hi - lo <= eps_lam:
+            aoi_lo, energy_lo = reported(report_lo.policy)
+            aoi_hi, energy_hi = reported(policy_hi)
+            qs = [randomization_factor(budgets[b], energy_lo, energy_hi) for b in group]
+            minus, plus = report_lo.policy.as_threshold(), policy_hi.as_threshold()
+            for b, q in zip(group, qs):
+                mixes[b] = MixturePolicy(
+                    minus, plus, q, lo, hi, energy_lo, energy_hi, aoi_lo, aoi_hi, tuple(steps[b])
+                )
+            continue
+        price = hi if policy_hi is None else 0.5 * (lo + hi)
+        report, fits, over = solve(price, report_lo, group)
+        if over and policy_hi is None and price >= 2.0 ** _MAX_DOUBLINGS:
+            raise NonConvergenceError(
+                f"no feasible price found below {price} after {_MAX_DOUBLINGS} doublings",
+                steps[over[0]][-1].energy - budgets[over[0]],
+            )
+        if fits:
+            branches.append((fits, lo, report_lo, price, report.policy))
+        if over:
+            branches.append((over, price, report, 2.0 * price if policy_hi is None else hi, policy_hi))
+    return mixes
 
 
 # prices times states solved at once by one batch of ``dual_value_sweep``

@@ -47,11 +47,10 @@ def tradeoff_grid():
     for case in (Case.NO_SENSING, Case.DELAYED_SENSING):
         for pair in PAIRS:
             ch = ChannelModel(*pair)
-            for emax in EMAXES:
-                mix = bisect_lambda(
-                    case, frame, ch, TruncationBound(GRID_N), emax,
-                    eps=1e-7, eps_lam=1e-4,
-                )
+            mixes = bisect_lambda(
+                case, frame, ch, TruncationBound(GRID_N), EMAXES, eps=1e-7, eps_lam=1e-4,
+            )
+            for emax, mix in zip(EMAXES, mixes):
                 res = estimate_mixture(case, frame, ch, mix, SIM)
                 grid[(case, pair, emax)] = {
                     "aoi": mix.analytic_aoi(),
@@ -95,7 +94,7 @@ def test_criterion_1_energy_anchor():
     assert 0.6067 <= energy <= 0.6267
     res = estimate_mixture(
         Case.NO_SENSING, frame, ch,
-        bisect_lambda(Case.NO_SENSING, frame, ch, TruncationBound(200), 1.0, eps=1e-8),
+        bisect_lambda(Case.NO_SENSING, frame, ch, TruncationBound(200), (1.0,), eps=1e-8)[0],
         SIM,
     )
     assert abs(res.avg_energy - energy) <= 0.01
@@ -254,7 +253,7 @@ def test_criterion_10_duality_spot_check():
         np.arange(0.0, 20.0001, 0.01), eps=1e-8,
     )
     dual = max(value for _lam, value in sweep)
-    mix = bisect_lambda(Case.NO_SENSING, frame, ch, bound, e_max, eps=1e-8, eps_lam=1e-5)
+    [mix] = bisect_lambda(Case.NO_SENSING, frame, ch, bound, (e_max,), eps=1e-8, eps_lam=1e-5)
     gap = abs(mix.analytic_aoi() - dual)
     assert gap <= 1e-2
     report(10, f"dual maximum {dual:.6f} vs constrained optimum {mix.analytic_aoi():.6f}")

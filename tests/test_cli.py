@@ -77,6 +77,29 @@ class TestTradeoff:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_curve_shares_its_repeated_solves(self, tmp_path, monkeypatch):
+        # alone, the two budgets' searches take 23 + 17 solves and the
+        # unconstrained row one more; one curve shares price 0, 1 and 2
+        import aoisched.cli as cli
+        import aoisched.solver as solver
+
+        prices, solve = [], solver.rvi_plain
+
+        def counted(space, kern, lam, **kwargs):
+            prices.append(lam)
+            return solve(space, kern, lam, **kwargs)
+
+        for module in (cli, solver):
+            monkeypatch.setattr(module, "rvi_plain", counted)
+        code = main([
+            "tradeoff", "--case", "no_sensing", "--frame-K", "3", "--p11", "0.7", "--p01", "0.3",
+            "--emax", "0.3,0.6", "--bound-N", "40", "--eps", "1e-6", "--eps-lambda", "1e-4",
+            "--horizon", "3000", "--warmup", "100", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_OK
+        assert len(prices) == 37
+        assert prices.count(0.0) == 1
+
     def test_worker_pool_does_not_change_output(self, tmp_path):
         args = [
             "tradeoff", "--case", "both", "--p11", "0.7", "--p01", "0.3",
@@ -273,6 +296,26 @@ class TestConfigAndValidation:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--case", "no_sensing", "--emax", "0.3,0.3"],
+        ["tradeoff", "--emax", "0.3,0.30"],
+        ["framelength", "--frame-K", "3,3"],
+        ["greedy-compare", "--emax", "0.2,0.4,0.2"],
+    ])
+    def test_repeated_sweep_value_rejected_before_any_solve(self, tmp_path, capsys, no_solve,
+                                                            argv):
+        out = tmp_path / "x.csv"
+        code = main([*argv, "--p11", "0.7", "--p01", "0.3", "--out", str(out), *FAST])
+        assert code == EXIT_USAGE
+        assert "more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["emax = 0.3,0.6,0.3", "frame-K = 2,3,2"])
+    def test_repeated_config_value_rejected_before_any_solve(self, tmp_path, no_solve, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\np11 = 0.7\np01 = 0.3\nbound-N = 12\n")
+        assert main(["tradeoff", "--config", str(cfg)]) == EXIT_USAGE
+
     def test_bad_channel_rejected(self, tmp_path):
         code = main([
             "tradeoff", "--p11", "0.2", "--p01", "0.7",
@@ -331,3 +374,4 @@ class TestProperties:
         report = json.loads(out.read_text())
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "threshold_equivalence" in failed
+

@@ -53,3 +53,14 @@ def test_cli_import_loads_nothing_from_tests():
     loaded = [Path(path).resolve() for path in out.splitlines() if path]
     assert any(path.is_relative_to(src) for path in loaded)
     assert not [path for path in loaded if path.is_relative_to(TESTS)]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # --workers 1, the default, never starts a pool
+    src = Path(aoisched.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, aoisched.cli\nprint(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

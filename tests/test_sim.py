@@ -455,8 +455,8 @@ class TestMixtureEstimation:
 
     def test_bisected_mixture_meets_budget_in_simulation(self):
         frame, ch = FrameSpec(3), ChannelModel(0.7, 0.3)
-        mix = bisect_lambda(
-            Case.NO_SENSING, frame, ch, TruncationBound(60), 0.3, eps=1e-7
+        [mix] = bisect_lambda(
+            Case.NO_SENSING, frame, ch, TruncationBound(60), (0.3,), eps=1e-7
         )
         cfg = SimConfig(horizon=100_000, seed=41, warmup=1000)
         res = estimate_mixture(Case.NO_SENSING, frame, ch, mix, cfg)

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -556,7 +557,7 @@ class TestExactEvaluation:
 
         monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
         frame, ch, bound = FrameSpec(3), ChannelModel(0.6, 0.0), TruncationBound(12)
-        mix = bisect_lambda(DS, frame, ch, bound, 0.3)
+        [mix] = bisect_lambda(DS, frame, ch, bound, (0.3,))
         _space, kern = build_case(DS, frame, ch, bound)
         assert [step.evaluator for step in mix.steps] == ["power"] * len(reports)
         assert [step.energy for step in mix.steps] == [
@@ -595,9 +596,9 @@ class TestOracle:
 
 class TestBisection:
     def test_loose_budget_returns_unconstrained(self):
-        mix = bisect_lambda(
+        [mix] = bisect_lambda(
             Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30),
-            1.0, eps=1e-7,
+            (1.0,), eps=1e-7,
         )
         assert mix.q == 1.0
         assert mix.lam_minus == 0.0 and mix.lam_plus == 0.0
@@ -610,9 +611,9 @@ class TestBisection:
             randomization_factor(0.5, 0.4, 0.2)
 
     def test_mixture_meets_budget_exactly(self):
-        mix = bisect_lambda(
+        [mix] = bisect_lambda(
             Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40),
-            0.3, eps=1e-7,
+            (0.3,), eps=1e-7,
         )
         assert mix.analytic_energy() == pytest.approx(0.3, abs=1e-9)
         assert mix.energy_plus <= 0.3 + 1e-12 <= mix.energy_minus + 1e-12
@@ -622,22 +623,22 @@ class TestBisection:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             bisect_lambda(
-                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 0.0
+                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), (0.0,)
             )
 
     @pytest.mark.parametrize("e_max", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rejects_budget_outside_unit_interval(self, e_max):
         with pytest.raises(ValueError, match="energy budget"):
             bisect_lambda(
-                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), e_max
+                Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), (e_max,)
             )
 
     def test_doubling_limit_is_enforced(self, monkeypatch):
         # the optimal price here is about 21.4, so the search doubles from
         # 1 to 32: five doublings
-        args = (Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 0.2)
-        def search(mix):
-            return mix.lam_minus, mix.lam_plus, mix.q
+        args = (Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), (0.2,))
+        def search(mixes):
+            return mixes[0].lam_minus, mixes[0].lam_plus, mixes[0].q
 
         unlimited = search(bisect_lambda(*args))
         monkeypatch.setattr("aoisched.solver._MAX_DOUBLINGS", 5)
@@ -652,7 +653,7 @@ class TestBisection:
         with pytest.raises(ValueError, match=name):
             bisect_lambda(
                 Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20),
-                0.3, **{name: value},
+                (0.3,), **{name: value},
             )
 
     def test_each_distinct_policy_evaluated_once(self, monkeypatch):
@@ -678,7 +679,7 @@ class TestBisection:
         monkeypatch.setattr(_AoiLayers, "averages", recording_exact)
         monkeypatch.setattr("aoisched.solver.policy_averages", counting_averages)
         frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40)
-        mix = bisect_lambda(Case.NO_SENSING, frame, ch, bound, 0.3, eps=1e-7)
+        [mix] = bisect_lambda(Case.NO_SENSING, frame, ch, bound, (0.3,), eps=1e-7)
         assert len(set(tables)) < len(tables)  # the search revisits policies
         assert sorted(exact) == sorted(set(tables))
         assert len(mix.steps) == len(tables)
@@ -702,7 +703,7 @@ class TestBisection:
 
         monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
         frame, ch, bound, e_max = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30), 0.2
-        mix = bisect_lambda(case, frame, ch, bound, e_max)
+        [mix] = bisect_lambda(case, frame, ch, bound, (e_max,))
         _space, kern = build_case(case, frame, ch, bound)
         layers = _AoiLayers(kern)
         assert len(mix.steps) == len(reports) > 2
@@ -723,7 +724,7 @@ class TestBisection:
         # a budget equal to the exact energy of the first feasible doubling
         # puts that decision, reached on the same prices, inside the margin
         frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30)
-        first = bisect_lambda(NS, frame, ch, bound, 0.2)
+        [first] = bisect_lambda(NS, frame, ch, bound, (0.2,))
         k = next(i for i, step in enumerate(first.steps) if step.energy <= 0.2)
         assert k >= 2 and first.steps[k].evaluator == "exact"
         reports = []
@@ -733,16 +734,24 @@ class TestBisection:
             return reports[-1]
 
         monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
-        mix = bisect_lambda(NS, frame, ch, bound, first.steps[k].energy)
+        [mix] = bisect_lambda(NS, frame, ch, bound, (first.steps[k].energy,))
         _space, kern = build_case(NS, frame, ch, bound)
         assert [step.lam for step in mix.steps[: k + 1]] == [step.lam for step in first.steps[: k + 1]]
         assert mix.steps[k].evaluator == "power"
         assert mix.steps[k].energy == policy_averages(kern, reports[k].policy)[1]
         assert mix.steps[k].energy != first.steps[k].energy
 
+    def test_budget_one_never_binds(self):
+        # at K=1 the unpriced optimum transmits in every slot, and power
+        # iteration puts its energy a few ulps above 1
+        [mix] = bisect_lambda(DS, FrameSpec(1), ChannelModel(0.9, 0.2), TruncationBound(12), (1.0,))
+        assert mix.energy_minus > 1.0
+        assert (mix.q, mix.lam_minus, mix.lam_plus) == (1.0, 0.0, 0.0)
+        assert [step.lam for step in mix.steps] == [0.0]
+
     def test_single_policy_mixture_records_its_solve(self):
-        mix = bisect_lambda(
-            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), 1.0
+        [mix] = bisect_lambda(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(20), (1.0,)
         )
         assert [(step.lam, step.evaluator) for step in mix.steps] == [(0.0, "exact")]
         assert mix.steps[0].energy == pytest.approx(mix.energy_minus, abs=1e-9)
@@ -862,12 +871,12 @@ def search_pin(mix) -> tuple[str, ...]:
 def pinned_search(key):
     """The search of a SEARCH_PINS key, checked against its pin."""
     case, p11, p01, N, e_max = key
-    args = (case, FrameSpec(3), ChannelModel(p11, p01), TruncationBound(N), e_max)
+    args = (case, FrameSpec(3), ChannelModel(p11, p01), TruncationBound(N), (e_max,))
     if SEARCH_PINS[key] is ThresholdStructureError:
         with pytest.raises(ThresholdStructureError):
             bisect_lambda(*args)
         return None
-    mix = bisect_lambda(*args)
+    [mix] = bisect_lambda(*args)
     assert search_pin(mix) == SEARCH_PINS[key]
     return mix
 
@@ -895,6 +904,88 @@ def test_search_falls_back_to_power_iteration(monkeypatch, key):
     monkeypatch.setattr(_AoiLayers, "averages", lambda layers, actions: None)
     mix = pinned_search(key)
     assert mix is None or all(step.evaluator == "power" for step in mix.steps)
+
+
+CURVE_BUDGETS = (0.05, 0.3, 0.6, 1.0)
+
+
+def mixture_fields(mix) -> tuple:
+    """Every field of a mixture, each component as its cutoffs and actions."""
+    components = tuple(
+        (sorted(pi.thresholds.items()), pi.actions.tobytes()) for pi in (mix.pi_minus, mix.pi_plus)
+    )
+    return tuple(getattr(mix, name) for name in MIXTURE_FIELDS) + (mix.steps,) + components
+
+
+@pytest.mark.parametrize("N", [20, 40])
+@pytest.mark.parametrize("p11, p01", [(0.7, 0.3), (0.9, 0.2)])
+@pytest.mark.parametrize("case", [NS, DS])
+def test_curve_search_equals_each_budget_alone(case, p11, p01, N):
+    args = (case, FrameSpec(3), ChannelModel(p11, p01), TruncationBound(N))
+    if any(SEARCH_PINS.get((case, p11, p01, N, e)) is ThresholdStructureError
+           for e in CURVE_BUDGETS):
+        # one budget's mixture is not of threshold type, so its curve fails
+        with pytest.raises(ThresholdStructureError):
+            bisect_lambda(*args, CURVE_BUDGETS)
+        return
+    curve = bisect_lambda(*args, CURVE_BUDGETS)
+    assert len(curve) == len(CURVE_BUDGETS)
+    for e_max, mix in zip(CURVE_BUDGETS, curve):
+        [alone] = bisect_lambda(*args, (e_max,))
+        assert mixture_fields(mix) == mixture_fields(alone)
+        pin = SEARCH_PINS.get((case, p11, p01, N, e_max))
+        assert pin is None or search_pin(mix) == pin
+
+
+class TestCurveSearch:
+    ARGS = (FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40))
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The price of every solve, the count of earlier solves' reports
+        still alive when each solve starts, and weak references to them."""
+        prices, alive, reports = [], [], []
+
+        def recording_rvi(space, kern, lam, **kwargs):
+            prices.append(lam)
+            alive.append(sum(ref() is not None for ref in reports))
+            report = rvi_plain(space, kern, lam, **kwargs)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
+        return prices, alive, reports
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_repeated_solves_run_once(self, solves, case):
+        prices, _alive, _reports = solves
+        for e_max, count in ((0.3, 23), (0.6, 17)):
+            bisect_lambda(case, *self.ARGS, (e_max,))
+            assert len(prices) == count
+            prices.clear()
+        # price 0, 1 and 2 are shared
+        bisect_lambda(case, *self.ARGS, (0.3, 0.6))
+        assert len(prices) == 37
+        assert sorted(prices[:3]) == [0.0, 1.0, 2.0]
+
+    def test_only_pending_warm_starts_are_kept(self, solves):
+        # a pending branch keeps the report it warm-starts from, the active
+        # branch its own, and the last solve's report lingers until the next
+        prices, alive, reports = solves
+        mixes = bisect_lambda(NS, *self.ARGS, CURVE_BUDGETS)
+        assert len(prices) > 2 * len(CURVE_BUDGETS)
+        assert max(alive) <= len(CURVE_BUDGETS) + 1
+        assert all(ref() is None for ref in reports)
+        assert all(step.lam in prices for mix in mixes for step in mix.steps)
+
+    def test_mixtures_come_in_budget_order(self):
+        forward = bisect_lambda(NS, *self.ARGS, CURVE_BUDGETS)
+        backward = bisect_lambda(NS, *self.ARGS, CURVE_BUDGETS[::-1])
+        assert [mixture_fields(m) for m in forward] == [mixture_fields(m) for m in backward[::-1]]
+
+    def test_rejects_an_empty_curve(self):
+        with pytest.raises(ValueError, match="at least one"):
+            bisect_lambda(NS, *self.ARGS, ())
 
 
 def cold_dual_values(case, frame, ch, bound, e_max, grid, eps):
