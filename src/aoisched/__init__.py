@@ -3,8 +3,6 @@ fading channel: belief-MDP and delayed-CSI solvers, a slot-level simulator,
 and an experiment sweep CLI."""
 
 from .channel import (
-    Belief,
-    BeliefOrigin,
     BeliefTable,
     ChannelModel,
     belief_table,

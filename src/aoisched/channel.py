@@ -3,22 +3,23 @@
 The channel is a good/bad Markov chain. A transmission succeeds exactly when
 the true state is good. When the channel is unobserved, the probability that
 it is good (the belief) evolves by the one-step map
-``T(w) = w*p11 + (1-w)*p01``. Beliefs are carried symbolically as an origin
-(last observed state) plus a count of unobserved steps, so state spaces built
-on top of them are exactly enumerable; numeric values are cached alongside.
+``T(w) = w*p11 + (1-w)*p01``. A belief is a symbol, the last observed state
+(its origin) plus a count of unobserved steps, so state spaces built on top of
+them are exactly enumerable. ``BeliefTable`` holds the symbols as integer
+arrays, with their numeric values alongside, and a state space refers to a
+symbol by its rank in that table.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "DEDUPE_TOL",
-    "Belief",
-    "BeliefOrigin",
     "BeliefTable",
     "ChannelModel",
     "belief_table",
@@ -26,15 +27,8 @@ __all__ = [
     "stationary_good_probability",
 ]
 
-# Symbolic beliefs whose numeric values are closer than this are merged.
+# Belief symbols whose numeric values are closer than this are merged.
 DEDUPE_TOL = 1e-12
-
-
-class BeliefOrigin(IntEnum):
-    """Anchor of a symbolic belief: the channel state last observed."""
-
-    FROM_BAD = 0
-    FROM_GOOD = 1
 
 
 @dataclass(frozen=True)
@@ -79,82 +73,51 @@ def stationary_good_probability(ch: ChannelModel) -> float:
     return ch.p01 / denom
 
 
-@dataclass(frozen=True)
-class Belief:
-    """Symbolic belief: origin plus unobserved-step count, with cached value."""
-
-    origin: BeliefOrigin
-    steps: int
-    value: float
-
-    def sort_key(self) -> tuple[int, int]:
-        return (int(self.origin), self.steps)
-
-
 class BeliefTable:
     """Deduplicated belief symbols for unobserved-step counts 0..max_steps.
 
-    Values from the bad anchor are non-decreasing in the step count and
-    values from the good anchor are non-increasing (enforced against 1-ulp
-    rounding wobble), both converging to the stationary probability. Symbols
-    whose values differ by less than ``DEDUPE_TOL`` are merged into one canonical
-    symbol, keeping the smallest step count (good anchor on exact ties, so
-    the p11 reference belief survives the memory-zero collapse).
+    A symbol is an origin (0: last observed bad, 1: last observed good) and a
+    count of unobserved steps since. ``raw[origin, steps]`` holds the values
+    of the monotone-clamped iteration: from the bad anchor non-decreasing in
+    the step count, from the good anchor non-increasing (enforced against
+    1-ulp rounding wobble), both converging to the stationary probability.
+    Symbols whose values differ by less than ``DEDUPE_TOL`` merge into one
+    kept symbol, the one with the smallest step count (good anchor on exact
+    ties, so the p11 reference belief survives the memory-zero collapse).
+    The kept symbols are ``origin``, ``steps`` and ``value``, in (origin,
+    steps) order, and a symbol's rank is its index there; ``canon[origin,
+    steps]`` is the rank each symbol merges into.
     """
 
     def __init__(self, ch: ChannelModel, max_steps: int):
         if max_steps < 0:
             raise ValueError("max_steps must be non-negative")
-        self.channel = ch
-        self.max_steps = max_steps
-
-        values = {BeliefOrigin.FROM_GOOD: [ch.p11], BeliefOrigin.FROM_BAD: [ch.p01]}
+        bad, good = [ch.p01], [ch.p11]
         for _ in range(max_steps):
-            good = one_step_update(ch, values[BeliefOrigin.FROM_GOOD][-1])
-            bad = one_step_update(ch, values[BeliefOrigin.FROM_BAD][-1])
-            values[BeliefOrigin.FROM_GOOD].append(min(good, values[BeliefOrigin.FROM_GOOD][-1]))
-            values[BeliefOrigin.FROM_BAD].append(max(bad, values[BeliefOrigin.FROM_BAD][-1]))
-        self._values = values
+            good.append(min(one_step_update(ch, good[-1]), good[-1]))
+            bad.append(max(one_step_update(ch, bad[-1]), bad[-1]))
+        self.raw = np.array([bad, good])
 
+        # kept symbols by ascending value, each as its flat index
+        # origin*(max_steps+1) + steps into raw
         kept_values: list[float] = []
-        kept_symbols: list[Belief] = []
-        canon: dict[tuple[BeliefOrigin, int], Belief] = {}
+        kept_flat: list[int] = []
+        merged_flat = np.empty((2, max_steps + 1), dtype=np.int64)
         for m in range(max_steps + 1):
-            for origin in (BeliefOrigin.FROM_GOOD, BeliefOrigin.FROM_BAD):
-                v = values[origin][m]
-                near = self._nearest(kept_values, v)
-                if near is not None and abs(kept_values[near] - v) < DEDUPE_TOL:
-                    canon[(origin, m)] = kept_symbols[near]
+            for origin, v in ((1, good[m]), (0, bad[m])):
+                pos = bisect.bisect_left(kept_values, v)
+                near = [i for i in (pos - 1, pos) if 0 <= i < len(kept_values)]
+                i = min(near, key=lambda j: abs(kept_values[j] - v), default=None)
+                if i is not None and abs(kept_values[i] - v) < DEDUPE_TOL:
+                    merged_flat[origin, m] = kept_flat[i]
                 else:
-                    symbol = Belief(origin, m, v)
-                    pos = bisect.bisect_left(kept_values, v)
+                    merged_flat[origin, m] = own = origin * (max_steps + 1) + m
                     kept_values.insert(pos, v)
-                    kept_symbols.insert(pos, symbol)
-                    canon[(origin, m)] = symbol
-        self._canon = canon
-        self.symbols = tuple(sorted(kept_symbols, key=Belief.sort_key))
-
-    @staticmethod
-    def _nearest(sorted_values: list[float], v: float) -> int | None:
-        if not sorted_values:
-            return None
-        pos = bisect.bisect_left(sorted_values, v)
-        candidates = [i for i in (pos - 1, pos) if 0 <= i < len(sorted_values)]
-        return min(candidates, key=lambda i: abs(sorted_values[i] - v))
-
-    def canonical(self, origin: BeliefOrigin, steps: int) -> Belief:
-        return self._canon[(origin, steps)]
-
-    def raw_value(self, origin: BeliefOrigin, steps: int) -> float:
-        """Table value before deduplication (monotone-clamped iteration)."""
-        return self._values[origin][steps]
-
-    def after_observation(self, theta: int) -> Belief:
-        origin = BeliefOrigin.FROM_GOOD if theta == 1 else BeliefOrigin.FROM_BAD
-        return self.canonical(origin, 0)
-
-    def symbols_up_to(self, max_m: int) -> list[Belief]:
-        return [s for s in self.symbols if s.steps <= max_m]
+                    kept_flat.insert(pos, own)
+        flat = np.array(sorted(kept_flat))
+        self.origin, self.steps = np.divmod(flat, max_steps + 1)
+        self.value = self.raw.ravel()[flat]
+        self.canon = np.searchsorted(flat, merged_flat)
 
 
 @lru_cache(maxsize=None)

@@ -108,6 +108,11 @@ class ExperimentSpec:
             for p11, p01 in self.pairs:
                 TruncationBound(self.bound_n).validate_against(FrameSpec(k))
                 ChannelModel(p11, p01)
+                if p01 == 0.0:
+                    raise ValueError(
+                        f"p01=0 makes the bad channel state absorbing (p11={p11}): no "
+                        "transmission succeeds once it is entered, so the AoI grows without bound"
+                    )
         for e in self.emax_list:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"energy budget must lie in (0, 1], got {e}")

@@ -8,11 +8,13 @@ step count at N; AoI beyond the cap clamps to N and beliefs that would fall
 strictly inside the unreachable gap between the two N-step limits clamp up
 to the good-anchor limit.
 
-Spaces are built directly as integer columns. The per-state dataclasses and
-their enumerators are test oracles that no runtime path calls; they stay
-here, unexported, only because the benchmark's tracer patches the two
-enumerators. The scalar per-state kernels live with the other oracles in
-``tests/oracles.py``.
+Spaces are built directly as integer columns; a belief is the rank of its
+symbol in the ``channel.BeliefTable`` arrays, and its value, step count and
+suspension successor are read from those arrays by rank. The per-state
+dataclasses and their enumerators are test oracles that no runtime path
+calls; they stay here, unexported, only because the benchmark's tracer
+patches the two enumerators. The scalar per-state kernels live with the
+other oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import Belief, BeliefOrigin, BeliefTable, ChannelModel, belief_table
+from .channel import ChannelModel, belief_table
 
 __all__ = [
     "Case",
@@ -98,7 +100,7 @@ class TruncationBound:
 class StateNoSensing:
     delta: int
     k: int
-    belief: Belief
+    sym: int
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,17 @@ def _belief_bound(delta, cap: int):
 def enumerate_states_no_sensing(
     frame: FrameSpec, ch: ChannelModel, bound: TruncationBound
 ) -> tuple[StateNoSensing, ...]:
-    """All truncated belief-MDP states, ordered by (k, delta, origin, steps)."""
+    """All truncated belief-MDP states, ordered by (k, delta, sym), where sym
+    is the belief symbol's rank in the ``BeliefTable``."""
     bound.validate_against(frame)
-    table = belief_table(ch, bound.cap)
+    steps = belief_table(ch, bound.cap).steps.tolist()
     states = []
     for k in range(1, frame.K + 1):
         for delta in frame.aoi_values(k, bound.cap):
-            for b in table.symbols_up_to(_belief_bound(delta, bound.cap)):
-                states.append(StateNoSensing(delta, k, b))
-    states.sort(key=lambda s: (s.k, s.delta, s.belief.sort_key()))
+            for sym, m in enumerate(steps):
+                if m <= _belief_bound(delta, bound.cap):
+                    states.append(StateNoSensing(delta, k, sym))
+    states.sort(key=lambda s: (s.k, s.delta, s.sym))
     return tuple(states)
 
 
@@ -146,17 +150,9 @@ def enumerate_states_delayed(
     return tuple(states)
 
 
-def _suspend_successor(table: BeliefTable, b: Belief, cap: int) -> Belief:
-    if b.steps + 1 > cap:
-        # The next value would fall strictly inside the gap between the two
-        # N-step limits; clamp up to the good-anchor limit.
-        return table.canonical(BeliefOrigin.FROM_GOOD, cap)
-    return table.canonical(b.origin, b.steps + 1)
-
-
 class _SpaceBase:
     """The states as integer columns ``k``, ``delta`` and ``sym`` (the belief
-    symbol's rank in ``BeliefTable.symbols``, or the last channel state g),
+    symbol's rank in the ``BeliefTable``, or the last channel state g),
     built directly: each AoI value of ``frame.aoi_values`` at each slot with
     every symbol whose step count ``_belief_bound`` allows, in (k, delta, sym)
     order, so the key ``(k*(N+1) + delta)*n_sym + sym`` increases and a binary
@@ -205,26 +201,24 @@ class NoSensingSpace(_SpaceBase):
     case = Case.NO_SENSING
 
     def _symbol_steps(self) -> np.ndarray:
-        # per-symbol value, step count and suspension successor, indexed by sym
         table = self.beliefs = belief_table(self.channel, self.bound.cap)
-        rank = {b: r for r, b in enumerate(table.symbols)}
-        self.n_sym = len(rank)
-        self.reference_sym = rank[table.after_observation(1)]
-        self._failed_sym = rank[table.after_observation(0)]
-        self._sym_omega = np.array([b.value for b in table.symbols])
-        self._sym_steps = np.array([b.steps for b in table.symbols])
-        self._sym_suspended = np.array(
-            [rank[_suspend_successor(table, b, self.bound.cap)] for b in table.symbols]
-        )
-        return self._sym_steps
+        cap = self.bound.cap
+        self.n_sym = len(table.steps)
+        self.reference_sym, self._failed_sym = int(table.canon[1, 0]), int(table.canon[0, 0])
+        # each symbol after one more unobserved step; at the cap that value
+        # would fall strictly inside the gap between the two N-step limits,
+        # so it clamps up to the good-anchor limit
+        origin = np.where(table.steps == cap, 1, table.origin)
+        self._sym_suspended = table.canon[origin, np.minimum(table.steps + 1, cap)]
+        return table.steps
 
     @property
     def omega(self) -> np.ndarray:
-        return self._sym_omega[self.sym]
+        return self.beliefs.value[self.sym]
 
     @property
     def steps(self) -> np.ndarray:
-        return self._sym_steps[self.sym]
+        return self.beliefs.steps[self.sym]
 
     def _branches(self, grown: np.ndarray):
         omega = self.omega

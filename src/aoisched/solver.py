@@ -79,6 +79,8 @@ __all__ = [
 # Aperiodicity damping of relative value iteration: each sweep moves the bias
 # this fraction of the way to the Bellman update (Puterman 1994, 8.5.4).
 _RELAXATION = 0.5
+# Sweeps relative value iteration makes before it gives up.
+_RVI_SWEEPS = 200_000
 # Power iteration stops once the L1 change of one round is at most this
 # residual, and gives up after this many rounds.
 _POWER_TOL = 1e-10
@@ -323,7 +325,7 @@ def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) ->
     return np.less(q1, q0, out=out) if tie_break == "suspend" else np.less_equal(q1, q0, out=out)
 
 
-def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
+def _rvi(space, kern, lams, eps, h_init, tie_break, above=None):
     """The one relative-value-iteration loop behind every solver: one
     ``SolveReport`` per price of ``lams``, in that order.
 
@@ -332,7 +334,8 @@ def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
     zero function by default), each sweep damped by ``_RELAXATION``. A price
     leaves the batch at the first sweep where its own span is at most
     ``eps``, its report read at that iterate, and the running prices close
-    up; a finished bias is not written again.
+    up; a finished bias is not written again. ``NonConvergenceError`` after
+    ``_RVI_SWEEPS`` sweeps.
 
     ``above`` (one price only) maps the action values (q0, q1) of a sweep to
     the admissible states a cutoff rule already places above their cutoff.
@@ -341,8 +344,6 @@ def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {eps}")
-    if max_iters < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {max_iters}")
     lams = np.array(lams, dtype=float)
     if tie_break not in ("suspend", "transmit"):
         raise ValueError(f"unknown tie break {tie_break!r}")
@@ -360,7 +361,7 @@ def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
     price = list(range(m))  # the position in lams of each column
     spans: list[list[float]] = [[] for _ in range(m)]
     reports: list[SolveReport | None] = [None] * m
-    for _it in range(max_iters):
+    for _it in range(_RVI_SWEEPS):
         q0, q1 = step(h, cost)
         up = None if above is None else above(q0[:, 0], q1[:, 0])
         v = np.minimum(q0, q1, out=q0)
@@ -407,7 +408,7 @@ def _rvi(space, kern, lams, eps, max_iters, h_init, tie_break, above=None):
         price, spans = [price[j] for j in kept], [spans[j] for j in kept]
     last = spans[0][-1]  # columns keep the order of lams
     raise NonConvergenceError(
-        f"relative value iteration did not reach span {eps} in {max_iters} sweeps "
+        f"relative value iteration did not reach span {eps} in {_RVI_SWEEPS} sweeps "
         f"(last span {last})",
         last,
     )
@@ -418,7 +419,6 @@ def rvi_plain(
     kern: CompiledKernel,
     lam: float,
     eps: float = 1e-6,
-    max_iters: int = 200_000,
     h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
@@ -430,7 +430,7 @@ def rvi_plain(
     Ties between equal action values resolve to suspension so that all
     solver variants agree action for action.
     """
-    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break)[0]
+    return _rvi(space, kern, [lam], eps, h_init, tie_break)[0]
 
 
 class _FirstBeating:
@@ -473,8 +473,6 @@ def rvi_threshold_no_sensing(
     kern: CompiledKernel,
     lam: float,
     eps: float = 1e-6,
-    max_iters: int = 200_000,
-    h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
     """Structure-aware sweep for the belief MDP.
@@ -503,7 +501,7 @@ def rvi_threshold_no_sensing(
         np.greater(omega, cutoff(beats), out=up)
         return np.logical_and(free, up, out=up)
 
-    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break, above)[0]
+    return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
 
 
 def rvi_threshold_delayed(
@@ -511,8 +509,6 @@ def rvi_threshold_delayed(
     kern: CompiledKernel,
     lam: float,
     eps: float = 1e-6,
-    max_iters: int = 200_000,
-    h_init: np.ndarray | None = None,
     tie_break: str = "suspend",
 ) -> SolveReport:
     """Structure-aware sweep for the delayed-CSI MDP.
@@ -539,7 +535,7 @@ def rvi_threshold_delayed(
         np.greater(delta, first, out=up)
         return np.logical_or(up, beats, out=up)
 
-    return _rvi(space, kern, [lam], eps, max_iters, h_init, tie_break, above)[0]
+    return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
 
 
 def discounted_vi(
@@ -983,7 +979,6 @@ def dual_value_sweep(
     e_max: float,
     lam_grid,
     eps: float = 1e-8,
-    max_iters: int = 200_000,
 ) -> list[tuple[float, float]]:
     """Dual objective (priced optimum minus priced budget) along a price grid.
 
@@ -1002,7 +997,7 @@ def dual_value_sweep(
     out = []
     for start in range(0, len(grid), size):
         batch = grid[start : start + size]
-        reports = _rvi(space, kern, batch, eps, max_iters, None, "suspend")
+        reports = _rvi(space, kern, batch, eps, None, "suspend")
         out.extend((lam, report.gain - lam * e_max) for lam, report in zip(batch, reports))
     return out
 

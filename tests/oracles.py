@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from aoisched.channel import BeliefOrigin, ChannelModel, belief_table
+from aoisched.channel import ChannelModel, belief_table
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, StateDelayed, StateNoSensing, TruncationBound
 from aoisched.solver import TabularPolicy
 
@@ -80,20 +80,24 @@ def kernel_no_sensing(
     table = belief_table(ch, bound.cap)
     k_next = frame.next_slot(s.k)
     grown = min(s.delta + 1, bound.cap)
+    # canon[origin, steps]: a symbol's rank, its origin the channel state
+    # last observed (0 bad, 1 good)
+    canon = table.canon
     if u == 0:
-        if s.belief.steps + 1 > bound.cap:
+        origin, steps = int(table.origin[s.sym]), int(table.steps[s.sym])
+        if steps + 1 > bound.cap:
             # one more step would land strictly inside the gap between the
             # two N-step limits; the truncation moves it up to the good one
-            suspended = table.canonical(BeliefOrigin.FROM_GOOD, bound.cap)
+            suspended = canon[1, bound.cap]
         else:
-            suspended = table.canonical(s.belief.origin, s.belief.steps + 1)
-        return [(StateNoSensing(grown, k_next, suspended), 1.0)]
-    w = s.belief.value
+            suspended = canon[origin, steps + 1]
+        return [(StateNoSensing(grown, k_next, int(suspended)), 1.0)]
+    w = float(table.value[s.sym])
     out = []
     if w > 0.0:
-        out.append((StateNoSensing(s.k, k_next, table.after_observation(1)), w))
+        out.append((StateNoSensing(s.k, k_next, int(canon[1, 0])), w))
     if w < 1.0:
-        out.append((StateNoSensing(grown, k_next, table.after_observation(0)), 1.0 - w))
+        out.append((StateNoSensing(grown, k_next, int(canon[0, 0])), 1.0 - w))
     return out
 
 

@@ -1,10 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
 from aoisched.channel import (
-    Belief,
-    BeliefOrigin,
     BeliefTable,
     ChannelModel,
     belief_table,
@@ -101,49 +100,57 @@ class TestStationary:
         assert one_step_update(ch, value) == pytest.approx(value, abs=1e-15)
 
 
+# belief origins, the channel state last observed: rows of BeliefTable.raw
+BAD, GOOD = 0, 1
+
+
 class TestBeliefTable:
     def test_symbolic_numeric_agreement_long_horizon(self):
         ch = ChannelModel(0.95, 0.4)
         table = BeliefTable(ch, 10_000)
         for m in (0, 1, 7, 100, 10_000):
-            assert table.raw_value(BeliefOrigin.FROM_BAD, m) == pytest.approx(
-                m_step_update(ch, ch.p01, m), abs=1e-12
-            )
-            assert table.raw_value(BeliefOrigin.FROM_GOOD, m) == pytest.approx(
-                m_step_update(ch, ch.p11, m), abs=1e-12
-            )
+            assert table.raw[BAD, m] == pytest.approx(m_step_update(ch, ch.p01, m), abs=1e-12)
+            assert table.raw[GOOD, m] == pytest.approx(m_step_update(ch, ch.p11, m), abs=1e-12)
 
     def test_monotone_approach(self):
         table = BeliefTable(ChannelModel(0.8, 0.25), 500)
-        bad = [table.raw_value(BeliefOrigin.FROM_BAD, m) for m in range(501)]
-        good = [table.raw_value(BeliefOrigin.FROM_GOOD, m) for m in range(501)]
+        bad, good = table.raw[BAD].tolist(), table.raw[GOOD].tolist()
+        assert len(bad) == len(good) == 501
         assert all(b2 >= b1 for b1, b2 in zip(bad, bad[1:]))
         assert all(g2 <= g1 for g1, g2 in zip(good, good[1:]))
 
     def test_memoryless_chain_collapses_to_one_symbol(self):
         table = BeliefTable(ChannelModel(0.4, 0.4), 10)
-        assert len(table.symbols) == 1
-        kept = table.symbols[0]
-        assert kept.steps == 0
-        assert kept.origin is BeliefOrigin.FROM_GOOD
-        assert table.canonical(BeliefOrigin.FROM_BAD, 5) is kept
+        assert len(table.value) == 1
+        assert table.steps[0] == 0
+        assert table.origin[0] == GOOD
+        assert table.canon[BAD, 5] == 0
 
     def test_dedupe_keeps_smaller_step_count(self):
         table = BeliefTable(ChannelModel(0.7, 0.3), 200)
-        for (origin, m), symbol in table._canon.items():
-            assert symbol.steps <= m
-            assert abs(symbol.value - table.raw_value(origin, m)) < 1e-12
+        for origin in (BAD, GOOD):
+            for m in range(201):
+                kept = table.canon[origin, m]
+                assert table.steps[kept] <= m
+                assert abs(table.value[kept] - table.raw[origin, m]) < 1e-12
+
+    def test_kept_symbols_merge_into_themselves(self):
+        table = BeliefTable(ChannelModel(0.7, 0.3), 200)
+        ranks = np.arange(len(table.value))
+        assert table.canon[table.origin, table.steps].tolist() == ranks.tolist()
+        assert table.value.tolist() == table.raw[table.origin, table.steps].tolist()
 
     def test_distinct_symbols_separated(self):
         table = BeliefTable(ChannelModel(0.7, 0.3), 200)
-        values = sorted(s.value for s in table.symbols)
+        values = sorted(table.value.tolist())
         assert all(b - a >= 1e-12 for a, b in zip(values, values[1:]))
 
     def test_cache_returns_same_object(self):
         ch = ChannelModel(0.7, 0.3)
         assert belief_table(ch, 50) is belief_table(ch, 50)
 
-    def test_sort_key_orders_origin_then_steps(self):
-        b1 = Belief(BeliefOrigin.FROM_BAD, 2, 0.4)
-        b2 = Belief(BeliefOrigin.FROM_GOOD, 0, 0.7)
-        assert b1.sort_key() < b2.sort_key()
+    def test_symbols_ordered_by_origin_then_steps(self):
+        table = BeliefTable(ChannelModel(0.7, 0.3), 200)
+        keys = list(zip(table.origin.tolist(), table.steps.tolist()))
+        assert table.origin[0] == BAD and table.origin[-1] == GOOD
+        assert keys == sorted(set(keys))

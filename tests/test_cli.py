@@ -323,6 +323,16 @@ class TestConfigAndValidation:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["tradeoff", "greedy-compare", "framelength", "solve"])
+    def test_absorbing_bad_state_rejected_before_any_solve(self, tmp_path, capsys, no_solve,
+                                                           command):
+        out = tmp_path / "x.csv"
+        code = main([command, "--p11", "0.7", "--p01", "0.0", "--emax", "0.3",
+                     "--out", str(out), *FAST])
+        assert code == EXIT_USAGE
+        assert "absorbing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["tradeoff", "--bound-N", "not-a-number"])

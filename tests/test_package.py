@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import aoisched
+from aoisched.channel import BeliefTable, ChannelModel
 from aoisched.mdp import TruncationBound
 from aoisched.solver import ThresholdPolicyBelief, stationary_distribution
 
@@ -36,6 +37,20 @@ def test_oracles_are_neither_defined_nor_exported():
     assert not hasattr(TruncationBound, "clamp")
     assert list(inspect.signature(stationary_distribution).parameters) == ["kern", "actions"]
     assert "belief_tol" not in inspect.signature(ThresholdPolicyBelief).parameters
+
+
+def test_belief_symbols_are_ranks_into_the_table_arrays():
+    # a belief symbol is its integer rank in BeliefTable's arrays; the symbol
+    # objects, their origin enum and the per-symbol lookups are gone
+    gone = {"Belief", "BeliefOrigin", "_suspend_successor", "symbols_up_to", "canonical"}
+    for name in MODULES:
+        module = importlib.import_module(f"aoisched.{name}")
+        assert not set(module.__all__) & gone, name
+        assert not [symbol for symbol in gone if hasattr(module, symbol)], name
+    assert not set(vars(aoisched)) & gone
+    table = BeliefTable(ChannelModel(0.7, 0.3), 4)
+    for lookup in ("canonical", "after_observation", "symbols_up_to", "raw_value", "symbols"):
+        assert not hasattr(table, lookup)
 
 
 def test_cli_import_loads_nothing_from_tests():

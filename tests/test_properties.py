@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aoisched.channel import (
-    BeliefOrigin,
     BeliefTable,
     ChannelModel,
     one_step_update,
@@ -62,12 +61,12 @@ def test_m_step_matches_repeated_one_step(ch, w, m):
 @given(channels(), st.integers(min_value=1, max_value=60))
 def test_belief_table_canonical_contract(ch, max_steps):
     table = BeliefTable(ch, max_steps)
-    for origin in BeliefOrigin:
+    for origin in (0, 1):
         for m in range(max_steps + 1):
-            symbol = table.canonical(origin, m)
-            assert symbol.steps <= m
-            assert abs(symbol.value - table.raw_value(origin, m)) < 1e-12
-    values = sorted(s.value for s in table.symbols)
+            kept = table.canon[origin, m]
+            assert table.steps[kept] <= m
+            assert abs(table.value[kept] - table.raw[origin, m]) < 1e-12
+    values = sorted(table.value.tolist())
     assert all(b - a >= 1e-12 for a, b in zip(values, values[1:]))
 
 

@@ -67,19 +67,18 @@ class TestRviPlain:
         gains = [rvi_plain(space, kern, lam, eps=1e-8).gain for lam in (0.0, 1.0, 2.0)]
         assert gains[0] <= gains[1] + 1e-6 <= gains[2] + 2e-6
 
-    @pytest.mark.parametrize("name, value", [
-        ("max_iters", 0), ("max_iters", -1), ("eps", float("nan")), ("eps", float("inf")),
-    ])
+    @pytest.mark.parametrize("name, value", [("eps", float("nan")), ("eps", float("inf"))])
     def test_rejects_bad_budget_or_tolerance(self, name, value):
         with pytest.raises(ValueError):
             rvi_plain(None, single_state_kernel(1.0), 0.0, **{name: value})
 
-    def test_non_convergence_signals_span(self):
+    def test_non_convergence_signals_span(self, monkeypatch):
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(6)
         )
+        monkeypatch.setattr(solver, "_RVI_SWEEPS", 2)
         with pytest.raises(NonConvergenceError) as err:
-            rvi_plain(space, kern, 1.0, eps=1e-12, max_iters=2)
+            rvi_plain(space, kern, 1.0, eps=1e-12)
         assert err.value.span > 0
 
     def test_relaxation_needed_on_periodic_frames(self, monkeypatch):
@@ -90,8 +89,9 @@ class TestRviPlain:
         )
         with monkeypatch.context() as patch:
             patch.setattr("aoisched.solver._RELAXATION", 1.0)
+            patch.setattr("aoisched.solver._RVI_SWEEPS", 3000)
             with pytest.raises(NonConvergenceError) as err:
-                rvi_plain(space, kern, 1.0, eps=1e-9, max_iters=3000)
+                rvi_plain(space, kern, 1.0, eps=1e-9)
         assert err.value.span > 1e-3  # stuck on a cycle, not slowly converging
         relaxed = rvi_plain(space, kern, 1.0, eps=1e-9)
         oracle_gain, _ = enumerate_and_evaluate(space, kern, 1.0, cap=14)
@@ -1054,17 +1054,16 @@ class TestDualSweep:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    def test_non_convergence_reports_the_first_unconverged_price(self):
+    def test_non_convergence_reports_the_first_unconverged_price(self, monkeypatch):
         # alone, 4.0 converges in 61 sweeps, 1.0 and 0.0 need 62
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8)
         space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
-        rvi_plain(space, kern, 4.0, eps=1e-8, max_iters=61)
+        monkeypatch.setattr(solver, "_RVI_SWEEPS", 61)
+        rvi_plain(space, kern, 4.0, eps=1e-8)
         with pytest.raises(NonConvergenceError) as alone:
-            rvi_plain(space, kern, 1.0, eps=1e-8, max_iters=61)
+            rvi_plain(space, kern, 1.0, eps=1e-8)
         with pytest.raises(NonConvergenceError) as batched:
-            dual_value_sweep(
-                Case.NO_SENSING, frame, ch, bound, 0.4, [4.0, 1.0, 0.0], eps=1e-8, max_iters=61
-            )
+            dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, [4.0, 1.0, 0.0], eps=1e-8)
         assert str(batched.value) == str(alone.value)
         assert batched.value.span == alone.value.span
 
