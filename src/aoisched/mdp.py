@@ -58,9 +58,6 @@ class FrameSpec:
     def K(self) -> int:
         return self.slots_per_frame
 
-    def next_slot(self, k: int) -> int:
-        return (k % self.K) + 1
-
     def prev_slot(self, k: int) -> int:
         return ((self.K + k - 2) % self.K) + 1
 
@@ -178,9 +175,6 @@ class _SpaceBase:
         self._key = self._key_of(self.k, self.delta, self.sym)
         self.admissible = self.delta >= frame.K
         self.reference_index = int(self.locate(1, frame.K, self.reference_sym))
-
-    def __len__(self) -> int:
-        return self.n
 
     def _symbol_steps(self) -> np.ndarray:
         raise NotImplementedError

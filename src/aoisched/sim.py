@@ -12,8 +12,8 @@ same path and their averages are weighted by the mixing probability.
 A run draws its whole channel path once, before the first decision, in
 fixed-size blocks from the channel stream (the same doubles slot-by-slot
 draws would give). One loop per slot then walks that path on plain integers
-and marks in it the slots that transmit; AoI samples, histogram, energy and
-trace are rebuilt from the marked path afterwards.
+and marks in it the slots that transmit; the AoI samples and the energy are
+read off the marked path afterwards.
 
 Decisions are cached. The loop keys each slot on what the decision can depend
 on: AoI, slot index, the belief's origin (start of run, last delivery or last
@@ -25,7 +25,7 @@ belief value without sensing, the last channel state with delayed sensing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -35,19 +35,13 @@ from .mdp import Case, FrameSpec
 from .solver import MixturePolicy, PolicyUndefinedError
 
 __all__ = [
-    "CHANNEL_STREAM",
-    "GENERATOR_NAME",
     "SimConfig",
     "SimResult",
     "estimate_mixture",
-    "make_stream",
     "simulate",
     "simulate_greedy",
     "stationary_belief_value",
 ]
-
-GENERATOR_NAME = "philox-4x64"
-CHANNEL_STREAM = 0
 
 # Channel draws per block of the pre-drawn path; a block's temporaries stay
 # small whatever the horizon.
@@ -58,11 +52,6 @@ _BLOCK = 8192
 _CACHE_LIMIT = 1 << 12
 # Belief origins: after a failed transmission, after a delivery, run start.
 _BAD, _GOOD, _INITIAL = 0, 1, 2
-
-
-def make_stream(seed: int, stream: int) -> np.random.Generator:
-    """Independent substream of the run's counter-based generator."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 @dataclass(frozen=True)
@@ -86,15 +75,12 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Post-warmup averages plus enough metadata to regenerate the run."""
+    """Post-warmup averages of one run, and the batch-means standard error
+    of its AoI average."""
 
     avg_aoi: float
     avg_energy: float
-    aoi_histogram: dict
-    delivered_count: float
     aoi_se: float
-    metadata: dict
-    trace: list | None = field(default=None, repr=False)
 
 
 def stationary_belief_value(ch: ChannelModel) -> float:
@@ -122,32 +108,16 @@ def _batch_se(samples: np.ndarray, n_batches: int = 50) -> float:
     return float(means.std(ddof=1) / np.sqrt(n_batches))
 
 
-def _metadata(case, frame, ch, cfg, policy_name, **extra) -> dict:
-    meta = {
-        "case": case.value,
-        "frame_k": frame.K,
-        "p11": ch.p11,
-        "p01": ch.p01,
-        "horizon": cfg.horizon,
-        "warmup": cfg.warmup,
-        "seed": cfg.seed,
-        "generator": GENERATOR_NAME,
-        "streams": {"channel": CHANNEL_STREAM},
-        "policy": policy_name,
-    }
-    meta.update(extra)
-    return meta
-
-
 def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
     """Channel states h_0..h_horizon of one run, one byte each.
 
     h_0 is drawn from the stationary law and h_t = [U_t < p11 if h_{t-1}
     else p01]. Since p01 <= p11, h_t is 1 where U_t < p01, 0 where
     U_t >= p11 and h_{t-1} in between, so each block is one forward fill
-    that carries the last state of the block before.
+    that carries the last state of the block before. The uniforms come from
+    a Philox generator keyed by the seed, so the path depends on nothing else.
     """
-    rng = make_stream(seed, CHANNEL_STREAM)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
     path = bytearray(horizon + 1)
     states = np.frombuffer(path, dtype=np.uint8)
     states[0] = 1 if rng.random() < stationary_good_probability(ch) else 0
@@ -267,54 +237,21 @@ def _aoi_path(states: np.ndarray, K: int) -> np.ndarray:
     return aoi
 
 
-def _histogram(samples: np.ndarray) -> dict:
-    """Count per AoI value, by blocks: a block's bincount spans only the
-    values the block holds, so no temporary grows with the largest AoI."""
-    counts = np.zeros(int(samples.max()) + 1, dtype=np.int64)
-    for start in range(0, len(samples), _BLOCK):
-        block = samples[start:start + _BLOCK]
-        low = int(block.min())
-        found = np.bincount(block - low)
-        counts[low:low + len(found)] += found
-    values = np.flatnonzero(counts)
-    return dict(zip(map(int, values), map(int, counts[values])))
-
-
-def _result(case, frame, ch, cfg, path, record_trace, policy_name, meta_extra=None):
-    """Averages of a walked path: bit 0 of ``path[t]`` is the channel state
-    in slot t, bit 1 the action."""
-    warmup = cfg.warmup
+def _result(path, warmup: int, K: int) -> SimResult:
+    """Averages of a walked path past the warmup: bit 0 of ``path[t]`` is
+    the channel state in slot t, bit 1 the action."""
     states = np.frombuffer(path, dtype=np.uint8)
-    measured = states[warmup + 1:]
-    energy = int(np.count_nonzero(measured >= 2))
-    delivered = int(np.count_nonzero(measured == 3))
-    aoi = _aoi_path(states, frame.K)
-    samples = aoi[warmup:]
-    histogram = _histogram(samples)
+    energy = int(np.count_nonzero(states[warmup + 1:] >= 2))
+    samples = _aoi_path(states, K)[warmup:]
     # Integer samples give the float64 means of per-slot float samples
     # exactly while every partial sum stays below 2**53; past that, the
     # sums must round as float sums do.
-    if len(samples) * max(histogram) >= 2**53:
+    if len(samples) * int(samples.max()) >= 2**53:
         samples = samples.astype(np.float64)
-
-    trace = None
-    if record_trace:
-        walked = states[1:]
-        trace = list(zip(
-            range(1, len(states)), aoi.tolist(),
-            (np.arange(len(walked)) % frame.K + 1).tolist(),
-            (walked >> 1).tolist(), (walked == 3).astype(np.uint8).tolist(),
-            (walked & 1).tolist(),
-        ))
-
     return SimResult(
         avg_aoi=float(samples.mean()),
         avg_energy=energy / len(samples),
-        aoi_histogram=histogram,
-        delivered_count=delivered,
         aoi_se=_batch_se(samples),
-        metadata=_metadata(case, frame, ch, cfg, policy_name, **(meta_extra or {})),
-        trace=trace,
     )
 
 
@@ -329,7 +266,6 @@ def simulate(
     ch: ChannelModel,
     policy,
     cfg: SimConfig,
-    record_trace: bool = False,
 ) -> SimResult:
     """Run one policy for the configured horizon and average past the warmup.
 
@@ -341,7 +277,7 @@ def simulate(
     _check_case(case)
     path = _channel_path(ch, cfg.seed, cfg.horizon)
     _policy_slots(case, frame, ch, policy, path)
-    return _result(case, frame, ch, cfg, path, record_trace, type(policy).__name__)
+    return _result(path, cfg.warmup, frame.K)
 
 
 def simulate_greedy(
@@ -350,7 +286,6 @@ def simulate_greedy(
     ch: ChannelModel,
     e_max: float,
     cfg: SimConfig,
-    record_trace: bool = False,
 ) -> SimResult:
     """Run the budget-tracking greedy baseline: transmit whenever the running
     average energy is under the budget e_max in (0, 1] and the frame's update
@@ -365,9 +300,7 @@ def simulate_greedy(
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     path = _channel_path(ch, cfg.seed, cfg.horizon)
     _greedy_slots(frame, e_max, path)
-    return _result(
-        case, frame, ch, cfg, path, record_trace, "GreedyPolicy", {"e_max": e_max}
-    )
+    return _result(path, cfg.warmup, frame.K)
 
 
 def estimate_mixture(
@@ -391,20 +324,8 @@ def estimate_mixture(
 
     r_minus = simulate(case, frame, ch, mixture.pi_minus, cfg)
     r_plus = simulate(case, frame, ch, mixture.pi_plus, cfg)
-    hist: dict = {}
-    for key, count in r_minus.aoi_histogram.items():
-        hist[key] = hist.get(key, 0.0) + q * count
-    for key, count in r_plus.aoi_histogram.items():
-        hist[key] = hist.get(key, 0.0) + (1.0 - q) * count
-    meta = _metadata(
-        case, frame, ch, cfg, "MixturePolicy", q=q, mode="initial_randomization",
-        components=[r_minus.metadata["policy"], r_plus.metadata["policy"]],
-    )
     return SimResult(
         avg_aoi=q * r_minus.avg_aoi + (1.0 - q) * r_plus.avg_aoi,
         avg_energy=q * r_minus.avg_energy + (1.0 - q) * r_plus.avg_energy,
-        aoi_histogram=hist,
-        delivered_count=q * r_minus.delivered_count + (1.0 - q) * r_plus.delivered_count,
         aoi_se=q * r_minus.aoi_se + (1.0 - q) * r_plus.aoi_se,
-        metadata=meta,
     )

@@ -87,6 +87,8 @@ _POWER_TOL = 1e-10
 _POWER_ROUNDS = 200_000
 # Slack of a belief compared against its cutoff (see ThresholdPolicyBelief).
 _BELIEF_TOL = 1e-9
+# Sweeps discounted value iteration makes before it gives up.
+_DISCOUNTED_SWEEPS = 10_000_000
 # Price doublings a budget search tries before it gives up.
 _MAX_DOUBLINGS = 60
 # A price search decision whose exact energy lies this close to the budget is
@@ -543,35 +545,27 @@ def discounted_vi(
     kern: CompiledKernel,
     lam: float,
     beta: float,
-    n_iters: int | None = None,
 ) -> np.ndarray:
     """Discounted value iteration from the zero function.
 
-    Runs exactly ``n_iters`` sweeps when given, otherwise iterates until the
-    sup-norm change drops below (1-beta) * 1e-8. Used by the structural
-    property checks, which need value functions, not policies.
+    Iterates until the sup-norm change drops below (1-beta) * 1e-8. Used by
+    the structural property checks, which need value functions, not policies.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"discount factor must be in (0, 1), got {beta}")
-    if n_iters is not None and n_iters < 0:
-        raise ValueError(f"sweep count must be non-negative, got {n_iters}")
     tol = (1.0 - beta) * 1e-8
     step = _Bellman(kern, 1, beta)
     cost = step.transmit_cost(np.array([lam], dtype=float))
     v, v_new = np.zeros((kern.n, 1)), np.empty((kern.n, 1))
-    limit = n_iters if n_iters is not None else 10_000_000
-    for _ in range(limit):
+    for _ in range(_DISCOUNTED_SWEEPS):
         q0, q1 = step(v, cost)
         np.minimum(q0, q1, out=v_new)
         np.subtract(v_new, v, out=q1)
         change = float(np.abs(q1, out=q1).max())
         v, v_new = v_new, v
-        if n_iters is None and change < tol:
-            break
-    else:
-        if n_iters is None:
-            raise NonConvergenceError("discounted value iteration stalled", change)
-    return v[:, 0]
+        if change < tol:
+            return v[:, 0]
+    raise NonConvergenceError("discounted value iteration stalled", change)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def kernel_no_sensing(
     """
     _check_action(s.delta, frame, u)
     table = belief_table(ch, bound.cap)
-    k_next = frame.next_slot(s.k)
+    k_next = s.k % frame.K + 1
     grown = min(s.delta + 1, bound.cap)
     # canon[origin, steps]: a symbol's rank, its origin the channel state
     # last observed (0 bad, 1 good)
@@ -110,7 +110,7 @@ def kernel_delayed(
 ) -> list[tuple[StateDelayed, float]]:
     """Successor distribution of one truncated delayed-CSI transition."""
     _check_action(s.delta, frame, u)
-    k_next = frame.next_slot(s.k)
+    k_next = s.k % frame.K + 1
     grown = min(s.delta + 1, bound.cap)
     p_good = ch.p11 if s.g == 1 else ch.p01
     out = []

@@ -1,5 +1,6 @@
 """The boundary between the runtime package and the test oracles."""
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -8,9 +9,10 @@ import sys
 from pathlib import Path
 
 import aoisched
+from aoisched import sim
 from aoisched.channel import BeliefTable, ChannelModel
-from aoisched.mdp import TruncationBound
-from aoisched.solver import ThresholdPolicyBelief, stationary_distribution
+from aoisched.mdp import DelayedSpace, FrameSpec, NoSensingSpace, TruncationBound
+from aoisched.solver import ThresholdPolicyBelief, discounted_vi, stationary_distribution
 
 TESTS = Path(__file__).resolve().parent
 MODULES = ("channel", "mdp", "sim", "solver", "cli")
@@ -51,6 +53,20 @@ def test_belief_symbols_are_ranks_into_the_table_arrays():
     table = BeliefTable(ChannelModel(0.7, 0.3), 4)
     for lookup in ("canonical", "after_observation", "symbols_up_to", "raw_value", "symbols"):
         assert not hasattr(table, lookup)
+
+
+def test_simulator_returns_only_the_averages_its_callers_read():
+    # the per-slot trace, AoI histogram, delivered count, run metadata and
+    # stream helpers are gone; tests rebuild slot rows from the walked path
+    assert [f.name for f in dataclasses.fields(sim.SimResult)] == ["avg_aoi", "avg_energy", "aoi_se"]
+    for run in (sim.simulate, sim.simulate_greedy):
+        assert "record_trace" not in inspect.signature(run).parameters
+    assert list(inspect.signature(sim.simulate_greedy).parameters) == ["case", "frame", "ch", "e_max", "cfg"]
+    for name in ("_metadata", "_histogram", "make_stream", "GENERATOR_NAME", "CHANNEL_STREAM"):
+        assert not hasattr(sim, name), name
+    assert "n_iters" not in inspect.signature(discounted_vi).parameters
+    assert not hasattr(FrameSpec, "next_slot")
+    assert not hasattr(NoSensingSpace, "__len__") and not hasattr(DelayedSpace, "__len__")
 
 
 def test_cli_import_loads_nothing_from_tests():

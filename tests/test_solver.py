@@ -290,11 +290,13 @@ class TestThresholdSolvers:
 
 class TestDiscountedVi:
     def test_first_sweep_is_aoi(self):
-        space, kern = build_case(
+        # the first sweep from the zero function is one discounted Bellman step
+        _space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(5)
         )
-        v1 = discounted_vi(space, kern, 0.0, beta=0.9, n_iters=1)
-        assert np.allclose(v1, kern.delta)
+        step = _Bellman(kern, 1, 0.9)
+        q0, q1 = step(np.zeros((kern.n, 1)), step.transmit_cost(np.zeros(1)))
+        assert np.allclose(np.minimum(q0, q1)[:, 0], kern.delta)
 
     def test_monotone_in_aoi(self):
         from aoisched.solver import aoi_monotonicity_violations
@@ -320,13 +322,6 @@ class TestDiscountedVi:
         with pytest.raises(ValueError, match="discount factor"):
             discounted_vi(space, kern, 0.0, beta=beta)
 
-    def test_rejects_negative_sweep_count(self):
-        space, kern = build_case(
-            Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(4)
-        )
-        with pytest.raises(ValueError, match="sweep count"):
-            discounted_vi(space, kern, 0.0, beta=0.9, n_iters=-1)
-
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_price(self, lam):
         # a NaN price would return all-NaN values, a negative one a value
@@ -335,7 +330,7 @@ class TestDiscountedVi:
             Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12)
         )
         with pytest.raises(ValueError, match="energy price must be finite and non-negative"):
-            discounted_vi(space, kern, lam, 0.9, n_iters=3)
+            discounted_vi(space, kern, lam, 0.9)
 
 
 class TestBellmanStep:
