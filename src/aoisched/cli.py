@@ -168,7 +168,7 @@ def _map_points(fn, jobs: list, workers: int) -> list:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(fn, jobs))
     return [row for rows in results for row in rows]
 

@@ -39,7 +39,6 @@ while keeping the same fixed point, optimal policy, and average cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -253,74 +252,57 @@ class SolveReport:
 class _Bellman:
     """The Bellman step over a batch of prices, and its work arrays.
 
-    The bias h and the transmit cost hold one column per price, (n, m) for
-    m prices. One ``np.take`` gathers the bias rows at every kernel row's
-    successors, and every later operation writes with ``out=`` in the order
-    of q_u = delta + lam*u + sum over u's branches of p*h, so the values are
-    those of ``kern.expected_bias`` bit for bit. Rows whose probability is 1
-    at every state (suspension without sensing) skip the multiply, and the
-    transmit cost is +inf where transmission is inadmissible; neither moves
-    a bit. With a discount ``beta`` the expectation is scaled before the
-    cost is added. Work arrays are made once per solve for the widest batch,
-    and m prices use the front of each, so a sweep allocates nothing.
+    The bias h and the transmit cost hold one column per price, (n, width)
+    for a batch of width prices. One ``np.take`` gathers the bias rows at
+    every kernel row's successors, and every later operation writes with
+    ``out=`` in the order of q_u = delta + lam*u + sum over u's branches of
+    p*h, so the values are those of ``kern.expected_bias`` bit for bit. Rows
+    whose probability is 1 at every state (suspension without sensing) skip
+    the multiply, and the transmit cost is +inf where transmission is
+    inadmissible; neither moves a bit. With a discount ``beta`` the
+    expectation is scaled before the cost is added. The work arrays are made
+    once, for the batch's one width, so a sweep allocates nothing.
     """
 
     def __init__(self, kern: CompiledKernel, width: int, beta: float | None = None):
         self.kern = kern
         self.beta = beta
         self.delta = kern.delta[:, None]
-        self.prob = kern.prob[:, :, None]
+        prob = kern.prob[:, :, None]
+        # both work arrays before their views, whose small allocations would
+        # otherwise sit between large ones and raise the peak memory
+        self.terms, q = np.empty(kern.prob.shape + (width,)), np.empty((2, kern.n, width))
         # probabilities are at most 1, so a row's minimum is 1 only on unit rows
         bounds = np.flatnonzero(np.diff(np.r_[0, kern.prob.min(axis=1) < 1.0, 0]))
-        self.scaled = [slice(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
-        self.terms = np.empty(kern.prob.size * width)
-        self.q = np.empty(2 * kern.n * width)
-        self.views: dict[int, tuple] = {}
+        self.scaled = [(self.terms[a:b], prob[a:b]) for a, b in zip(bounds[::2], bounds[1::2])]
+        self.sums = [
+            [self.terms[r] for r in range(rows.start, rows.stop)]
+            for rows in (kern.rows(0), kern.rows(1))
+        ]
+        self.q = tuple(q)
 
-    def transmit_cost(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def transmit_cost(self, lams: np.ndarray) -> np.ndarray:
         """The (n, len(lams)) cost of transmitting, +inf where inadmissible.
         Every price must be finite and non-negative."""
         bad = lams[~((lams >= 0.0) & (lams < np.inf))]
         if len(bad):
             raise ValueError(f"energy price must be finite and non-negative, got {bad[0]}")
-        cost = np.add(self.delta, lams, out=out)
+        cost = self.delta + lams
         cost[~self.kern.admissible] = np.inf
         return cost
 
-    def _views(self, m: int) -> tuple:
-        """The work-array views that a step over m prices writes into."""
-        kern = self.kern
-        terms = _front(self.terms, kern.prob.shape + (m,))
-        scaled = [(terms[rows], self.prob[rows]) for rows in self.scaled]
-        q = tuple(_front(self.q, (2, kern.n, m)))
-        sums = [
-            [terms[r] for r in range(rows.start, rows.stop)]
-            for rows in (kern.rows(0), kern.rows(1))
-        ]
-        return terms, scaled, sums, q
-
     def __call__(self, h: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Action values (q0, q1) at the (n, m) bias h, each (n, m), with
-        ``cost`` the transmit cost of the same m prices."""
-        m = h.shape[1]
-        views = self.views.get(m)
-        if views is None:
-            views = self.views[m] = self._views(m)
-        terms, scaled, sums, q = views
-        np.take(h, self.kern.succ, axis=0, out=terms, mode="clip")
-        for part, prob in scaled:
+        """Action values (q0, q1) at the (n, width) bias h, each (n, width),
+        with ``cost`` the transmit cost of the same prices."""
+        np.take(h, self.kern.succ, axis=0, out=self.terms, mode="clip")
+        for part, prob in self.scaled:
             np.multiply(part, prob, out=part)
-        for branches, cost_u, q_u in zip(sums, (self.delta, cost), q):
+        for branches, cost_u, q_u in zip(self.sums, (self.delta, cost), self.q):
             expect = branches[0] if len(branches) == 1 else np.add(*branches, out=q_u)
             if self.beta is not None:
                 expect = np.multiply(expect, self.beta, out=q_u)
             np.add(cost_u, expect, out=q_u)
-        return q
-
-
-def _front(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading part of a flat buffer, as a C-contiguous array of ``shape``."""
-    return buffer[: math.prod(shape)].reshape(shape)
+        return self.q
 
 
 def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) -> np.ndarray:
@@ -332,12 +314,14 @@ def _rvi(space, kern, lams, eps, h_init, tie_break, above=None):
     ``SolveReport`` per price of ``lams``, in that order.
 
     A sweep is elementwise across prices or reduces within one price's
-    column, so each price is solved exactly as alone, from ``h_init`` (the
-    zero function by default), each sweep damped by ``_RELAXATION``. A price
-    leaves the batch at the first sweep where its own span is at most
-    ``eps``, its report read at that iterate, and the running prices close
-    up; a finished bias is not written again. ``NonConvergenceError`` after
-    ``_RVI_SWEEPS`` sweeps.
+    column, so each price is solved exactly as alone, from ``h_init`` (one
+    finite value per state; the zero function by default), each sweep
+    damped by ``_RELAXATION``. A price is done at the first sweep where its
+    own span is at most ``eps``; its report is read from the action values
+    the next sweep computes at that iterate. The batch keeps its width: a
+    done price's column sweeps on, unreported, until every price is done,
+    so its report holds a copy of its bias, and the last prices report
+    views. ``NonConvergenceError`` after ``_RVI_SWEEPS`` sweeps.
 
     ``above`` (one price only) maps the action values (q0, q1) of a sweep to
     the admissible states a cutoff rule already places above their cutoff.
@@ -351,20 +335,33 @@ def _rvi(space, kern, lams, eps, h_init, tie_break, above=None):
         raise ValueError(f"unknown tie break {tie_break!r}")
     m, n = len(lams), kern.n
     step = _Bellman(kern, m)
-    # h, its successor and the transmit cost are fronts of flat buffers
-    h_buf, new_buf, cost_buf = np.zeros(n * m), np.empty(n * m), np.empty(n * m)
-    h, h_new, cost = _front(h_buf, (n, m)), _front(new_buf, (n, m)), _front(cost_buf, (n, m))
-    step.transmit_cost(lams, out=cost)
+    h, h_new = np.zeros((n, m)), np.empty((n, m))
+    cost = step.transmit_cost(lams)
     if h_init is not None:
+        h_init = np.asarray(h_init, dtype=float)
+        if h_init.shape != (n,) or not np.isfinite(h_init).all():
+            raise ValueError(f"h_init must hold one finite value for each of the {n} states")
         h.T[:] = h_init
     ref = kern.reference_index
     ref_value, span = np.empty(m), np.empty(m)
     n_argmin, skipped = int(kern.admissible.sum()), 0
-    price = list(range(m))  # the position in lams of each column
+    running, finished = list(range(m)), []  # columns not yet done, and done at the last sweep
     spans: list[list[float]] = [[] for _ in range(m)]
     reports: list[SolveReport | None] = [None] * m
-    for _it in range(_RVI_SWEEPS):
+    for sweep in range(_RVI_SWEEPS + 1):
         q0, q1 = step(h, cost)
+        for j in finished:
+            history = spans[j]
+            actions = _transmit_beats(q0[:, j], q1[:, j], tie_break).astype(np.int8)
+            reports[j] = SolveReport(
+                float(np.minimum(q0[ref, j], q1[ref, j])), h[:, j].copy() if running else h[:, j],
+                TabularPolicy(space, actions), len(history), history[-1],
+                n_argmin * len(history) - skipped, history,
+            )
+        if not running:
+            return reports
+        if sweep == _RVI_SWEEPS:
+            break
         up = None if above is None else above(q0[:, 0], q1[:, 0])
         v = np.minimum(q0, q1, out=q0)
         if up is not None:
@@ -379,36 +376,13 @@ def _rvi(space, kern, lams, eps, h_init, tie_break, above=None):
         np.subtract(h_new, h, out=q1)
         np.maximum.reduce(np.abs(q1, out=q1), axis=0, out=span)
         now = span.tolist()
-        for history, s in zip(spans, now):
-            history.append(s)
-        h, h_new, h_buf, new_buf = h_new, h, new_buf, h_buf
-        # min() skips a NaN span unless it comes first, so no finished price is missed
-        if min(now) > eps:
-            continue
-        done = span <= eps
-        finished, kept = np.flatnonzero(done), np.flatnonzero(~done)
-        if len(kept):
-            h_done, cost_done = h[:, finished], cost[:, finished]
-        else:
-            h_done, cost_done = h, cost
-        q0, q1 = step(h_done, cost_done)
-        for col, j in enumerate(finished):
-            history = spans[j]
-            actions = _transmit_beats(q0[:, col], q1[:, col], tie_break).astype(np.int8)
-            reports[price[j]] = SolveReport(
-                float(np.minimum(q0[ref, col], q1[ref, col])), h_done[:, col],
-                TabularPolicy(space, actions), len(history), history[-1],
-                n_argmin * len(history) - skipped, history,
-            )
-        if not len(kept):
-            return reports
-        m = len(kept)
-        h_kept, cost_kept = h[:, kept], cost[:, kept]
-        h, h_new, cost = _front(h_buf, (n, m)), _front(new_buf, (n, m)), _front(cost_buf, (n, m))
-        h[:], cost[:] = h_kept, cost_kept
-        ref_value, span = ref_value[:m], span[:m]
-        price, spans = [price[j] for j in kept], [spans[j] for j in kept]
-    last = spans[0][-1]  # columns keep the order of lams
+        for j in running:
+            spans[j].append(now[j])
+        h, h_new = h_new, h
+        finished = [j for j in running if now[j] <= eps]
+        if finished:
+            running = [j for j in running if j not in finished]
+    last = spans[running[0]][-1]
     raise NonConvergenceError(
         f"relative value iteration did not reach span {eps} in {_RVI_SWEEPS} sweeps "
         f"(last span {last})",

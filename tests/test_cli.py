@@ -110,6 +110,32 @@ class TestTradeoff:
         main(args + ["--out", str(b), "--workers", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers, started", [(64, 3), (2, 2)])
+    def test_pool_starts_no_more_workers_than_jobs(self, monkeypatch, workers, started):
+        # with the fork start method the pool starts all max_workers at once
+        import concurrent.futures
+
+        from aoisched.cli import _map_points
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert _map_points(lambda job: [job, -job], [1, 2, 3], workers) == [1, -1, 2, -2, 3, -3]
+        assert sizes == [started]
+
 
 class TestFramelength:
     def test_sweeps_frame_lengths(self, tmp_path):

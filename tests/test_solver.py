@@ -115,6 +115,25 @@ class TestRviPlain:
         assert not report.policy.actions[~kern.admissible].any()
         assert policy_averages(kern, report.policy)[1] > 0.0
 
+    @pytest.mark.parametrize(
+        "h_init",
+        [
+            pytest.param(lambda n: np.r_[np.zeros(n - 1), np.nan], id="nan"),
+            pytest.param(lambda n: np.r_[np.inf, np.zeros(n - 1)], id="inf"),
+            pytest.param(lambda n: np.zeros(1), id="length-1"),
+            pytest.param(lambda n: np.zeros(n - 1), id="length-n-1"),
+        ],
+    )
+    def test_rejects_warm_start_not_one_finite_value_per_state(self, monkeypatch, h_init):
+        # a NaN entry would run every sweep and end on a NaN span, and a
+        # length-1 array would broadcast to every state
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12)
+        )
+        monkeypatch.setattr(solver, "_RVI_SWEEPS", 3)
+        with pytest.raises(ValueError, match="h_init"):
+            rvi_plain(space, kern, 1.0, h_init=h_init(kern.n))
+
     def test_warm_start_is_used(self):
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(9)
@@ -367,7 +386,8 @@ class TestBellmanStep:
 
     def test_free_price_leaves_only_the_bias(self):
         # at price 0 the two actions differ only in their successors
-        kern, step = self.make()
+        kern, _ = self.make()
+        step = _Bellman(kern, 1)
         h = np.random.default_rng(3).normal(size=(kern.n, 1))
         q0, q1 = step(h, step.transmit_cost(np.zeros(1)))
         adm = kern.admissible
@@ -1061,6 +1081,24 @@ class TestDualSweep:
             dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, [4.0, 1.0, 0.0], eps=1e-8)
         assert str(batched.value) == str(alone.value)
         assert batched.value.span == alone.value.span
+
+    def test_prices_finishing_far_apart_report_their_lone_solves(self):
+        # 0.0 is done after 113 sweeps and its column sweeps on until 400.0
+        # is done after 1,774, so its report must not read the later sweeps
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200)
+        )
+        batch = solver._rvi(space, kern, [0.0, 400.0], 1e-6, None, "suspend")
+        alone = [rvi_plain(space, kern, lam, eps=1e-6) for lam in (0.0, 400.0)]
+        assert [r.iterations for r in batch] == [113, 1774]
+        for got, want in zip(batch, alone):
+            assert got.gain == want.gain
+            assert got.bias.tobytes() == want.bias.tobytes()
+            assert np.array_equal(got.policy.actions, want.policy.actions)
+            assert got.iterations == want.iterations
+            assert got.span == want.span
+            assert got.span_history == want.span_history
+            assert got.argmin_evals == want.argmin_evals
 
     def test_dual_curve_concave_along_grid(self):
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8)
