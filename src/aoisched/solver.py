@@ -6,6 +6,12 @@ checks, policy evaluation by damped power iteration on the induced chain and
 exactly by AoI layers, bisection on the energy price with the two-policy
 mixture construction, and a dual-objective sweep.
 
+Both evaluators work on the states a policy enters, those that a
+positive-probability branch of its own actions leads into (``_entered``).
+Every other state is a transient that the chain leaves at once and never
+re-enters (Kemeny and Snell 1960); a solved policy at N=1000 without
+sensing enters about 1,100 of 58,276 states.
+
 The price search decides each price's feasibility on the exact energy of its
 policy. Power iteration, whose averages the reported mixture carries, runs
 only for the two reported components and for decisions whose exact energy
@@ -26,9 +32,10 @@ work that is skipped.
 The step reads the kernel's branch-major rows: one ``np.take`` gathers the
 bias at the successors of every (action, branch) row, and every later
 operation, the cutoff masks' included, writes with ``out=`` into work arrays
-made once per solve. Power-iteration rounds likewise write into arrays made
-once per evaluation. Each sum keeps the order of the expression it computes,
-so the loops give the same bits as the textbook expressions.
+made once per solve. Its sums keep the order of the expression they compute,
+so a sweep gives the same bits as the textbook expression. Power-iteration
+rounds likewise write into arrays made once per evaluation, sized to the
+entered states.
 
 Relative value iteration damps every update by a fixed factor of 0.5. The
 slot index cycles deterministically with the frame, so every induced chain
@@ -94,7 +101,7 @@ _MAX_DOUBLINGS = 60
 # taken on power iteration's energy, which the reported mixture carries.
 _EXACT_MARGIN = 1e-6
 # Most cap-layer states the exact evaluator eliminates as one dense matrix,
-# and most states whose branches it reads from the kernel at once.
+# and most states whose branches it lays out as bins at once.
 _CORE_WIDTH = 1024
 _CHUNK = 1024
 
@@ -562,39 +569,92 @@ def _checked_actions(n: int, policy) -> np.ndarray:
     return actions.astype(np.int8)
 
 
+def _entered(kern: CompiledKernel, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states a policy enters and its chain on them.
+
+    A state is entered when a positive-probability branch of the policy's
+    own action at some state leads into it. No branch leads into any other
+    state, so the chain leaves it at the first step for good, and the
+    entered states are closed and hold every recurrent class. Returns the entered states,
+    ascending, then the policy's branches from them as (state, branch)
+    arrays of successor, renumbered to positions among the entered states,
+    and probability; branch b is row b of the action's block, and a zero
+    branch points at position 0.
+    """
+    blocks = [kern.rows(u) for u in (0, 1)]
+    entered = np.zeros(kern.n, dtype=bool)
+    for u, rows in enumerate(blocks):
+        at = actions == u
+        for r in range(rows.start, rows.stop):
+            entered[kern.succ[r, at & (kern.prob[r] > 0.0)]] = True
+    states = np.flatnonzero(entered)
+    width = max(rows.stop - rows.start for rows in blocks)
+    succ, prob = np.zeros((len(states), width), dtype=np.int64), np.zeros((len(states), width))
+    acts = actions[states]
+    for u, rows in enumerate(blocks):
+        at = np.flatnonzero(acts == u)
+        src = states[at]
+        for b, r in enumerate(range(rows.start, rows.stop)):
+            p = kern.prob[r, src]
+            prob[at, b] = p
+            succ[at, b] = np.where(p > 0.0, np.searchsorted(states, kern.succ[r, src]), 0)
+    return states, succ, prob
+
+
 def stationary_distribution(kern: CompiledKernel, actions: np.ndarray) -> np.ndarray:
     """Stationary law of the chain induced by a deterministic policy.
 
-    Damped power iteration (half lazy) because the frame structure makes
-    every induced chain periodic; the lazy chain shares its stationary law.
-    The policy's successors and probabilities are laid out state by state,
-    branch by branch, so ``np.bincount`` adds each state's mass in one fixed
-    order; every round writes into arrays made once per call.
+    Damped power iteration (half lazy) from the uniform law, because the
+    frame structure makes every induced chain periodic; the lazy chain
+    shares its stationary law. The rounds run over the states the policy
+    enters (``_entered``). A state it never enters receives nothing, so
+    after r rounds it holds 1/n halved r times, one scalar for all such
+    states, computed by the same halvings; their mass reaches the entered
+    states through one inflow vector scaled by that scalar, and their change
+    joins the residual. So each round is a round over the whole space, which
+    stops on the same round, and the never-entered entries of the law are
+    those of the whole-space iteration bit for bit. The branches are laid
+    out state by state, so ``np.bincount`` adds each state's mass in one
+    fixed order; every round writes into arrays made once per call.
     """
     actions = _checked_actions(kern.n, actions)
     n = kern.n
-    blocks = [kern.rows(u) for u in (0, 1)]
-    width = max(rows.stop - rows.start for rows in blocks)
-    succ, prob = np.zeros((n, width), dtype=np.int64), np.zeros((width, n))
-    for u, rows in enumerate(blocks):
-        at, m = actions == u, rows.stop - rows.start
-        succ[at, :m] = kern.succ[rows, at].T
-        prob[:m, at] = kern.prob[rows, at]
+    states, succ, prob = _entered(kern, actions)
+    m = len(states)
+    # the branches of the never-entered states, summed per entered successor
+    never = np.ones(n, dtype=bool)
+    never[states] = False
+    inflow = np.zeros(m)
+    for u in (0, 1):
+        rows = kern.rows(u)
+        at = never & (actions == u)
+        for r in range(rows.start, rows.stop):
+            hit = at & (kern.prob[r] > 0.0)
+            inflow += np.bincount(
+                np.searchsorted(states, kern.succ[r, hit]), kern.prob[r, hit], minlength=m
+            )
     flat_succ = succ.ravel()
-    pi, pi_new = np.full(n, 1.0 / n), np.empty(n)
-    weights = np.empty((n, width))
+    # rest states are never entered, and each holds mass c
+    rest, c = n - m, 1.0 / n
+    pi, pi_new = np.full(m, c), np.empty(m)
+    weights, fed = np.empty(succ.shape), np.empty(m)
     for _ in range(_POWER_ROUNDS):
-        np.multiply(pi, prob, out=weights.T)
-        pushed = np.bincount(flat_succ, weights=weights.ravel(), minlength=n)
+        np.multiply(pi[:, None], prob, out=weights)
+        pushed = np.bincount(flat_succ, weights=weights.ravel(), minlength=m)
+        np.multiply(c, inflow, out=fed)
+        np.add(pushed, fed, out=pushed)
         # pi_new = 0.5 * pi + 0.5 * pushed; pushed then takes the change
         np.multiply(0.5, pi, out=pi_new)
         np.multiply(0.5, pushed, out=pushed)
         np.add(pi_new, pushed, out=pi_new)
         np.subtract(pi_new, pi, out=pushed)
-        residual = float(np.abs(pushed, out=pushed).sum())
-        pi, pi_new = pi_new, pi
+        c_new = 0.5 * c
+        residual = float(np.abs(pushed, out=pushed).sum()) + rest * (c - c_new)
+        pi, pi_new, c = pi_new, pi, c_new
         if residual <= _POWER_TOL:
-            return pi
+            law = np.full(n, c)
+            law[states] = pi
+            return law
     raise NonConvergenceError(
         f"power iteration residual {residual} above {_POWER_TOL} after {_POWER_ROUNDS} rounds",
         residual,
@@ -676,8 +736,9 @@ def _cap_mass(prob: np.ndarray, dest: np.ndarray, inflow: np.ndarray) -> np.ndar
     return M
 
 
-class _AoiLayers:
-    """Exact long-run averages of deterministic policies, by AoI layers.
+def _aoi_averages(kern: CompiledKernel, actions: np.ndarray) -> tuple[float, float] | None:
+    """Exact long-run (average AoI, average energy) of an admissible action
+    table, by AoI layers, or None.
 
     Every transition either raises the AoI by one, clamped at the cap, or
     delivers, which resets it to one of at most K target states. So the
@@ -685,125 +746,111 @@ class _AoiLayers:
     unit inflow at each target is pushed forward one layer at a time, the cap
     layer, whose growth stays in the layer, is solved by ``_cap_mass``, and
     the delivery rates solve a fixed point over the targets with the law's
-    normalisation. Only one layer's (width, targets) mass is held at a time,
-    and the policy's branches are read from the kernel for at most
-    ``_CHUNK`` states at a time. The layering is built per evaluation, so
-    nothing the size of the state space outlives it while RVI solves run.
+    normalisation. An evaluation lays out and walks only the policy's chain
+    on the states it enters (``_entered``): the others receive no mass. A
+    layer whose states all deliver passes no mass to the next, so the layers
+    need not be contiguous in the AoI. Only one layer's (width, targets) mass
+    is held at a time, and the branches of at most ``_CHUNK`` states at a
+    time are laid out as bins.
 
-    ``averages`` returns None where the chain may have another recurrent
-    class than the one through the targets, so that power iteration's law is
-    not determined by them, or where a solve fails: a cap-layer state that
-    can never deliver (a policy that never transmits, an absorbing bad
-    state), targets with several closed classes, a cap-layer cycle core
-    wider than ``_CORE_WIDTH``, or a zero or non-finite pivot.
+    None where the chain may have another recurrent class than the one
+    through the targets, so that power iteration's law is not determined by
+    them, or where a solve fails: an entered cap-layer state that can never
+    deliver (a policy that never transmits, an absorbing bad state), targets
+    with several closed classes, a cap-layer cycle core wider than
+    ``_CORE_WIDTH``, or a zero or non-finite pivot.
     """
+    states, succ, prob = _entered(kern, actions)
+    delta, acts, m = kern.delta[states], actions[states], len(states)
+    # the layers in ascending AoI, each state's position in its layer
+    order = np.argsort(delta, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(delta[order]) != 0.0])
+    widths = np.diff(np.r_[starts, m])
+    values = delta[order[starts]]
+    pos = np.empty(m, dtype=np.int64)
+    pos[order] = np.arange(m) - np.repeat(starts, widths)
+    # a branch that does not grow the AoI delivers to a target
+    grown = np.minimum(delta + 1.0, kern.delta.max())[:, None]
+    delivers = (prob > 0.0) & (delta[succ] != grown)
+    target = np.zeros(m, dtype=bool)
+    target[succ[delivers]] = True
+    targets = np.flatnonzero(target)
+    T, last = len(targets), len(values) - 1
+    if not T:
+        return None
+    # the width of the layer each layer grows into; the cap grows into itself
+    next_widths = widths[1:].tolist() + [int(widths[-1])]
+    starts = starts.tolist() + [m]
+    inject: dict[int, list[tuple[int, int]]] = {}
+    for j, t in enumerate(targets):
+        layer = int(np.searchsorted(values, delta[t]))
+        inject.setdefault(layer, []).append((int(pos[t]), j))
 
-    def __init__(self, kern: CompiledKernel):
-        self.kern = kern
-        delta = kern.delta
-        self.order = np.lexsort((delta,))
-        cut = np.flatnonzero(np.diff(delta[self.order])) + 1
-        starts = np.r_[0, cut]
-        self.widths = np.diff(np.r_[starts, kern.n])
-        # the width of the layer each layer grows into; the cap grows into itself
-        self.next_widths = np.r_[self.widths[1:], self.widths[-1]]
-        self.starts = starts.tolist() + [kern.n]
-        self.values = delta[self.order[starts]]
-        self.cap = self.values[-1]
-        self.pos = np.empty(kern.n, dtype=np.int64)
-        self.pos[self.order] = np.arange(kern.n) - np.repeat(starts, self.widths)
-        # any successor that does not grow the AoI is a delivery target
-        grown, target = np.minimum(delta + 1.0, self.cap), np.zeros(kern.n, dtype=bool)
-        for succ, prob in zip(kern.succ, kern.prob):
-            target[succ[(prob > 0.0) & (delta[succ] != grown)]] = True
-        self.targets = np.flatnonzero(target)
-        self.usable = len(self.targets) > 0 and np.array_equal(
-            self.values, np.arange(self.values[0], self.cap + 1.0)
-        )
-        # runs of whole layers below the cap, each of at most _CHUNK states
-        self.chunks, first = [], 0
-        for layer in range(1, len(self.values)):
-            if layer == len(self.values) - 1 or self.starts[layer + 1] - self.starts[first] > _CHUNK:
-                self.chunks.append((first, layer))
-                first = layer
+    def branches(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The branches at layers [first, stop), as (state, branch) arrays
+        of weight and destination, states in layer order. A branch's
+        destination is its growth successor's position in the next layer,
+        or past that layer's width the target it delivers to. Three
+        branches follow that only count, into the bins after the
+        targets', each state's mass, AoI times mass and transmitting
+        mass."""
+        at = order[starts[first] : starts[stop]]
+        to, p = succ[at], prob[at]
+        next_width = np.repeat(next_widths[first:stop], widths[first:stop])[:, None]
+        target = np.searchsorted(targets, to).clip(max=T - 1)
+        to = np.where(delivers[at], next_width + target, pos[to])
+        width = p.shape[1]
+        weight, dest = np.zeros((len(at), width + 3)), np.zeros((len(at), width + 3), dtype=np.int64)
+        weight[:, :width], dest[:, :width] = p, np.where(p > 0.0, to, 0)
+        weight[:, width], weight[:, width + 1], weight[:, width + 2] = 1.0, delta[at], acts[at]
+        dest[:, width:] = next_width + np.arange(T, T + 3)
+        return weight, dest
 
-    def _branches(self, acts: np.ndarray, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The policy's branches at layers [first, stop), as (state, branch)
-        arrays of weight and destination, states in layer order. A branch's
-        destination is its growth successor's position in the next layer, or
-        past that layer's width the target it delivers to. Three branches
-        follow that only count, into the bins after the targets', each
-        state's mass, AoI times mass and transmitting mass."""
-        kern, T = self.kern, len(self.targets)
-        lo, hi = self.starts[first], self.starts[stop]
-        blocks = (kern.rows(0), kern.rows(1))
-        width = max(rows.stop - rows.start for rows in blocks)
-        prob = np.zeros((hi - lo, width + 3))
-        dest = np.zeros(prob.shape, dtype=np.int64)
-        next_width = np.repeat(self.next_widths[first:stop], self.widths[first:stop])
-        for u, rows in enumerate(blocks):
-            at = np.flatnonzero(acts[lo:hi] == u)
-            src = self.order[lo + at]
-            grown = np.minimum(kern.delta[src] + 1.0, self.cap)
-            for b, r in enumerate(range(rows.start, rows.stop)):
-                succ, p = kern.succ[r, src], kern.prob[r, src]
-                target = np.searchsorted(self.targets, succ).clip(max=T - 1)
-                to = np.where(kern.delta[succ] == grown, self.pos[succ], next_width[at] + target)
-                prob[at, b], dest[at, b] = p, np.where(p > 0.0, to, 0)
-        prob[:, width], prob[:, width + 1], prob[:, width + 2] = 1.0, kern.delta[self.order[lo:hi]], acts[lo:hi]
-        dest[:, width:] = next_width[:, None] + np.arange(T, T + 3)
-        return prob, dest
-
-    def averages(self, actions: np.ndarray) -> tuple[float, float] | None:
-        """(average AoI, average energy) of an admissible action table, or None."""
-        if not self.usable:
-            return None
-        T, last = len(self.targets), len(self.values) - 1
-        acts = actions[self.order]
-        inject: dict[int, list[tuple[int, int]]] = {}
-        for j, t in enumerate(self.targets):
-            layer = int(np.searchsorted(self.values, self.kern.delta[t]))
-            inject.setdefault(layer, []).append((int(self.pos[t]), j))
-        columns = np.arange(T)
-        # per unit inflow at each target (columns): the deliveries into each
-        # target, then the mass, AoI times mass and transmitting mass
-        totals = np.zeros((T + 3) * T)
-        M = np.zeros((int(self.widths[0]), T))
-        next_widths = self.next_widths.tolist()
-        for first, stop in self.chunks + [(last, last + 1)]:
-            prob, dest = self._branches(acts, first, stop)
-            # the bin of each (state, branch, column) triple
-            bins = dest[:, :, None] * T + columns
-            for layer in range(first, stop):
-                for i, j in inject.get(layer, ()):
-                    M[i, j] += 1.0
-                if layer == last:
-                    M = _cap_mass(prob[:, :-3], dest[:, :-3], M)
-                    if M is None:
-                        return None
-                s, e = self.starts[layer] - self.starts[first], self.starts[layer + 1] - self.starts[first]
-                w_next = next_widths[layer]
-                out = np.bincount(
-                    bins[s:e].ravel(), (prob[s:e, :, None] * M[:, None, :]).ravel(),
-                    minlength=(w_next + T + 3) * T,
-                )
-                totals += out[w_next * T :]
-                M = out[: w_next * T].reshape(w_next, T)
-        sums = totals.reshape(T + 3, T)
-        # rates[j, t]: deliveries into target t per unit inflow at target j
-        rates = sums[:T].T
-        closure = (rates > 0.0) | np.eye(T, dtype=bool)
-        for _ in range(T):
-            closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
-        if not closure.all(axis=0).any():
-            return None
-        system = (rates - np.eye(T)).T
-        system[-1] = sums[T]
-        x = _eliminate(system, np.eye(T)[:, -1:])
-        if x is None:
-            return None
-        found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
-        return found if np.isfinite(found).all() else None
+    # runs of whole layers below the cap, each of at most _CHUNK states
+    chunks, first = [], 0
+    for layer in range(1, last + 1):
+        if layer == last or starts[layer + 1] - starts[first] > _CHUNK:
+            chunks.append((first, layer))
+            first = layer
+    columns = np.arange(T)
+    # per unit inflow at each target (columns): the deliveries into each
+    # target, then the mass, AoI times mass and transmitting mass
+    totals = np.zeros((T + 3) * T)
+    M = np.zeros((int(widths[0]), T))
+    for first, stop in chunks + [(last, last + 1)]:
+        weight, dest = branches(first, stop)
+        # the bin of each (state, branch, column) triple
+        bins = dest[:, :, None] * T + columns
+        for layer in range(first, stop):
+            for i, j in inject.get(layer, ()):
+                M[i, j] += 1.0
+            if layer == last:
+                M = _cap_mass(weight[:, :-3], dest[:, :-3], M)
+                if M is None:
+                    return None
+            s, e = starts[layer] - starts[first], starts[layer + 1] - starts[first]
+            w_next = next_widths[layer]
+            out = np.bincount(
+                bins[s:e].ravel(), (weight[s:e, :, None] * M[:, None, :]).ravel(),
+                minlength=(w_next + T + 3) * T,
+            )
+            totals += out[w_next * T :]
+            M = out[: w_next * T].reshape(w_next, T)
+    sums = totals.reshape(T + 3, T)
+    # rates[j, t]: deliveries into target t per unit inflow at target j
+    rates = sums[:T].T
+    closure = (rates > 0.0) | np.eye(T, dtype=bool)
+    for _ in range(T):
+        closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
+    if not closure.all(axis=0).any():
+        return None
+    system = (rates - np.eye(T)).T
+    system[-1] = sums[T]
+    x = _eliminate(system, np.eye(T)[:, -1:])
+    if x is None:
+        return None
+    found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
+    return found if np.isfinite(found).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +931,7 @@ def bisect_lambda(
         report = rvi_plain(space, kern, lam, eps=eps, h_init=None if warm is None else warm.bias)
         key = np.packbits(report.policy.actions).tobytes()
         if key not in exact:
-            found = _AoiLayers(kern).averages(report.policy.actions)
+            found = _aoi_averages(kern, report.policy.actions)
             exact[key] = None if found is None else found[1]
         fits, over = [], []
         for b in group:
@@ -983,31 +1030,46 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     successor is moved by the boundary clamp. Those symbols are left out of
     the pattern check and the cutoff, mirroring the interior-state scoping of
     the value-function checks; the exact action table is kept regardless.
+
+    The states of a group are contiguous in the space's (k, delta, sym)
+    order, and its beliefs are distinct, so one pass of reductions over the
+    groups finds each group's lowest transmitting and highest suspending
+    interior belief by the symbols' ranks in ascending belief, without
+    sorting the states: the group is of threshold type unless the second
+    lies above the first.
     """
     acts = _checked_actions(space.n, actions)
-    thresholds: dict[tuple[int, int], float] = {}
-    omega = space.omega
-    uncapped = space.steps < space.bound.cap
-    for idxs in _cutoff_runs(space):
-        delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
-        if delta < space.frame.K:
-            if np.any(acts[idxs] == 1):
-                raise ThresholdStructureError(
-                    f"policy transmits at inadmissible (delta={delta}, k={k})"
-                )
-            continue
-        interior = idxs[uncapped[idxs]]
-        pattern = acts[interior]
-        switches = np.flatnonzero(np.diff(pattern.astype(np.int8)))
-        if pattern.max(initial=0) == 1 and (len(switches) > 1 or pattern[-1] == 0):
-            raise ThresholdStructureError(
-                f"actions at (delta={delta}, k={k}) are not of threshold type: "
-                f"{pattern.tolist()} along ascending beliefs"
-            )
-        first = np.flatnonzero(pattern)
-        thresholds[(delta, k)] = float(omega[interior[first[0]]]) if len(first) else np.inf
+    beliefs, K = space.beliefs, space.frame.K
+    ascending = np.argsort(beliefs.value, kind="stable")
+    rank = np.empty(len(ascending), dtype=np.int32)
+    rank[ascending] = np.arange(len(ascending))
+    # the groups in ascending (k, delta) order, by their first states
+    starts = np.flatnonzero(np.r_[True, (np.diff(space.k) != 0) | (np.diff(space.delta) != 0)])
+    interior = (beliefs.steps < space.bound.cap)[space.sym]
+    ranks = rank[space.sym]
+    # a belief rank past every symbol's where none transmits, below every
+    # symbol's where none suspends
+    lowest = np.minimum.reduceat(np.where(interior & (acts == 1), ranks, len(rank)), starts)
+    highest = np.maximum.reduceat(np.where(interior & (acts == 0), ranks, -1), starts)
+    deltas, ks = space.delta[starts], space.k[starts]
+    barred = deltas < K
+    wrong = np.where(barred, np.maximum.reduceat(acts, starts) == 1, highest > lowest)
+    if wrong.any():
+        g = int(np.argmax(wrong))
+        delta, k = int(deltas[g]), int(ks[g])
+        if barred[g]:
+            raise ThresholdStructureError(f"policy transmits at inadmissible (delta={delta}, k={k})")
+        group = np.arange(starts[g], np.r_[starts, space.n][g + 1])
+        group = group[interior[group]]
+        pattern = acts[group[np.argsort(ranks[group])]]
+        raise ThresholdStructureError(
+            f"actions at (delta={delta}, k={k}) are not of threshold type: "
+            f"{pattern.tolist()} along ascending beliefs"
+        )
+    cutoffs = np.r_[beliefs.value[ascending], np.inf][lowest[~barred]]
+    thresholds = dict(zip(zip(deltas[~barred].tolist(), ks[~barred].tolist()), cutoffs.tolist()))
     return ThresholdPolicyBelief(
-        frame_k=space.frame.K, cap=space.bound.cap, thresholds=thresholds, actions=acts
+        frame_k=K, cap=space.bound.cap, thresholds=thresholds, actions=acts
     )
 
 

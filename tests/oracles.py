@@ -13,7 +13,13 @@ wrong rule in the runtime cannot pass a comparison with its oracle:
   recurrent classes, by dense linear algebra;
 * ``enumerate_and_evaluate`` and ``enumerate_threshold_optimum``: the exact
   optimum over every deterministic admissible policy, or over every cutoff
-  rule, with the cutoff groups built state by state.
+  rule, with the cutoff groups built state by state;
+* ``power_iteration_full`` and ``FullKernelLayers``: the two policy
+  evaluators over every state of the space, where the runtime's work only on
+  the states a policy enters. The layering borrows the runtime's cap-layer
+  solve and elimination, since what it checks is the restriction;
+* ``threshold_belief_by_group``: the belief cutoffs of a no-sensing policy,
+  one (delta, k) group at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from aoisched.channel import ChannelModel, belief_table
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, StateDelayed, StateNoSensing, TruncationBound
-from aoisched.solver import TabularPolicy
+from aoisched.solver import _CHUNK, TabularPolicy, ThresholdStructureError, _cap_mass, _eliminate
 
 
 class CapExceededError(ValueError):
@@ -306,3 +312,172 @@ def enumerate_threshold_optimum(
         if gain < best_gain - 1e-15:
             best_gain, best_actions = gain, actions
     return best_gain, TabularPolicy(space, best_actions)
+
+
+# ---------------------------------------------------------------------------
+# policy evaluation over the whole space
+
+
+def power_iteration_full(kern: CompiledKernel, actions: np.ndarray, tol: float, rounds: int) -> np.ndarray:
+    """Stationary law of a deterministic policy by damped (half lazy) power
+    iteration from the uniform law over every state of the space, to an L1
+    residual of ``tol``; ``RuntimeError`` after ``rounds`` rounds. Each round
+    adds every state's mass branch by branch, states in index order."""
+    n = kern.n
+    blocks = [kern.rows(u) for u in (0, 1)]
+    width = max(rows.stop - rows.start for rows in blocks)
+    succ, prob = np.zeros((n, width), dtype=np.int64), np.zeros((width, n))
+    for u, rows in enumerate(blocks):
+        at, m = actions == u, rows.stop - rows.start
+        succ[at, :m] = kern.succ[rows, at].T
+        prob[:m, at] = kern.prob[rows, at]
+    flat_succ = succ.ravel()
+    pi, pi_new = np.full(n, 1.0 / n), np.empty(n)
+    weights = np.empty((n, width))
+    for _ in range(rounds):
+        np.multiply(pi, prob, out=weights.T)
+        pushed = np.bincount(flat_succ, weights=weights.ravel(), minlength=n)
+        np.multiply(0.5, pi, out=pi_new)
+        np.multiply(0.5, pushed, out=pushed)
+        np.add(pi_new, pushed, out=pi_new)
+        np.subtract(pi_new, pi, out=pushed)
+        residual = float(np.abs(pushed, out=pushed).sum())
+        pi, pi_new = pi_new, pi
+        if residual <= tol:
+            return pi
+    raise RuntimeError(f"power iteration residual {residual} above {tol} after {rounds} rounds")
+
+
+class FullKernelLayers:
+    """Exact long-run averages of deterministic policies by AoI layers, laid
+    out over every state of the kernel: the targets are the successors of
+    either action that do not grow the AoI, and every state's branches are
+    pushed, whether the policy enters it or not."""
+
+    def __init__(self, kern: CompiledKernel):
+        self.kern = kern
+        delta = kern.delta
+        self.order = np.lexsort((delta,))
+        cut = np.flatnonzero(np.diff(delta[self.order])) + 1
+        starts = np.r_[0, cut]
+        self.widths = np.diff(np.r_[starts, kern.n])
+        self.next_widths = np.r_[self.widths[1:], self.widths[-1]]
+        self.starts = starts.tolist() + [kern.n]
+        self.values = delta[self.order[starts]]
+        self.cap = self.values[-1]
+        self.pos = np.empty(kern.n, dtype=np.int64)
+        self.pos[self.order] = np.arange(kern.n) - np.repeat(starts, self.widths)
+        grown, target = np.minimum(delta + 1.0, self.cap), np.zeros(kern.n, dtype=bool)
+        for succ, prob in zip(kern.succ, kern.prob):
+            target[succ[(prob > 0.0) & (delta[succ] != grown)]] = True
+        self.targets = np.flatnonzero(target)
+        self.usable = len(self.targets) > 0 and np.array_equal(
+            self.values, np.arange(self.values[0], self.cap + 1.0)
+        )
+        self.chunks, first = [], 0
+        for layer in range(1, len(self.values)):
+            if layer == len(self.values) - 1 or self.starts[layer + 1] - self.starts[first] > _CHUNK:
+                self.chunks.append((first, layer))
+                first = layer
+
+    def _branches(self, acts, first, stop):
+        kern, T = self.kern, len(self.targets)
+        lo, hi = self.starts[first], self.starts[stop]
+        blocks = (kern.rows(0), kern.rows(1))
+        width = max(rows.stop - rows.start for rows in blocks)
+        prob = np.zeros((hi - lo, width + 3))
+        dest = np.zeros(prob.shape, dtype=np.int64)
+        next_width = np.repeat(self.next_widths[first:stop], self.widths[first:stop])
+        for u, rows in enumerate(blocks):
+            at = np.flatnonzero(acts[lo:hi] == u)
+            src = self.order[lo + at]
+            grown = np.minimum(kern.delta[src] + 1.0, self.cap)
+            for b, r in enumerate(range(rows.start, rows.stop)):
+                succ, p = kern.succ[r, src], kern.prob[r, src]
+                target = np.searchsorted(self.targets, succ).clip(max=T - 1)
+                to = np.where(kern.delta[succ] == grown, self.pos[succ], next_width[at] + target)
+                prob[at, b], dest[at, b] = p, np.where(p > 0.0, to, 0)
+        prob[:, width], prob[:, width + 1], prob[:, width + 2] = 1.0, kern.delta[self.order[lo:hi]], acts[lo:hi]
+        dest[:, width:] = next_width[:, None] + np.arange(T, T + 3)
+        return prob, dest
+
+    def averages(self, actions):
+        if not self.usable:
+            return None
+        T, last = len(self.targets), len(self.values) - 1
+        acts = actions[self.order]
+        inject: dict[int, list[tuple[int, int]]] = {}
+        for j, t in enumerate(self.targets):
+            layer = int(np.searchsorted(self.values, self.kern.delta[t]))
+            inject.setdefault(layer, []).append((int(self.pos[t]), j))
+        columns = np.arange(T)
+        totals = np.zeros((T + 3) * T)
+        M = np.zeros((int(self.widths[0]), T))
+        next_widths = self.next_widths.tolist()
+        for first, stop in self.chunks + [(last, last + 1)]:
+            prob, dest = self._branches(acts, first, stop)
+            bins = dest[:, :, None] * T + columns
+            for layer in range(first, stop):
+                for i, j in inject.get(layer, ()):
+                    M[i, j] += 1.0
+                if layer == last:
+                    M = _cap_mass(prob[:, :-3], dest[:, :-3], M)
+                    if M is None:
+                        return None
+                s, e = self.starts[layer] - self.starts[first], self.starts[layer + 1] - self.starts[first]
+                w_next = next_widths[layer]
+                out = np.bincount(
+                    bins[s:e].ravel(), (prob[s:e, :, None] * M[:, None, :]).ravel(),
+                    minlength=(w_next + T + 3) * T,
+                )
+                totals += out[w_next * T :]
+                M = out[: w_next * T].reshape(w_next, T)
+        sums = totals.reshape(T + 3, T)
+        rates = sums[:T].T
+        closure = (rates > 0.0) | np.eye(T, dtype=bool)
+        for _ in range(T):
+            closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
+        if not closure.all(axis=0).any():
+            return None
+        system = (rates - np.eye(T)).T
+        system[-1] = sums[T]
+        x = _eliminate(system, np.eye(T)[:, -1:])
+        if x is None:
+            return None
+        found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
+        return found if np.isfinite(found).all() else None
+
+
+# ---------------------------------------------------------------------------
+# threshold extraction
+
+
+def threshold_belief_by_group(space, actions: np.ndarray) -> dict[tuple[int, int], float]:
+    """The belief cutoffs of a no-sensing action table, keyed (delta, k) in
+    ascending (k, delta) order, one group at a time along ascending beliefs.
+    A group below the frame length must not transmit; above it, the actions
+    at beliefs short of the step cap must switch from 0 to 1 at most once
+    and end in 1 if they transmit at all. ``ThresholdStructureError`` names
+    the first group that breaks its rule."""
+    thresholds: dict[tuple[int, int], float] = {}
+    omega = space.omega
+    uncapped = space.steps < space.bound.cap
+    for idxs in cutoff_groups(space):
+        delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
+        if delta < space.frame.K:
+            if np.any(actions[idxs] == 1):
+                raise ThresholdStructureError(
+                    f"policy transmits at inadmissible (delta={delta}, k={k})"
+                )
+            continue
+        interior = idxs[uncapped[idxs]]
+        pattern = actions[interior]
+        switches = np.flatnonzero(np.diff(pattern.astype(np.int8)))
+        if pattern.max(initial=0) == 1 and (len(switches) > 1 or pattern[-1] == 0):
+            raise ThresholdStructureError(
+                f"actions at (delta={delta}, k={k}) are not of threshold type: "
+                f"{pattern.tolist()} along ascending beliefs"
+            )
+        first = np.flatnonzero(pattern)
+        thresholds[(delta, k)] = float(omega[interior[first[0]]]) if len(first) else np.inf
+    return thresholds

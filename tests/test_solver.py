@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
@@ -8,8 +9,9 @@ from aoisched.channel import ChannelModel
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, TruncationBound, build_case
 from aoisched import solver
 from aoisched.solver import (
-    _AoiLayers,
+    _aoi_averages,
     _Bellman,
+    _entered,
     NonConvergenceError,
     ThresholdStructureError,
     bisect_lambda,
@@ -27,9 +29,13 @@ from aoisched.solver import (
 )
 from oracles import (
     CapExceededError,
+    FullKernelLayers,
+    cutoff_groups,
     enumerate_and_evaluate,
     enumerate_threshold_optimum,
     exact_average_cost,
+    power_iteration_full,
+    threshold_belief_by_group,
 )
 
 
@@ -186,23 +192,23 @@ THRESHOLD_SOLVER = {NS: rvi_threshold_no_sensing, DS: rvi_threshold_delayed}
 # identically, so there the tie break shows; N=200 at lam=400 is a price
 # the low-budget searches reach.
 BYTE_PINS = {
-    (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "71d84ab14c99b0c6"),
-    (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "71d84ab14c99b0c6"),
-    (3, 0.7, 0.3, 2.0, NS, 40, "suspend"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "4437e9535bdf33b6"),
-    (3, 0.7, 0.3, 2.0, NS, 40, "transmit"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "4437e9535bdf33b6"),
-    (3, 0.7, 0.3, 2.0, DS, 12, "suspend"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "c04d7c2da9af6996"),
-    (3, 0.7, 0.3, 2.0, DS, 12, "transmit"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "c04d7c2da9af6996"),
-    (3, 0.7, 0.3, 2.0, DS, 40, "suspend"): (90, "107462d075aae706", "d845105a432bc03b", "a797f8c602b42540"),
-    (3, 0.7, 0.3, 2.0, DS, 40, "transmit"): (90, "107462d075aae706", "d845105a432bc03b", "a797f8c602b42540"),
-    (2, 0.6, 0.0, 0.0, NS, 12, "suspend"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "433f68181e319dc3"),
-    (2, 0.6, 0.0, 0.0, NS, 12, "transmit"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "433f68181e319dc3"),
-    (2, 0.6, 0.0, 0.0, NS, 40, "suspend"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "0f82d13eacaf019b"),
-    (2, 0.6, 0.0, 0.0, NS, 40, "transmit"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "cdff137f2061328d"),
-    (2, 0.6, 0.0, 0.0, DS, 12, "suspend"): (86, "33f6693494410471", "f51a9e002fe42096", "c915332f048696cc"),
-    (2, 0.6, 0.0, 0.0, DS, 12, "transmit"): (86, "33f6693494410471", "f51a9e002fe42096", "c915332f048696cc"),
-    (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "c01012c0cea5a56e", "866cb544d20c58dd"),
-    (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "c01012c0cea5a56e", "866cb544d20c58dd"),
-    (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "e2ab4fa0e09d7ef5", "99000dcac7dac46e"),
+    (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
+    (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "suspend"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "bef53718238faba0"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "transmit"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "bef53718238faba0"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "suspend"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "0da5b216b375f53a"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "transmit"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "0da5b216b375f53a"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "suspend"): (90, "107462d075aae706", "d845105a432bc03b", "c2904278c8aa501f"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "transmit"): (90, "107462d075aae706", "d845105a432bc03b", "c2904278c8aa501f"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "suspend"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "3dafced5d6dc60f3"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "transmit"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "3dafced5d6dc60f3"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "suspend"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "b3c775089586fb0e"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "transmit"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "243cb8e8d39a55d3"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "suspend"): (86, "33f6693494410471", "f51a9e002fe42096", "11b30921d9de1c5b"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "transmit"): (86, "33f6693494410471", "f51a9e002fe42096", "11b30921d9de1c5b"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
+    (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "e2ab4fa0e09d7ef5", "351ca91e94e921ec"),
 }
 
 
@@ -486,13 +492,12 @@ class TestExactEvaluation:
         compared = 0
         for N in (K + 1, 12, 20) if case is DS else (K + 1, 12):
             space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
-            layers = _AoiLayers(kern)
             for lam in (0.0, 0.5, 2.0, 10.0):
                 actions = rvi_plain(space, kern, lam).policy.actions
                 chain, start = dense_chain(kern, actions), kern.reference_index
                 aoi = exact_average_cost(chain, kern.delta, start)
                 energy = exact_average_cost(chain, actions.astype(float), start)
-                found = layers.averages(actions)
+                found = _aoi_averages(kern, actions)
                 if found is None:
                     # only a chain that stops delivering is left to power iteration
                     assert energy == pytest.approx(0.0, abs=1e-12)
@@ -507,7 +512,7 @@ class TestExactEvaluation:
     def test_matches_power_iteration(self, case, N, lam):
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(N))
         actions = rvi_plain(space, kern, lam).policy.actions
-        aoi, energy = _AoiLayers(kern).averages(actions)
+        aoi, energy = _aoi_averages(kern, actions)
         law = stationary_distribution(kern, actions)
         assert aoi == pytest.approx(law @ kern.delta, rel=1e-7, abs=0.0)
         assert energy == pytest.approx(law @ actions, rel=1e-7, abs=0.0)
@@ -515,31 +520,29 @@ class TestExactEvaluation:
     @pytest.mark.parametrize("case", [NS, DS])
     def test_never_transmitting_falls_back(self, case):
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
-        assert _AoiLayers(kern).averages(np.zeros(kern.n, dtype=np.int8)) is None
+        assert _aoi_averages(kern, np.zeros(kern.n, dtype=np.int8)) is None
 
     @pytest.mark.parametrize("case", [NS, DS])
     def test_closed_class_at_the_cap_falls_back(self, case):
         # suspending throughout the cap layer keeps the AoI there for good
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
         actions = rvi_plain(space, kern, 1.0).policy.actions
-        layers = _AoiLayers(kern)
-        assert layers.averages(actions) is not None
+        assert _aoi_averages(kern, actions) is not None
         actions[space.delta == 12] = 0
-        assert layers.averages(actions) is None
+        assert _aoi_averages(kern, actions) is None
 
     @pytest.mark.parametrize("case", [NS, DS])
     def test_absorbing_bad_state_falls_back(self, case):
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.6, 0.0), TruncationBound(12))
-        layers = _AoiLayers(kern)
         for lam in (0.0, 1.0):
-            assert layers.averages(rvi_plain(space, kern, lam).policy.actions) is None
+            assert _aoi_averages(kern, rvi_plain(space, kern, lam).policy.actions) is None
 
     @pytest.mark.parametrize("N", [12, 17])
     def test_targets_in_two_closed_classes_fall_back(self, N):
         # at N=17 the delivery rates miss 0 and 1 by rounding, so the
         # fixed point's pivots alone would not show the two classes
         space, kern, actions = two_target_classes(N)
-        assert _AoiLayers(kern).averages(actions) is None
+        assert _aoi_averages(kern, actions) is None
         # the targets after deliveries in slots 2 and 1 are recurrent in
         # different classes, whose average AoI differ
         chain = dense_chain(kern, actions)
@@ -554,12 +557,12 @@ class TestExactEvaluation:
         actions = rvi_plain(space, kern, 1.0).policy.actions
         assert np.count_nonzero(space.delta == 12) > 16
         monkeypatch.setattr(solver, "_CORE_WIDTH", 8)
-        assert _AoiLayers(kern).averages(actions) is not None
+        assert _aoi_averages(kern, actions) is not None
         monkeypatch.setattr(solver, "_CORE_WIDTH", 0)
-        assert _AoiLayers(kern).averages(actions) is None
+        assert _aoi_averages(kern, actions) is None
 
     def test_single_state_kernel_has_no_delivery(self):
-        assert _AoiLayers(single_state_kernel(2.0)).averages(np.ones(1, np.int8)) is None
+        assert _aoi_averages(single_state_kernel(2.0), np.ones(1, np.int8)) is None
 
     def test_fallback_decisions_carry_power_iteration_energy(self, monkeypatch):
         # on an absorbing bad state no policy delivers in the long run, so
@@ -578,6 +581,98 @@ class TestExactEvaluation:
         assert [step.energy for step in mix.steps] == [
             policy_averages(kern, report.policy)[1] for report in reports
         ]
+
+
+def random_admissible(rng, kern, n_tables):
+    """Action tables that transmit at a random share of the admissible states."""
+    return [(rng.random(kern.n) < rng.random()) & kern.admissible for _ in range(n_tables)]
+
+
+def whole_space_law(kern, actions):
+    return power_iteration_full(kern, actions, solver._POWER_TOL, solver._POWER_ROUNDS)
+
+
+class TestEnteredStates:
+    def assert_law_matches_the_whole_space_loop(self, kern, actions):
+        law, want = stationary_distribution(kern, actions), whole_space_law(kern, actions)
+        never = np.ones(kern.n, dtype=bool)
+        never[_entered(kern, actions)[0]] = False
+        # bit-equal never-entered entries halve once per round, so both
+        # loops stopped on the same round
+        assert np.array_equal(law[never], want[never])
+        np.testing.assert_allclose(law[~never], want[~never], rtol=1e-12, atol=0.0)
+        return law, never
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_power_iteration_matches_the_whole_space_loop(self, case, K):
+        rng = np.random.default_rng(K)
+        for (p11, p01), N in itertools.product([(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)], (K + 1, 12, 20)):
+            space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+            for actions in random_admissible(rng, kern, 3):
+                self.assert_law_matches_the_whole_space_loop(kern, actions.astype(np.int8))
+
+    def test_power_iteration_matches_past_the_underflow(self):
+        # the pinned N=200 solve at price 400: its law needs more rounds than
+        # halving 1/n takes to reach 0
+        space, kern = build_case(NS, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200))
+        law, never = self.assert_law_matches_the_whole_space_loop(
+            kern, rvi_plain(space, kern, 400.0).policy.actions
+        )
+        assert never.sum() > kern.n // 2 and not law[never].any()
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_never_transmitting_enters_the_suspension_successors(self, case):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        actions = np.zeros(kern.n, dtype=np.int8)
+        states, succ, prob = _entered(kern, actions)
+        rows = kern.rows(0)
+        moves = kern.prob[rows] > 0.0
+        assert states.tolist() == sorted(set(kern.succ[rows][moves].tolist()))
+        m = rows.stop - rows.start
+        assert not prob[:, m:].any()
+        assert np.array_equal(prob[:, :m].T, kern.prob[rows][:, states])
+        reached = np.where(prob[:, :m] > 0.0, states[succ[:, :m]], -1)
+        assert np.array_equal(reached.T, np.where(moves, kern.succ[rows], -1)[:, states])
+        self.assert_law_matches_the_whole_space_loop(kern, actions)
+
+    def test_entering_every_state_is_the_whole_space_loop(self):
+        # three states in a cycle under suspension; transmission at the last
+        # returns to the first as well
+        kern = CompiledKernel(
+            succ=np.array([[1, 2, 0], [0, 0, 0]]),
+            prob=np.ones((2, 3)),
+            pairs=((0, 0), (1, 0)),
+            admissible=np.ones(3, dtype=bool),
+            delta=np.array([1.0, 2.0, 3.0]),
+            reference_index=0,
+        )
+        for actions in ([0, 0, 0], [0, 0, 1]):
+            actions = np.array(actions, dtype=np.int8)
+            states, succ, _prob = _entered(kern, actions)
+            assert states.tolist() == [0, 1, 2] and succ[:, 0].tolist() == [1, 2, 0]
+            assert np.array_equal(stationary_distribution(kern, actions), whole_space_law(kern, actions))
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_layers_on_the_entered_states_match_the_whole_kernel(self, case, K):
+        rng = np.random.default_rng(10 + K)
+        compared = fallbacks = 0
+        for (p11, p01), N in itertools.product([(0.7, 0.3), (0.9, 0.2), (0.6, 0.0), (0.5, 0.5)], (K + 1, 12, 20)):
+            space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+            tables = random_admissible(rng, kern, 4)
+            tables += [rvi_plain(space, kern, lam).policy.actions for lam in (0.0, 2.0, 20.0)]
+            tables.append(np.zeros(kern.n, dtype=np.int8))
+            for actions in tables:
+                actions = actions.astype(np.int8)
+                found, want = _aoi_averages(kern, actions), FullKernelLayers(kern).averages(actions)
+                assert (found is None) == (want is None)
+                if found is None:
+                    fallbacks += 1
+                    continue
+                compared += 1
+                assert found == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert compared > 20 and fallbacks > 5
 
 
 class TestOracle:
@@ -675,23 +770,23 @@ class TestBisection:
         # the exact evaluator sees each distinct table once; power iteration
         # runs once per reported component or decision the margin hands it
         tables, exact, powered = [], [], []
-        exact_averages = _AoiLayers.averages
+        exact_averages = solver._aoi_averages
 
         def recording_rvi(*args, **kwargs):
             report = rvi_plain(*args, **kwargs)
             tables.append(report.policy.actions.tobytes())
             return report
 
-        def recording_exact(layers, actions):
+        def recording_exact(kern, actions):
             exact.append(actions.tobytes())
-            return exact_averages(layers, actions)
+            return exact_averages(kern, actions)
 
         def counting_averages(kern, policy):
             powered.append(policy.actions.tobytes())
             return policy_averages(kern, policy)
 
         monkeypatch.setattr("aoisched.solver.rvi_plain", recording_rvi)
-        monkeypatch.setattr(_AoiLayers, "averages", recording_exact)
+        monkeypatch.setattr(solver, "_aoi_averages", recording_exact)
         monkeypatch.setattr("aoisched.solver.policy_averages", counting_averages)
         frame, ch, bound = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(40)
         [mix] = bisect_lambda(Case.NO_SENSING, frame, ch, bound, (0.3,), eps=1e-7)
@@ -720,11 +815,10 @@ class TestBisection:
         frame, ch, bound, e_max = FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(30), 0.2
         [mix] = bisect_lambda(case, frame, ch, bound, (e_max,))
         _space, kern = build_case(case, frame, ch, bound)
-        layers = _AoiLayers(kern)
         assert len(mix.steps) == len(reports) > 2
         for step, (lam, report) in zip(mix.steps, reports):
             assert (step.lam, step.sweeps) == (lam, report.iterations)
-            exact = layers.averages(report.policy.actions)
+            exact = _aoi_averages(kern, report.policy.actions)
             if step.evaluator == "exact":
                 assert step.energy == exact[1]
                 assert abs(step.energy - e_max) > solver._EXACT_MARGIN
@@ -785,45 +879,45 @@ SEARCH_PINS = {
         "0x1.6c16c171cbaeep-5", "0x1.e41a41f27e4b5p+3", "0x1.f8e38e2f1e748p+3", "4031d73dfa248f39",
     ),
     (NS, 0.7, 0.3, 20, 0.3): (
-        "0x1.9856b4f5fba28p-3", "0x1.18a9800000000p+3", "0x1.18aa000000000p+3", "0x1.819201a3cb5d0p-2",
-        "0x1.1faeca37e6a68p-2", "0x1.228659bbb3842p+2", "0x1.582f0ee1237a8p+2", "808ef4b4e0377f8e",
+        "0x1.9856b4f5fb9e5p-3", "0x1.18a9800000000p+3", "0x1.18aa000000000p+3", "0x1.819201a3cb5d4p-2",
+        "0x1.1faeca37e6a6bp-2", "0x1.228659bbb3846p+2", "0x1.582f0ee1237acp+2", "808ef4b4e0377f8e",
     ),
     (NS, 0.7, 0.3, 20, 0.6): (
-        "0x1.89a8626a18a55p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbaep-1",
-        "0x1.16d07e212b860p-1", "0x1.d4f896bd2ad62p+1", "0x1.e58b1e5cec1dfp+1", "736def560e4f2740",
+        "0x1.89a8626a189d0p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbb8p-1",
+        "0x1.16d07e212b868p-1", "0x1.d4f896bd2ad70p+1", "0x1.e58b1e5cec1ecp+1", "736def560e4f2740",
     ),
     (NS, 0.7, 0.3, 40, 0.05): (
         "0x1.42c26efd0566ep-1", "0x1.4f47980000000p+8", "0x1.4f479c0000000p+8", "0x1.a4b3454bb0f65p-5",
         "0x1.86aafb9ad2506p-5", "0x1.4481dfa51f4ddp+4", "0x1.582c7efa156d3p+4", "6d0b61d668cd5b28",
     ),
     (NS, 0.7, 0.3, 40, 0.3): (
-        "0x1.9856b4f420632p-3", "0x1.1967800000000p+3", "0x1.1968000000000p+3", "0x1.819201a405ecdp-2",
-        "0x1.1faeca37f4704p-2", "0x1.22fd2625cf91cp+2", "0x1.58ca25c50cfa4p+2", "4f3a622a6bee80bb",
+        "0x1.9856b4f420511p-3", "0x1.1967800000000p+3", "0x1.1968000000000p+3", "0x1.819201a405eeap-2",
+        "0x1.1faeca37f470ep-2", "0x1.22fd2625cf932p+2", "0x1.58ca25c50cfb0p+2", "4f3a622a6bee80bb",
     ),
     (NS, 0.7, 0.3, 40, 0.6): (
-        "0x1.89a8626a18b7cp-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbb98p-1",
-        "0x1.16d07e212b84dp-1", "0x1.d5554264226dbp+1", "0x1.e5f24f297b1fcp+1", "02b4b268b01df9b0",
+        "0x1.89a8626a18a00p-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbbb5p-1",
+        "0x1.16d07e212b863p-1", "0x1.d555426422707p+1", "0x1.e5f24f297b222p+1", "02b4b268b01df9b0",
     ),
     (NS, 0.9, 0.2, 20, 0.05): ThresholdStructureError,
     (NS, 0.9, 0.2, 20, 0.3): (
-        "0x1.77381d7dbad4cp-1", "0x1.4ad9000000000p+3", "0x1.4ad9800000000p+3", "0x1.555555555554dp-2",
-        "0x1.ab213c5acfdeep-3", "0x1.0d5718f2add82p+2", "0x1.5fe70ab725e80p+2", "1d1210469b6be050",
+        "0x1.77381d7dbad3bp-1", "0x1.4ad9000000000p+3", "0x1.4ad9800000000p+3", "0x1.5555555555552p-2",
+        "0x1.ab213c5acfdf2p-3", "0x1.0d5718f2add86p+2", "0x1.5fe70ab725e83p+2", "1d1210469b6be050",
     ),
     (NS, 0.9, 0.2, 20, 0.6): (
-        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.11111111378e2p-1",
-        "0x1.11111111378e2p-1", "0x1.d16d1c249f72cp+1", "0x1.d16d1c249f72cp+1", "387368a7f1fce409",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.11111111378eap-1",
+        "0x1.11111111378eap-1", "0x1.d16d1c249f73ap+1", "0x1.d16d1c249f73ap+1", "387368a7f1fce409",
     ),
     (NS, 0.9, 0.2, 40, 0.05): (
         "0x1.2a47f7b82f47cp-3", "0x1.0598340000000p+8", "0x1.0598380000000p+8", "0x1.be381f4b39ee6p-5",
         "0x1.935b7d7857138p-5", "0x1.eb6f2c6675944p+3", "0x1.0b9dcc85e8a70p+4", "5fe09b712f245861",
     ),
     (NS, 0.9, 0.2, 40, 0.3): (
-        "0x1.6276443cd9034p-1", "0x1.4fc8000000000p+3", "0x1.4fc8800000000p+3", "0x1.59f198af5aaa9p-2",
-        "0x1.b80d6f981c48dp-3", "0x1.0deb51cb428c8p+2", "0x1.607fb4f807a0bp+2", "c07908ff4cb42af7",
+        "0x1.6276443cd8fe8p-1", "0x1.4fc8000000000p+3", "0x1.4fc8800000000p+3", "0x1.59f198af5aac1p-2",
+        "0x1.b80d6f981c49ap-3", "0x1.0deb51cb428dbp+2", "0x1.607fb4f807a15p+2", "c07908ff4cb42af7",
     ),
     (NS, 0.9, 0.2, 40, 0.6): (
-        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.111111111427cp-1",
-        "0x1.111111111427cp-1", "0x1.d549cd3696b76p+1", "0x1.d549cd3696b76p+1", "ad5ef6258aaba80f",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1111111114294p-1",
+        "0x1.1111111114294p-1", "0x1.d549cd3696ba1p+1", "0x1.d549cd3696ba1p+1", "ad5ef6258aaba80f",
     ),
     (DS, 0.7, 0.3, 20, 0.05): (
         "0x1.e55988c4e7600p-1", "0x1.09fff80000000p+7", "0x1.0a00000000000p+7", "0x1.b017443aff868p-5",
@@ -834,44 +928,44 @@ SEARCH_PINS = {
         "0x1.303956f9bbd5fp-2", "0x1.3092937fdb4c7p+2", "0x1.381da219c6408p+2", "cc2aa4f0bdcc97c8",
     ),
     (DS, 0.7, 0.3, 20, 0.6): (
-        "0x1.89a8626a189f3p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
-        "0x1.16d07e212b864p-1", "0x1.d4f896bd31634p+1", "0x1.e58b1e5cd9d2ep+1", "55fa49b059cbb773",
+        "0x1.89a8626a189f9p-1", "0x1.cba8000000000p+0", "0x1.cbac000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
+        "0x1.16d07e212b862p-1", "0x1.d4f896bd31634p+1", "0x1.e58b1e5cd9d2cp+1", "55fa49b059cbb773",
     ),
     (DS, 0.7, 0.3, 40, 0.05): (
         "0x1.8c758e5f69a6fp-6", "0x1.ea97700000000p+7", "0x1.ea97780000000p+7", "0x1.c056a9ddfe6f4p-5",
         "0x1.98a3ad32af67ap-5", "0x1.ca58f5b73ef2bp+3", "0x1.f063003dd5ed5p+3", "5fbdc62afac8aeac",
     ),
     (DS, 0.7, 0.3, 40, 0.3): (
-        "0x1.d3d18e1a203b7p-3", "0x1.2b07000000000p+3", "0x1.2b07800000000p+3", "0x1.3d4095d3e4aeep-2",
-        "0x1.303956f96cf27p-2", "0x1.310d014cb6bc4p+2", "0x1.38a8eb9e4c03fp+2", "533e600a9508f7aa",
+        "0x1.d3d18e1a20081p-3", "0x1.2b07000000000p+3", "0x1.2b07800000000p+3", "0x1.3d4095d3e4af4p-2",
+        "0x1.303956f96cf2cp-2", "0x1.310d014cb6bcap+2", "0x1.38a8eb9e4c043p+2", "533e600a9508f7aa",
     ),
     (DS, 0.7, 0.3, 40, 0.6): (
-        "0x1.89a8626a189ffp-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
-        "0x1.16d07e212b860p-1", "0x1.d5554264091f0p+1", "0x1.e5f24f2962849p+1", "8b7cd9c3a2ee5339",
+        "0x1.89a8626a189e9p-1", "0x1.cccc000000000p+0", "0x1.ccd0000000000p+0", "0x1.3bbbbbbbbbbb6p-1",
+        "0x1.16d07e212b867p-1", "0x1.d5554264091f0p+1", "0x1.e5f24f2962854p+1", "8b7cd9c3a2ee5339",
     ),
     (DS, 0.9, 0.2, 20, 0.05): (
         "0x1.32dded5c61250p-1", "0x1.4d51600000000p+7", "0x1.4d51680000000p+7", "0x1.af1c66c9e5d2ap-5",
         "0x1.796bc0b12c23fp-5", "0x1.60f1196da27ffp+3", "0x1.83e50646a75acp+3", "6fb2b07e3ec8a80b",
     ),
     (DS, 0.9, 0.2, 20, 0.3): (
-        "0x1.4acc05bb2c604p-2", "0x1.15a2000000000p+2", "0x1.15a3000000000p+2", "0x1.399ef8120aa4bp-2",
-        "0x1.3022cad426ed2p-2", "0x1.02ffb69891f69p+2", "0x1.0592102959425p+2", "11fa79140fa5c662",
+        "0x1.4acc05bb2c477p-2", "0x1.15a2000000000p+2", "0x1.15a3000000000p+2", "0x1.399ef8120aa4ep-2",
+        "0x1.3022cad426ed6p-2", "0x1.02ffb69891f6ap+2", "0x1.0592102959428p+2", "11fa79140fa5c662",
     ),
     (DS, 0.9, 0.2, 20, 0.6): (
         "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.11111111398adp-1",
-        "0x1.11111111398adp-1", "0x1.d16d1c24d0b63p+1", "0x1.d16d1c24d0b63p+1", "e957c4f1f842f654",
+        "0x1.11111111398adp-1", "0x1.d16d1c24d0b64p+1", "0x1.d16d1c24d0b64p+1", "e957c4f1f842f654",
     ),
     (DS, 0.9, 0.2, 40, 0.05): (
         "0x1.0daa762a27336p-1", "0x1.a79ff80000000p+7", "0x1.a7a0000000000p+7", "0x1.b2968590217a0p-5",
         "0x1.7dcb330f544d4p-5", "0x1.73113babccbdap+3", "0x1.9ebfb530fc560p+3", "24e934c4184482a3",
     ),
     (DS, 0.9, 0.2, 40, 0.3): (
-        "0x1.4acc0655a255ap-2", "0x1.192f000000000p+2", "0x1.1930000000000p+2", "0x1.399ef810c6d26p-2",
-        "0x1.3022cad2a4674p-2", "0x1.055f13d8a134fp+2", "0x1.07f9d7aaa9b01p+2", "7abe5185672c3ce4",
+        "0x1.4acc0655a2511p-2", "0x1.192f000000000p+2", "0x1.1930000000000p+2", "0x1.399ef810c6d26p-2",
+        "0x1.3022cad2a4675p-2", "0x1.055f13d8a134fp+2", "0x1.07f9d7aaa9b02p+2", "7abe5185672c3ce4",
     ),
     (DS, 0.9, 0.2, 40, 0.6): (
-        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1111111114129p-1",
-        "0x1.1111111114129p-1", "0x1.d549cd3673fd4p+1", "0x1.d549cd3673fd4p+1", "01a1442710219642",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.111111111412cp-1",
+        "0x1.111111111412cp-1", "0x1.d549cd3673fdap+1", "0x1.d549cd3673fdap+1", "01a1442710219642",
     ),
 }
 MIXTURE_FIELDS = ("q", "lam_minus", "lam_plus", "energy_minus", "energy_plus", "aoi_minus", "aoi_plus")
@@ -916,7 +1010,7 @@ def test_power_iteration_decisions_give_the_same_search(monkeypatch, key):
 @pytest.mark.parametrize("key", [pytest.param(key, id=search_id(key)) for key in SEARCH_PINS if key[3] == 20])
 def test_search_falls_back_to_power_iteration(monkeypatch, key):
     # an evaluator that never applies leaves every decision to power iteration
-    monkeypatch.setattr(_AoiLayers, "averages", lambda layers, actions: None)
+    monkeypatch.setattr(solver, "_aoi_averages", lambda kern, actions: None)
     mix = pinned_search(key)
     assert mix is None or all(step.evaluator == "power" for step in mix.steps)
 
@@ -1173,6 +1267,39 @@ class TestThresholdExtraction:
         }[malform]
         with pytest.raises(ValueError, match="action table"):
             extract(space, bad)
+
+    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0), (0.99, 0.01), (0.5, 0.5)])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_the_group_loop(self, K, p11, p01):
+        rng = np.random.default_rng(K)
+        outcomes = set()
+        for N in (K + 1, 6, 15):
+            space, kern = build_case(NS, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+            tables = [rvi_plain(space, kern, lam).policy.actions for lam in (0.0, 1.0, 10.0)]
+            for _ in range(8):
+                # a random cutoff per group, flipped at a few random states
+                cutoff = np.zeros(kern.n, dtype=np.int8)
+                for idxs in cutoff_groups(space):
+                    cutoff[idxs[rng.integers(len(idxs) + 1):]] = 1
+                flips = rng.random(kern.n) < rng.choice([0.0, 0.02, 0.2])
+                tables += [cutoff & kern.admissible, (cutoff ^ flips) & kern.admissible, cutoff ^ flips]
+            for actions in tables:
+                actions = actions.astype(np.int8)
+                try:
+                    want = threshold_belief_by_group(space, actions)
+                except ThresholdStructureError as err:
+                    with pytest.raises(ThresholdStructureError) as got:
+                        extract_threshold_belief(space, actions)
+                    assert str(got.value) == str(err)
+                    outcomes.add(str(err).split(" ")[0])
+                    continue
+                found = extract_threshold_belief(space, actions).thresholds
+                assert found == want and list(found) == list(want)
+                outcomes.add("threshold")
+        # groups below K=1 are empty, and a memoryless channel has one belief
+        assert outcomes == {"threshold"} | ({"policy"} if K > 1 else set()) | (
+            {"actions"} if p11 != p01 else set()
+        )
 
     def test_policy_lookup_beyond_cap_uses_cap_row(self):
         space, kern = build_case(
