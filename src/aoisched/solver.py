@@ -10,7 +10,9 @@ Both evaluators work on the states a policy enters, those that a
 positive-probability branch of its own actions leads into (``_entered``).
 Every other state is a transient that the chain leaves at once and never
 re-enters (Kemeny and Snell 1960); a solved policy at N=1000 without
-sensing enters about 1,100 of 58,276 states.
+sensing enters about 1,100 of 58,276 states. The exact evaluator holds the
+mass of all entered states, one column per delivery target, in one array,
+which it fills one AoI layer at a time.
 
 The price search decides each price's feasibility on the exact energy of its
 policy. Power iteration, whose averages the reported mixture carries, runs
@@ -100,10 +102,8 @@ _MAX_DOUBLINGS = 60
 # A price search decision whose exact energy lies this close to the budget is
 # taken on power iteration's energy, which the reported mixture carries.
 _EXACT_MARGIN = 1e-6
-# Most cap-layer states the exact evaluator eliminates as one dense matrix,
-# and most states whose branches it lays out as bins at once.
+# Most cap-layer states the exact evaluator eliminates as one dense matrix.
 _CORE_WIDTH = 1024
-_CHUNK = 1024
 
 
 class NonConvergenceError(RuntimeError):
@@ -742,16 +742,15 @@ def _aoi_averages(kern: CompiledKernel, actions: np.ndarray) -> tuple[float, flo
 
     Every transition either raises the AoI by one, clamped at the cap, or
     delivers, which resets it to one of at most K target states. So the
-    stationary law is renewal reward at deliveries (Puterman 1994, 8.2):
-    unit inflow at each target is pushed forward one layer at a time, the cap
-    layer, whose growth stays in the layer, is solved by ``_cap_mass``, and
-    the delivery rates solve a fixed point over the targets with the law's
-    normalisation. An evaluation lays out and walks only the policy's chain
-    on the states it enters (``_entered``): the others receive no mass. A
-    layer whose states all deliver passes no mass to the next, so the layers
-    need not be contiguous in the AoI. Only one layer's (width, targets) mass
-    is held at a time, and the branches of at most ``_CHUNK`` states at a
-    time are laid out as bins.
+    stationary law is renewal reward at deliveries (Puterman 1994, 8.2): one
+    (states, targets) array holds the mass of every state the policy enters
+    (``_entered``; the others receive none) per unit inflow at each target.
+    The growth branches, sorted by source AoI, push it forward one layer at a
+    time, the last layer, whose growth stays in the layer, is solved in
+    place by ``_cap_mass``, and the delivery rates solve a fixed point over
+    the targets with the law's normalisation. A layer whose states all
+    deliver passes no mass to the next, so the layers need not be contiguous
+    in the AoI.
 
     None where the chain may have another recurrent class than the one
     through the targets, so that power iteration's law is not determined by
@@ -762,94 +761,51 @@ def _aoi_averages(kern: CompiledKernel, actions: np.ndarray) -> tuple[float, flo
     """
     states, succ, prob = _entered(kern, actions)
     delta, acts, m = kern.delta[states], actions[states], len(states)
-    # the layers in ascending AoI, each state's position in its layer
-    order = np.argsort(delta, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(delta[order]) != 0.0])
-    widths = np.diff(np.r_[starts, m])
-    values = delta[order[starts]]
-    pos = np.empty(m, dtype=np.int64)
-    pos[order] = np.arange(m) - np.repeat(starts, widths)
     # a branch that does not grow the AoI delivers to a target
     grown = np.minimum(delta + 1.0, kern.delta.max())[:, None]
     delivers = (prob > 0.0) & (delta[succ] != grown)
     target = np.zeros(m, dtype=bool)
     target[succ[delivers]] = True
     targets = np.flatnonzero(target)
-    T, last = len(targets), len(values) - 1
+    T = len(targets)
     if not T:
         return None
-    # the width of the layer each layer grows into; the cap grows into itself
-    next_widths = widths[1:].tolist() + [int(widths[-1])]
-    starts = starts.tolist() + [m]
-    inject: dict[int, list[tuple[int, int]]] = {}
-    for j, t in enumerate(targets):
-        layer = int(np.searchsorted(values, delta[t]))
-        inject.setdefault(layer, []).append((int(pos[t]), j))
-
-    def branches(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The branches at layers [first, stop), as (state, branch) arrays
-        of weight and destination, states in layer order. A branch's
-        destination is its growth successor's position in the next layer,
-        or past that layer's width the target it delivers to. Three
-        branches follow that only count, into the bins after the
-        targets', each state's mass, AoI times mass and transmitting
-        mass."""
-        at = order[starts[first] : starts[stop]]
-        to, p = succ[at], prob[at]
-        next_width = np.repeat(next_widths[first:stop], widths[first:stop])[:, None]
-        target = np.searchsorted(targets, to).clip(max=T - 1)
-        to = np.where(delivers[at], next_width + target, pos[to])
-        width = p.shape[1]
-        weight, dest = np.zeros((len(at), width + 3)), np.zeros((len(at), width + 3), dtype=np.int64)
-        weight[:, :width], dest[:, :width] = p, np.where(p > 0.0, to, 0)
-        weight[:, width], weight[:, width + 1], weight[:, width + 2] = 1.0, delta[at], acts[at]
-        dest[:, width:] = next_width + np.arange(T, T + 3)
-        return weight, dest
-
-    # runs of whole layers below the cap, each of at most _CHUNK states
-    chunks, first = [], 0
-    for layer in range(1, last + 1):
-        if layer == last or starts[layer + 1] - starts[first] > _CHUNK:
-            chunks.append((first, layer))
-            first = layer
-    columns = np.arange(T)
-    # per unit inflow at each target (columns): the deliveries into each
-    # target, then the mass, AoI times mass and transmitting mass
-    totals = np.zeros((T + 3) * T)
-    M = np.zeros((int(widths[0]), T))
-    for first, stop in chunks + [(last, last + 1)]:
-        weight, dest = branches(first, stop)
-        # the bin of each (state, branch, column) triple
-        bins = dest[:, :, None] * T + columns
-        for layer in range(first, stop):
-            for i, j in inject.get(layer, ()):
-                M[i, j] += 1.0
-            if layer == last:
-                M = _cap_mass(weight[:, :-3], dest[:, :-3], M)
-                if M is None:
-                    return None
-            s, e = starts[layer] - starts[first], starts[layer + 1] - starts[first]
-            w_next = next_widths[layer]
-            out = np.bincount(
-                bins[s:e].ravel(), (weight[s:e, :, None] * M[:, None, :]).ravel(),
-                minlength=(w_next + T + 3) * T,
-            )
-            totals += out[w_next * T :]
-            M = out[: w_next * T].reshape(w_next, T)
-    sums = totals.reshape(T + 3, T)
+    # mass[s, j]: the mass at state s per unit inflow at target j
+    mass = np.zeros((m, T))
+    mass[targets, np.arange(T)] = 1.0
+    # the growth branches below the last layer in ascending source AoI: a
+    # layer's mass is complete once the layer below it has pushed
+    cap = delta == delta.max()
+    src, b = np.nonzero((prob > 0.0) & ~delivers & ~cap[:, None])
+    ascending = np.argsort(delta[src], kind="stable")
+    src, dst, p = src[ascending], succ[src, b][ascending], prob[src, b][ascending, None]
+    bounds = np.r_[0, np.flatnonzero(np.diff(delta[src])) + 1, len(src)].tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.add.at(mass, dst[lo:hi], p[lo:hi] * mass[src[lo:hi]])
+    # the last layer's growth stays in it, at a position among its states;
+    # a delivery leaves it
+    width = int(cap.sum())
+    stays_at = np.where(delivers[cap], width, (np.cumsum(cap) - 1)[succ[cap]])
+    capped = _cap_mass(prob[cap], stays_at, mass[cap])
+    if capped is None:
+        return None
+    mass[cap] = capped
     # rates[j, t]: deliveries into target t per unit inflow at target j
-    rates = sums[:T].T
+    src, b = np.nonzero(delivers)
+    rates = np.zeros((T, T))
+    np.add.at(rates.T, np.searchsorted(targets, succ[src, b]), prob[src, b, None] * mass[src])
     closure = (rates > 0.0) | np.eye(T, dtype=bool)
     for _ in range(T):
         closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
     if not closure.all(axis=0).any():
         return None
     system = (rates - np.eye(T)).T
-    system[-1] = sums[T]
+    system[-1] = mass.sum(axis=0)
     x = _eliminate(system, np.eye(T)[:, -1:])
     if x is None:
         return None
-    found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
+    aoi, energy = (delta[:, None] * mass).sum(axis=0), mass[acts == 1].sum(axis=0)
+    found = (float((x[:, 0] * aoi).sum()), float((x[:, 0] * energy).sum()))
     return found if np.isfinite(found).all() else None
 
 

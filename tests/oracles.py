@@ -31,7 +31,7 @@ import numpy as np
 
 from aoisched.channel import ChannelModel, belief_table
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, StateDelayed, StateNoSensing, TruncationBound
-from aoisched.solver import _CHUNK, TabularPolicy, ThresholdStructureError, _cap_mass, _eliminate
+from aoisched.solver import TabularPolicy, ThresholdStructureError, _cap_mass, _eliminate
 
 
 class CapExceededError(ValueError):
@@ -349,24 +349,18 @@ def power_iteration_full(kern: CompiledKernel, actions: np.ndarray, tol: float, 
 
 
 class FullKernelLayers:
-    """Exact long-run averages of deterministic policies by AoI layers, laid
-    out over every state of the kernel: the targets are the successors of
-    either action that do not grow the AoI, and every state's branches are
-    pushed, whether the policy enters it or not."""
+    """Exact long-run averages of deterministic policies by AoI layers, over
+    every state of the kernel: the targets are the successors of either
+    action that do not grow the AoI, and one (states, targets) array holds
+    the mass of every state, whether the policy enters it or not, per unit
+    inflow at each target. Each layer's growth branches are pushed into the
+    next, branch by branch, in ascending AoI."""
 
     def __init__(self, kern: CompiledKernel):
         self.kern = kern
         delta = kern.delta
-        self.order = np.lexsort((delta,))
-        cut = np.flatnonzero(np.diff(delta[self.order])) + 1
-        starts = np.r_[0, cut]
-        self.widths = np.diff(np.r_[starts, kern.n])
-        self.next_widths = np.r_[self.widths[1:], self.widths[-1]]
-        self.starts = starts.tolist() + [kern.n]
-        self.values = delta[self.order[starts]]
+        self.values = np.unique(delta)
         self.cap = self.values[-1]
-        self.pos = np.empty(kern.n, dtype=np.int64)
-        self.pos[self.order] = np.arange(kern.n) - np.repeat(starts, self.widths)
         grown, target = np.minimum(delta + 1.0, self.cap), np.zeros(kern.n, dtype=bool)
         for succ, prob in zip(kern.succ, kern.prob):
             target[succ[(prob > 0.0) & (delta[succ] != grown)]] = True
@@ -374,77 +368,51 @@ class FullKernelLayers:
         self.usable = len(self.targets) > 0 and np.array_equal(
             self.values, np.arange(self.values[0], self.cap + 1.0)
         )
-        self.chunks, first = [], 0
-        for layer in range(1, len(self.values)):
-            if layer == len(self.values) - 1 or self.starts[layer + 1] - self.starts[first] > _CHUNK:
-                self.chunks.append((first, layer))
-                first = layer
-
-    def _branches(self, acts, first, stop):
-        kern, T = self.kern, len(self.targets)
-        lo, hi = self.starts[first], self.starts[stop]
-        blocks = (kern.rows(0), kern.rows(1))
-        width = max(rows.stop - rows.start for rows in blocks)
-        prob = np.zeros((hi - lo, width + 3))
-        dest = np.zeros(prob.shape, dtype=np.int64)
-        next_width = np.repeat(self.next_widths[first:stop], self.widths[first:stop])
-        for u, rows in enumerate(blocks):
-            at = np.flatnonzero(acts[lo:hi] == u)
-            src = self.order[lo + at]
-            grown = np.minimum(kern.delta[src] + 1.0, self.cap)
-            for b, r in enumerate(range(rows.start, rows.stop)):
-                succ, p = kern.succ[r, src], kern.prob[r, src]
-                target = np.searchsorted(self.targets, succ).clip(max=T - 1)
-                to = np.where(kern.delta[succ] == grown, self.pos[succ], next_width[at] + target)
-                prob[at, b], dest[at, b] = p, np.where(p > 0.0, to, 0)
-        prob[:, width], prob[:, width + 1], prob[:, width + 2] = 1.0, kern.delta[self.order[lo:hi]], acts[lo:hi]
-        dest[:, width:] = next_width[:, None] + np.arange(T, T + 3)
-        return prob, dest
 
     def averages(self, actions):
         if not self.usable:
             return None
-        T, last = len(self.targets), len(self.values) - 1
-        acts = actions[self.order]
-        inject: dict[int, list[tuple[int, int]]] = {}
-        for j, t in enumerate(self.targets):
-            layer = int(np.searchsorted(self.values, self.kern.delta[t]))
-            inject.setdefault(layer, []).append((int(self.pos[t]), j))
-        columns = np.arange(T)
-        totals = np.zeros((T + 3) * T)
-        M = np.zeros((int(self.widths[0]), T))
-        next_widths = self.next_widths.tolist()
-        for first, stop in self.chunks + [(last, last + 1)]:
-            prob, dest = self._branches(acts, first, stop)
-            bins = dest[:, :, None] * T + columns
-            for layer in range(first, stop):
-                for i, j in inject.get(layer, ()):
-                    M[i, j] += 1.0
-                if layer == last:
-                    M = _cap_mass(prob[:, :-3], dest[:, :-3], M)
-                    if M is None:
-                        return None
-                s, e = self.starts[layer] - self.starts[first], self.starts[layer + 1] - self.starts[first]
-                w_next = next_widths[layer]
-                out = np.bincount(
-                    bins[s:e].ravel(), (prob[s:e, :, None] * M[:, None, :]).ravel(),
-                    minlength=(w_next + T + 3) * T,
-                )
-                totals += out[w_next * T :]
-                M = out[: w_next * T].reshape(w_next, T)
-        sums = totals.reshape(T + 3, T)
-        rates = sums[:T].T
+        kern, T, delta = self.kern, len(self.targets), self.kern.delta
+        # the policy's branches, (branch, state)
+        blocks = (kern.rows(0), kern.rows(1))
+        width = max(rows.stop - rows.start for rows in blocks)
+        succ, prob = np.zeros((width, kern.n), dtype=np.int64), np.zeros((width, kern.n))
+        for u, rows in enumerate(blocks):
+            at, m = actions == u, rows.stop - rows.start
+            succ[:m, at] = kern.succ[rows, at]
+            prob[:m, at] = kern.prob[rows, at]
+        grows = (prob > 0.0) & (delta[succ] == np.minimum(delta + 1.0, self.cap))
+        mass = np.zeros((kern.n, T))
+        mass[self.targets, np.arange(T)] = 1.0
+        for value in self.values[:-1]:
+            for b in range(width):
+                src = np.flatnonzero((delta == value) & grows[b])
+                np.add.at(mass, succ[b, src], prob[b, src, None] * mass[src])
+        cap = np.flatnonzero(delta == self.cap)
+        local = np.full(kern.n, len(cap))
+        local[cap] = np.arange(len(cap))
+        dest = np.where(grows[:, cap], local[succ[:, cap]], len(cap))
+        solved = _cap_mass(prob[:, cap].T, dest.T, mass[cap])
+        if solved is None:
+            return None
+        mass[cap] = solved
+        rates = np.zeros((T, T))
+        for b in range(width):
+            src = np.flatnonzero((prob[b] > 0.0) & ~grows[b])
+            into = np.searchsorted(self.targets, succ[b, src])
+            np.add.at(rates.T, into, prob[b, src, None] * mass[src])
         closure = (rates > 0.0) | np.eye(T, dtype=bool)
         for _ in range(T):
             closure = (closure[:, :, None] & closure[None, :, :]).any(axis=1)
         if not closure.all(axis=0).any():
             return None
         system = (rates - np.eye(T)).T
-        system[-1] = sums[T]
+        system[-1] = mass.sum(axis=0)
         x = _eliminate(system, np.eye(T)[:, -1:])
         if x is None:
             return None
-        found = (float((x[:, 0] * sums[T + 1]).sum()), float((x[:, 0] * sums[T + 2]).sum()))
+        aoi, energy = delta @ mass, actions @ mass
+        found = (float(x[:, 0] @ aoi), float(x[:, 0] @ energy))
         return found if np.isfinite(found).all() else None
 
 

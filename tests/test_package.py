@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import aoisched
-from aoisched import sim
+from aoisched import sim, solver
 from aoisched.channel import BeliefTable, ChannelModel
 from aoisched.mdp import DelayedSpace, FrameSpec, NoSensingSpace, TruncationBound
 from aoisched.solver import ThresholdPolicyBelief, discounted_vi, stationary_distribution
@@ -67,6 +67,12 @@ def test_simulator_returns_only_the_averages_its_callers_read():
     assert "n_iters" not in inspect.signature(discounted_vi).parameters
     assert not hasattr(FrameSpec, "next_slot")
     assert not hasattr(NoSensingSpace, "__len__") and not hasattr(DelayedSpace, "__len__")
+
+
+def test_exact_evaluator_keeps_no_chunked_layout():
+    # the evaluator holds the entered states' mass in one array; its chunk
+    # size and bin layout are gone
+    assert not hasattr(solver, "_CHUNK")
 
 
 def test_cli_import_loads_nothing_from_tests():

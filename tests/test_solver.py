@@ -484,8 +484,11 @@ def two_target_classes(N):
 
 
 class TestExactEvaluation:
-    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)])
-    @pytest.mark.parametrize("K", [1, 2, 3])
+    # framelength sweeps K up to 8, so up to 8 delivery targets; on the
+    # memoryless channel every belief merges into the reference symbol, so a
+    # target also receives growth mass
+    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("case", [NS, DS])
     def test_matches_exact_average_cost(self, case, K, p11, p01):
         # the dense oracle's cost grows as n^3, so no sensing stops at N=12
