@@ -29,15 +29,17 @@ grid in batches, each price exactly as it would be solved alone. A
 threshold-aware variant solves one price and only supplies the mask of
 states its cutoff rule places above the cutoff; its ``argmin_evals`` counts
 the comparisons the rule still needs, the paper's complexity measure, not
-work that is skipped.
+work that is skipped. Each group a cutoff acts on, a (k, delta) layer
+without sensing and a slot's column of the (layer, g) view with delayed
+sensing, is a run of the state order, so one ``np.minimum.reduceat`` per
+sweep finds every cutoff, and the extractors read the same runs.
 
 The step reads the kernel's branch-major rows: one ``np.take`` gathers the
 bias at the successors of every (action, branch) row, and every later
-operation, the cutoff masks' included, writes with ``out=`` into work arrays
-made once per solve. Its sums keep the order of the expression they compute,
-so a sweep gives the same bits as the textbook expression. Power-iteration
-rounds likewise write into arrays made once per evaluation, sized to the
-entered states.
+operation writes with ``out=`` into work arrays made once per solve. Its
+sums keep the order of the expression they compute, so a sweep gives the
+same bits as the textbook expression. Power-iteration rounds likewise
+write into arrays made once per evaluation, sized to the entered states.
 
 Relative value iteration damps every update by a fixed factor of 0.5. The
 slot index cycles deterministically with the frame, so every induced chain
@@ -416,23 +418,6 @@ def rvi_plain(
     return _rvi(space, kern, [lam], eps, h_init, tie_break)[0]
 
 
-class _FirstBeating:
-    """Per group, the smallest key at which transmission beats suspension,
-    read back at every state; written into arrays made once per solve."""
-
-    def __init__(self, key: np.ndarray, group: np.ndarray, n_groups: int):
-        self.key, self.group = key.astype(np.float64, copy=False), group
-        self.first = np.empty(n_groups)
-        self.work = np.empty(len(key))
-
-    def __call__(self, beats: np.ndarray) -> np.ndarray:
-        self.work.fill(np.inf)
-        np.copyto(self.work, self.key, where=beats)
-        self.first.fill(np.inf)
-        np.minimum.at(self.first, self.group, self.work)
-        return np.take(self.first, self.group, out=self.work, mode="clip")
-
-
 def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
     """State indices grouped by equal key columns, each group sorted along
     one column; groups come in ascending key order, first column first."""
@@ -443,12 +428,20 @@ def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(cut) + 1)
 
 
-def _cutoff_runs(space) -> list[np.ndarray]:
-    """The groups a cutoff rule acts on, in ascending cutoff variable:
-    (k, delta) along the belief, or (k, g) along the AoI."""
-    if space.case is Case.NO_SENSING:
-        return _runs((space.k, space.delta), space.omega)
-    return _runs((space.k, space.g), space.delta)
+def _belief_layers(space: NoSensingSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's belief rank, and the (k, delta) layers as runs of the
+    state order: their first states and sizes. Beliefs are distinct, so the
+    ranks order a layer's states as their beliefs do."""
+    rank = np.argsort(np.argsort(space.beliefs.value)).astype(np.int32)
+    starts = np.flatnonzero(np.r_[True, (np.diff(space.k) != 0) | (np.diff(space.delta) != 0)])
+    return rank[space.sym], starts, np.diff(np.r_[starts, space.n])
+
+
+def _slot_runs(space: DelayedSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of slot k in the (layer, g) view ``reshape(-1, 2)``, whose
+    row is a (k, delta) layer's bad and good state: first rows and sizes."""
+    starts = np.flatnonzero(np.r_[True, np.diff(space.k[::2]) != 0])
+    return starts, np.diff(np.r_[starts, space.n // 2])
 
 
 def rvi_threshold_no_sensing(
@@ -460,28 +453,29 @@ def rvi_threshold_no_sensing(
 ) -> SolveReport:
     """Structure-aware sweep for the belief MDP.
 
-    The cutoff rule is a mask over the vectorised Bellman step. Per sweep and
-    (delta, k) group, the cutoff is the smallest belief at which transmission
-    beats suspension under the full two-action comparison; every larger
-    belief of the group transmits without the comparison. Beliefs within a
-    group are distinct after deduplication, so this equals visiting the group
-    in ascending belief order with a per-sweep cutoff. Beliefs at the
-    unobserved-step cap are exempt: the boundary clamp hands them a free
-    belief upgrade on suspension, which can break the single crossing at
-    exactly those symbols, so they always get the full comparison and never
-    set a cutoff. Converges to the same fixed point as the plain sweep while
-    counting strictly fewer comparisons whenever any group transmits above
-    its lowest belief.
+    Per sweep and (delta, k) group, the cutoff is the smallest belief at
+    which transmission beats suspension under the full two-action
+    comparison; every larger belief of the group transmits without the
+    comparison. A group is a run of the state order and its beliefs are
+    distinct, so each sweep finds every cutoff by one ``np.minimum.reduceat``
+    over the belief ranks, and this equals visiting the group in ascending
+    belief order with a per-sweep cutoff. Beliefs at the unobserved-step cap
+    are exempt: the boundary clamp hands them a free belief upgrade on
+    suspension, which can break the single crossing at exactly those
+    symbols, so they always get the full comparison and never set a cutoff.
+    Converges to the same fixed point as the plain sweep while counting
+    strictly fewer comparisons whenever any group transmits above its lowest
+    belief.
     """
     free = kern.admissible & (space.steps < space.bound.cap)
-    group = (space.k - 1) * (space.bound.cap + 1) + space.delta
-    omega = space.omega
-    cutoff = _FirstBeating(omega, group, space.frame.K * (space.bound.cap + 1))
+    rank, starts, sizes = _belief_layers(space)
     beats, up = np.empty(kern.n, dtype=bool), np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
         np.logical_and(free, _transmit_beats(q0, q1, tie_break, out=beats), out=beats)
-        np.greater(omega, cutoff(beats), out=up)
+        # a rank past every belief's where no state of the group beats
+        cutoff = np.minimum.reduceat(np.where(beats, rank, space.n_sym), starts)
+        np.greater(rank, np.repeat(cutoff, sizes), out=up)
         return np.logical_and(free, up, out=up)
 
     return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
@@ -496,27 +490,24 @@ def rvi_threshold_delayed(
 ) -> SolveReport:
     """Structure-aware sweep for the delayed-CSI MDP.
 
-    The cutoff rule is a mask over the vectorised Bellman step. Per sweep,
-    d_g is the smallest AoI of slot k and last state g at which transmission
-    beats suspension; states above it transmit without the comparison. The
-    good-state cutoff can never exceed the bad-state one, so a good-state
-    AoI at or above d_0 transmits as well.
+    Per sweep, d_g is the smallest AoI of slot k and last state g at which
+    transmission beats suspension; states above it transmit without the
+    comparison. Column g of a slot's run in the (layer, g) view holds its
+    (k, g) group in ascending AoI, so one ``np.minimum.reduceat`` over the
+    view gives every d_g. The good-state cutoff can never exceed the
+    bad-state one, so a good-state AoI at or above d_0 transmits as well.
     """
-    group = 2 * (space.k - 1) + space.g
-    delta = space.delta
-    good = space.g == 1
-    own = _FirstBeating(delta, group, 2 * space.frame.K)
-    bad_group, bad = group - space.g, np.empty(kern.n)
-    beats, up = np.empty(kern.n, dtype=bool), np.empty(kern.n, dtype=bool)
+    delta = space.delta.reshape(-1, 2)
+    starts, sizes = _slot_runs(space)
+    beats = np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
         np.logical_and(kern.admissible, _transmit_beats(q0, q1, tie_break, out=beats), out=beats)
-        first = own(beats)
-        np.take(own.first, bad_group, out=bad, mode="clip")
-        np.greater_equal(delta, bad, out=beats)
-        np.logical_and(good, beats, out=beats)
-        np.greater(delta, first, out=up)
-        return np.logical_or(up, beats, out=up)
+        lowest = np.minimum.reduceat(np.where(beats, space.delta, np.inf).reshape(-1, 2), starts)
+        first = np.repeat(lowest, sizes, axis=0)
+        up = delta > first
+        up[:, 1] |= delta[:, 1] >= first[:, 0]
+        return up.ravel()
 
     return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
 
@@ -987,26 +978,19 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     the pattern check and the cutoff, mirroring the interior-state scoping of
     the value-function checks; the exact action table is kept regardless.
 
-    The states of a group are contiguous in the space's (k, delta, sym)
-    order, and its beliefs are distinct, so one pass of reductions over the
-    groups finds each group's lowest transmitting and highest suspending
-    interior belief by the symbols' ranks in ascending belief, without
-    sorting the states: the group is of threshold type unless the second
-    lies above the first.
+    The groups are the runs of ``rvi_threshold_no_sensing``, so one pass of
+    reductions over them finds each group's lowest transmitting and highest
+    suspending interior belief by rank, without sorting the states: the
+    group is of threshold type unless the second lies above the first.
     """
     acts = _checked_actions(space.n, actions)
-    beliefs, K = space.beliefs, space.frame.K
-    ascending = np.argsort(beliefs.value, kind="stable")
-    rank = np.empty(len(ascending), dtype=np.int32)
-    rank[ascending] = np.arange(len(ascending))
-    # the groups in ascending (k, delta) order, by their first states
-    starts = np.flatnonzero(np.r_[True, (np.diff(space.k) != 0) | (np.diff(space.delta) != 0)])
-    interior = (beliefs.steps < space.bound.cap)[space.sym]
-    ranks = rank[space.sym]
+    K = space.frame.K
+    rank, starts, sizes = _belief_layers(space)
+    interior = (space.beliefs.steps < space.bound.cap)[space.sym]
     # a belief rank past every symbol's where none transmits, below every
     # symbol's where none suspends
-    lowest = np.minimum.reduceat(np.where(interior & (acts == 1), ranks, len(rank)), starts)
-    highest = np.maximum.reduceat(np.where(interior & (acts == 0), ranks, -1), starts)
+    lowest = np.minimum.reduceat(np.where(interior & (acts == 1), rank, space.n_sym), starts)
+    highest = np.maximum.reduceat(np.where(interior & (acts == 0), rank, -1), starts)
     deltas, ks = space.delta[starts], space.k[starts]
     barred = deltas < K
     wrong = np.where(barred, np.maximum.reduceat(acts, starts) == 1, highest > lowest)
@@ -1015,14 +999,14 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
         delta, k = int(deltas[g]), int(ks[g])
         if barred[g]:
             raise ThresholdStructureError(f"policy transmits at inadmissible (delta={delta}, k={k})")
-        group = np.arange(starts[g], np.r_[starts, space.n][g + 1])
+        group = np.arange(starts[g], starts[g] + sizes[g])
         group = group[interior[group]]
-        pattern = acts[group[np.argsort(ranks[group])]]
+        pattern = acts[group[np.argsort(rank[group])]]
         raise ThresholdStructureError(
             f"actions at (delta={delta}, k={k}) are not of threshold type: "
             f"{pattern.tolist()} along ascending beliefs"
         )
-    cutoffs = np.r_[beliefs.value[ascending], np.inf][lowest[~barred]]
+    cutoffs = np.r_[np.sort(space.beliefs.value), np.inf][lowest[~barred]]
     thresholds = dict(zip(zip(deltas[~barred].tolist(), ks[~barred].tolist()), cutoffs.tolist()))
     return ThresholdPolicyBelief(
         frame_k=K, cap=space.bound.cap, thresholds=thresholds, actions=acts
@@ -1030,19 +1014,28 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 
 
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
-    """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g)."""
+    """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g), read
+    by reductions over ``rvi_threshold_delayed``'s runs. Fails where a group
+    suspends at an AoI at or above both its cutoff and the frame length."""
     acts = _checked_actions(space.n, actions)
-    thresholds: dict[tuple[int, int], float] = {}
-    for idxs in _cutoff_runs(space):
-        k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])
-        pattern, deltas = acts[idxs], space.delta[idxs]
-        first = np.flatnonzero(pattern)
-        if len(first) and np.any((pattern == 0) & (deltas >= max(deltas[first[0]], space.frame.K))):
-            raise ThresholdStructureError(
-                f"actions at (k={k}, g={g}) are not of threshold type: "
-                f"{pattern.tolist()} along ascending AoI"
-            )
-        thresholds[(k, g)] = int(deltas[first[0]]) if len(first) else np.inf
+    starts, sizes = _slot_runs(space)
+    delta, transmits = space.delta.reshape(-1, 2), acts.reshape(-1, 2) == 1
+    lowest = np.minimum.reduceat(np.where(transmits, delta, np.inf), starts)
+    highest = np.maximum.reduceat(np.where(transmits, -1, delta), starts)
+    ks = space.k[::2][starts].tolist()
+    wrong = highest >= np.maximum(lowest, space.frame.K)
+    if wrong.any():
+        run, g = divmod(int(np.argmax(wrong)), 2)
+        pattern = acts.reshape(-1, 2)[starts[run] : starts[run] + sizes[run], g]
+        raise ThresholdStructureError(
+            f"actions at (k={ks[run]}, g={g}) are not of threshold type: "
+            f"{pattern.tolist()} along ascending AoI"
+        )
+    thresholds = {
+        (k, g): int(cutoff) if cutoff < np.inf else np.inf
+        for k, row in zip(ks, lowest.tolist())
+        for g, cutoff in enumerate(row)
+    }
     return ThresholdPolicyAoI(frame_k=space.frame.K, thresholds=thresholds, actions=acts)
 
 
@@ -1099,7 +1092,7 @@ def belief_monotonicity_violations(space: NoSensingSpace, values: np.ndarray) ->
     """Interior belief pairs at one (delta, k) where a larger belief costs
     more by more than ``_SLACK``."""
     return _neighbour_violations(
-        space, _cutoff_runs(space), _interior_mask(space), values,
+        space, _runs((space.k, space.delta), space.omega), _interior_mask(space), values,
         lambda lo, hi: hi > lo + _SLACK,
     )
 
@@ -1115,7 +1108,7 @@ def belief_mix_inequality_violations(
     keep = _interior_mask(space)
     omega = space.omega
     out = []
-    for idxs in _cutoff_runs(space):
+    for idxs in _runs((space.k, space.delta), omega):
         delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
         idxs = idxs[keep[idxs]]
         if len(idxs) < 3:

@@ -18,8 +18,9 @@ wrong rule in the runtime cannot pass a comparison with its oracle:
   evaluators over every state of the space, where the runtime's work only on
   the states a policy enters. The layering borrows the runtime's cap-layer
   solve and elimination, since what it checks is the restriction;
-* ``threshold_belief_by_group``: the belief cutoffs of a no-sensing policy,
-  one (delta, k) group at a time.
+* ``threshold_belief_by_group`` and ``threshold_aoi_by_group``: the belief
+  cutoffs of a no-sensing policy, one (delta, k) group at a time, and the
+  AoI cutoffs of a delayed-sensing policy, one (k, g) group at a time.
 """
 
 from __future__ import annotations
@@ -448,4 +449,25 @@ def threshold_belief_by_group(space, actions: np.ndarray) -> dict[tuple[int, int
             )
         first = np.flatnonzero(pattern)
         thresholds[(delta, k)] = float(omega[interior[first[0]]]) if len(first) else np.inf
+    return thresholds
+
+
+def threshold_aoi_by_group(space, actions: np.ndarray) -> dict[tuple[int, int], float]:
+    """The AoI cutoffs of a delayed-sensing action table, keyed (k, g) in
+    ascending order, one group at a time along ascending AoI: the first
+    transmitting AoI, an int, or ``np.inf`` where the group never transmits.
+    At every AoI from the cutoff on that also reaches the frame length the
+    group must transmit; ``ThresholdStructureError`` names the first group
+    that does not."""
+    thresholds: dict[tuple[int, int], float] = {}
+    for idxs in cutoff_groups(space):
+        k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])
+        deltas, pattern = space.delta[idxs].tolist(), actions[idxs].tolist()
+        cutoff = next((d for d, a in zip(deltas, pattern) if a == 1), np.inf)
+        if any(a == 0 and d >= max(cutoff, space.frame.K) for d, a in zip(deltas, pattern)):
+            raise ThresholdStructureError(
+                f"actions at (k={k}, g={g}) are not of threshold type: "
+                f"{pattern} along ascending AoI"
+            )
+        thresholds[(k, g)] = cutoff
     return thresholds

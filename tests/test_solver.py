@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoisched.channel import ChannelModel
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, TruncationBound, build_case
@@ -35,6 +36,7 @@ from oracles import (
     enumerate_threshold_optimum,
     exact_average_cost,
     power_iteration_full,
+    threshold_aoi_by_group,
     threshold_belief_by_group,
 )
 
@@ -190,7 +192,10 @@ THRESHOLD_SOLVER = {NS: rvi_threshold_no_sensing, DS: rvi_threshold_delayed}
 # goes through BLAS, whose last bit moves with the thread count. The
 # (0.6, 0.0) instances price suspension and a zero-belief transmission
 # identically, so there the tie break shows; N=200 at lam=400 is a price
-# the low-budget searches reach.
+# the low-budget searches reach. An entry with a fifth field also pins the
+# case's threshold solver at N=200, where a (delta, k) layer holds up to 59
+# beliefs on (0.7, 0.3) and 148 on (0.9, 0.2); that field is its
+# argmin_evals.
 BYTE_PINS = {
     (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
     (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
@@ -209,6 +214,14 @@ BYTE_PINS = {
     (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
     (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
     (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "e2ab4fa0e09d7ef5", "351ca91e94e921ec"),
+    (3, 0.7, 0.3, 1.0, NS, 200, "suspend"): (113, "1bcfde86c8fb0c86", "65462027c3b66273", "0ce880f656166a79", 33498),
+    (3, 0.7, 0.3, 4.0, NS, 200, "suspend"): (113, "f95296ff435cd7e6", "7bb39aed40115b89", "a68987733f4f1327", 35201),
+    (3, 0.9, 0.2, 1.0, NS, 200, "suspend"): (172, "382f7991933bd31e", "b915dd6bc97ca2cd", "92e2e6ac8711a429", 58883),
+    (3, 0.9, 0.2, 4.0, NS, 200, "suspend"): (172, "3091a1c888887cbd", "215d85dfbf3de0d7", "00285ef5a0f52bfa", 62248),
+    (3, 0.7, 0.3, 1.0, DS, 200, "suspend"): (113, "fdb95a4d919073d4", "955cf7e6e1bbbde3", "9561131075a5280a", 753),
+    (3, 0.7, 0.3, 4.0, DS, 200, "suspend"): (113, "2df03553a226e19c", "d95b9f33ec5f2fd3", "26bc3db375663b06", 1580),
+    (3, 0.9, 0.2, 1.0, DS, 200, "suspend"): (172, "a27a0429819e8174", "5606b2bd436d8f80", "2f56ae5a922782e9", 1304),
+    (3, 0.9, 0.2, 4.0, DS, 200, "suspend"): (172, "33e20d739c983c24", "2e61785e5ed32209", "a54422c73dd6b0d1", 3231),
 }
 
 
@@ -223,7 +236,7 @@ def digest(array: np.ndarray) -> str:
                      + ("-threshold" if threshold else "-plain"))
         for threshold in (False, True)
         for key in BYTE_PINS
-        if key[5] < 200 or not threshold
+        if key[5] < 200 or not threshold or len(BYTE_PINS[key]) > 4
     ],
 )
 def test_solves_and_stationary_laws_are_byte_pinned(key, threshold):
@@ -235,7 +248,9 @@ def test_solves_and_stationary_laws_are_byte_pinned(key, threshold):
     law = stationary_distribution(kern, report.policy.actions)
     spans = np.array(report.span_history)
     got = (report.iterations, digest(report.bias), digest(spans), digest(law))
-    assert got == BYTE_PINS[key]
+    assert got == BYTE_PINS[key][:4]
+    if threshold and len(BYTE_PINS[key]) > 4:
+        assert report.argmin_evals == BYTE_PINS[key][4]
 
 
 class TestThresholdSolvers:
@@ -1303,6 +1318,32 @@ class TestThresholdExtraction:
         assert outcomes == {"threshold"} | ({"policy"} if K > 1 else set()) | (
             {"actions"} if p11 != p01 else set()
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([8, 20]), st.data())
+    def test_aoi_cutoffs_match_the_group_loop(self, K, N, data):
+        space, kern = build_case(DS, FrameSpec(K), ChannelModel(0.7, 0.3), TruncationBound(N))
+        groups = cutoff_groups(space)
+        # a random cutoff per group but one, which never transmits, then a
+        # few random flips
+        silent = data.draw(st.integers(0, len(groups) - 1), label="silent group")
+        actions = np.zeros(kern.n, dtype=np.int8)
+        for i, idxs in enumerate(groups):
+            if i != silent:
+                actions[idxs[data.draw(st.integers(0, len(idxs)), label="cutoff"):]] = 1
+        flips = data.draw(st.lists(st.integers(0, kern.n - 1), max_size=3), label="flips")
+        actions[flips] ^= 1
+        try:
+            want = threshold_aoi_by_group(space, actions)
+        except ThresholdStructureError as err:
+            with pytest.raises(ThresholdStructureError) as got:
+                extract_threshold_aoi(space, actions)
+            assert str(got.value) == str(err)
+            return
+        found = extract_threshold_aoi(space, actions).thresholds
+        assert found == want and list(found) == list(want)
+        # an int cutoff and an infinite one print differently in the CSVs
+        assert [type(c) for c in found.values()] == [type(c) for c in want.values()]
 
     def test_policy_lookup_beyond_cap_uses_cap_row(self):
         space, kern = build_case(
