@@ -4,16 +4,21 @@ The true channel evolves independently of the scheduler. In the no-sensing
 case the scheduler tracks a belief that only feedback from its own
 transmissions can reset; in the delayed-sensing case it sees the previous
 slot's true state. A run is bit-reproducible from its seed: the channel noise
-draws from one keyed stream of a counter-based generator, so the channel path
-is identical across policies and cases at a matched seed. A two-policy
+draws from one keyed stream of a counter-based generator, Philox4x64-10 keyed
+by ``SeedSequence(seed, spawn_key=(0,))``, so the channel path is identical
+across policies and cases at a matched seed. ``_philox`` computes that stream
+in numpy integer arithmetic: the same doubles numpy's ``Generator.random``
+returns, without importing ``numpy.random``. A two-policy
 mixture is read as one coin flipped at the start: each component runs on the
 same path and their averages are weighted by the mixing probability.
 
-A run draws its whole channel path once, before the first decision, in
-fixed-size blocks from the channel stream (the same doubles slot-by-slot
-draws would give). One loop per slot then walks that path on plain integers
-and marks in it the slots that transmit; the AoI samples and the energy are
-read off the marked path afterwards.
+A run gets its whole channel path before the first decision. The path is
+drawn in fixed-size, counter-aligned blocks of the channel stream (the same
+doubles slot-by-slot draws would give), once per distinct (channel, seed,
+horizon) in a process: the last path drawn is kept, and every run walks a
+fresh copy of it. One loop per slot walks that copy on plain integers and
+marks in it the slots that transmit; the AoI samples and the energy are read
+off the marked path afterwards.
 
 Decisions are cached. The loop keys each slot on what the decision can depend
 on: AoI, slot index, the belief's origin (start of run, last delivery or last
@@ -30,6 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._philox import philox_key, uniforms
 from .channel import ChannelModel, one_step_update, stationary_good_probability
 from .mdp import Case, FrameSpec
 from .solver import MixturePolicy, PolicyUndefinedError
@@ -43,8 +49,9 @@ __all__ = [
     "stationary_belief_value",
 ]
 
-# Channel draws per block of the pre-drawn path; a block's temporaries stay
-# small whatever the horizon.
+# Channel draws per block of the pre-drawn path, a multiple of the four
+# doubles of a Philox block; a block's temporaries stay small whatever the
+# horizon.
 _BLOCK = 8192
 # Most decisions one run caches. Keys are distinct states visited, which
 # grow with the horizon when a policy lets the AoI run away; past the limit
@@ -108,21 +115,42 @@ def _batch_se(samples: np.ndarray, n_batches: int = 50) -> float:
     return float(means.std(ddof=1) / np.sqrt(n_batches))
 
 
+# The last channel path drawn: ((p11, p01, seed, horizon), path bytes).
+_last_path: tuple = (None, b"")
+
+
 def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
-    """Channel states h_0..h_horizon of one run, one byte each.
+    """Channel states h_0..h_horizon of one run, one byte each, in a fresh
+    copy that the caller may mark.
 
     h_0 is drawn from the stationary law and h_t = [U_t < p11 if h_{t-1}
-    else p01]. Since p01 <= p11, h_t is 1 where U_t < p01, 0 where
-    U_t >= p11 and h_{t-1} in between, so each block is one forward fill
-    that carries the last state of the block before. The uniforms come from
-    a Philox generator keyed by the seed, so the path depends on nothing else.
+    else p01], with U_0, U_1, ... the doubles of Philox4x64-10 keyed by
+    ``SeedSequence(seed, spawn_key=(0,))`` (numpy's ``Generator.random``
+    stream, computed by ``_philox``), so the path depends on nothing else.
+    Since p01 <= p11, h_t is 1 where U_t < p01, 0 where U_t >= p11 and
+    h_{t-1} in between, so each block is one forward fill that carries the
+    last state of the block before. The path is drawn once per distinct
+    (p11, p01, seed, horizon) in a row of calls.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    global _last_path
+    memo_key = (ch.p11, ch.p01, seed, horizon)
+    known, drawn = _last_path
+    if known == memo_key:
+        return bytearray(drawn)
+    path = _draw_path(ch, seed, horizon)
+    _last_path = (memo_key, bytes(path))
+    return path
+
+
+def _draw_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
+    key = philox_key(seed, (0,))
     path = bytearray(horizon + 1)
     states = np.frombuffer(path, dtype=np.uint8)
-    states[0] = 1 if rng.random() < stationary_good_probability(ch) else 0
-    for start in range(1, horizon + 1, _BLOCK):
-        draws = rng.random(min(_BLOCK, horizon + 1 - start))
+    for start in range(0, horizon + 1, _BLOCK):
+        draws = uniforms(key, start, min(_BLOCK, horizon + 1 - start))
+        if start == 0:
+            states[0] = draws[0] < stationary_good_probability(ch)
+            start, draws = 1, draws[1:]
         good = draws < ch.p01
         # index into states[start - 1:]: 0 carries the previous state
         source = np.where(good | (draws >= ch.p11), np.arange(1, len(draws) + 1), 0)

@@ -1016,16 +1016,22 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
 def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     """AoI cutoffs of a policy on the delayed-CSI MDP, one per (k, g), read
     by reductions over ``rvi_threshold_delayed``'s runs. Fails where a group
-    suspends at an AoI at or above both its cutoff and the frame length."""
+    transmits at an AoI below the frame length, or suspends at an AoI at or
+    above its cutoff."""
     acts = _checked_actions(space.n, actions)
     starts, sizes = _slot_runs(space)
     delta, transmits = space.delta.reshape(-1, 2), acts.reshape(-1, 2) == 1
     lowest = np.minimum.reduceat(np.where(transmits, delta, np.inf), starts)
     highest = np.maximum.reduceat(np.where(transmits, -1, delta), starts)
     ks = space.k[::2][starts].tolist()
-    wrong = highest >= np.maximum(lowest, space.frame.K)
+    barred = lowest < space.frame.K
+    wrong = barred | (highest >= lowest)
     if wrong.any():
         run, g = divmod(int(np.argmax(wrong)), 2)
+        if barred[run, g]:
+            raise ThresholdStructureError(
+                f"policy transmits at inadmissible (delta={int(lowest[run, g])}, k={ks[run]}, g={g})"
+            )
         pattern = acts.reshape(-1, 2)[starts[run] : starts[run] + sizes[run], g]
         raise ThresholdStructureError(
             f"actions at (k={ks[run]}, g={g}) are not of threshold type: "

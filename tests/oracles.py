@@ -456,15 +456,19 @@ def threshold_aoi_by_group(space, actions: np.ndarray) -> dict[tuple[int, int], 
     """The AoI cutoffs of a delayed-sensing action table, keyed (k, g) in
     ascending order, one group at a time along ascending AoI: the first
     transmitting AoI, an int, or ``np.inf`` where the group never transmits.
-    At every AoI from the cutoff on that also reaches the frame length the
-    group must transmit; ``ThresholdStructureError`` names the first group
-    that does not."""
+    The cutoff must reach the frame length, and the group must transmit at
+    every AoI from the cutoff on; ``ThresholdStructureError`` names the first
+    group that breaks either rule."""
     thresholds: dict[tuple[int, int], float] = {}
     for idxs in cutoff_groups(space):
         k, g = int(space.k[idxs[0]]), int(space.g[idxs[0]])
         deltas, pattern = space.delta[idxs].tolist(), actions[idxs].tolist()
         cutoff = next((d for d, a in zip(deltas, pattern) if a == 1), np.inf)
-        if any(a == 0 and d >= max(cutoff, space.frame.K) for d, a in zip(deltas, pattern)):
+        if cutoff < space.frame.K:
+            raise ThresholdStructureError(
+                f"policy transmits at inadmissible (delta={cutoff}, k={k}, g={g})"
+            )
+        if any(a == 0 and d >= cutoff for d, a in zip(deltas, pattern)):
             raise ThresholdStructureError(
                 f"actions at (k={k}, g={g}) are not of threshold type: "
                 f"{pattern} along ascending AoI"

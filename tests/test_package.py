@@ -101,3 +101,25 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_simulating_sweeps_leave_numpy_random_unloaded(tmp_path):
+    # the channel stream is computed in-package; only the property suite
+    # draws from numpy.random
+    src = Path(aoisched.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    desk = ["--bound-N", "12", "--horizon", "3000", "--warmup", "100"]
+    commands = [
+        ["greedy-compare", "--frame-K", "2,3", *desk, "--out", str(tmp_path / "greedy.csv")],
+        ["tradeoff", "--case", "both", "--emax", "0.3,0.6", *desk, "--out", str(tmp_path / "tradeoff.csv")],
+    ]
+    probe = (
+        "import sys\n"
+        "from aoisched.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["[0,", "0]", "False"]

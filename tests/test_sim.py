@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from aoisched import sim
+from aoisched import _philox, sim
 from aoisched.channel import ChannelModel, one_step_update, stationary_good_probability
 from aoisched.mdp import Case, FrameSpec, TruncationBound, build_case
 from aoisched.sim import (
@@ -849,6 +849,37 @@ class TestChannelPath:
     def test_block_path_matches_scalar_recurrence(self, p11, p01, horizon):
         ch = ChannelModel(p11, p01)
         assert list(sim._channel_path(ch, 29, horizon)) == scalar_path(ch, 29, horizon)
+
+    def test_each_call_returns_an_independent_copy(self):
+        # a run marks its path in place; the next run must see it unmarked
+        ch = ChannelModel(0.7, 0.3)
+        first = sim._channel_path(ch, 47, 1000)
+        first[:] = bytes([3]) * len(first)
+        second = sim._channel_path(ch, 47, 1000)
+        assert second is not first
+        assert list(second) == scalar_path(ch, 47, 1000)
+
+
+STREAM_LENGTHS = [1, 4, 5, sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1, 3 * sim._BLOCK + 7]
+
+
+class TestChannelStream:
+    """The in-package stream against numpy's own Philox generator."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 + 11])
+    @pytest.mark.parametrize("spawn_key", [(0,), (9,)])
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    def test_doubles_equal_numpy_generator(self, seed, spawn_key, n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+        want = rng.random(n)
+        got = _philox.uniforms(_philox.philox_key(seed, spawn_key), 0, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start", [1, 3, 4, sim._BLOCK - 1, sim._BLOCK])
+    def test_reads_from_any_position(self, start):
+        key = _philox.philox_key(7, (0,))
+        whole = channel_stream(7).random(start + 11)
+        assert _philox.uniforms(key, start, 11).tobytes() == whole[start:].tobytes()
 
 
 def visited_keys(case, rows, h0):

@@ -1269,6 +1269,17 @@ class TestThresholdExtraction:
         with pytest.raises(ThresholdStructureError):
             extract_threshold_belief(space, actions)
 
+    def test_aoi_cutoff_below_the_frame_length_rejected(self):
+        space, kern = build_case(DS, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(8))
+        group = (space.k == 2) & (space.g == 0)
+        assert space.delta[group].tolist() == [1, 4, 7, 8]
+        actions = group.astype(np.int8)
+        message = r"policy transmits at inadmissible \(delta=1, k=2, g=0\)"
+        with pytest.raises(ThresholdStructureError, match=message):
+            extract_threshold_aoi(space, actions)
+        with pytest.raises(ThresholdStructureError, match=message):
+            threshold_aoi_by_group(space, actions)
+
     @pytest.mark.parametrize("case", list(Case))
     @pytest.mark.parametrize("malform", ["doubled", "negated", "short", "long"])
     def test_rejects_malformed_action_table(self, case, malform):
