@@ -947,7 +947,10 @@ def dual_value_sweep(
     Its maximum lower-bounds the constrained optimum and matches it when the
     grid resolves the optimal price. The grid is solved in batches, each
     price from the zero function, so every value is bit for bit
-    ``rvi_plain(...).gain - lam * e_max`` of that price alone.
+    ``rvi_plain(...).gain - lam * e_max`` of that price alone. A caller may
+    therefore pass only the grid prices beside the bracket of the budget's
+    critical price: the objective is concave in the price, so its grid
+    maximum lies there, and each value is the one the whole grid gives.
     """
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")

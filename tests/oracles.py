@@ -20,7 +20,10 @@ wrong rule in the runtime cannot pass a comparison with its oracle:
   solve and elimination, since what it checks is the restriction;
 * ``threshold_belief_by_group`` and ``threshold_aoi_by_group``: the belief
   cutoffs of a no-sensing policy, one (delta, k) group at a time, and the
-  AoI cutoffs of a delayed-sensing policy, one (k, g) group at a time.
+  AoI cutoffs of a delayed-sensing policy, one (k, g) group at a time;
+* ``dual_grid_maximum``: the dual objective's maximum over every price of
+  the property suite's grid, where the runtime solves only the prices
+  beside the budget's critical price.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ import numpy as np
 
 from aoisched.channel import ChannelModel, belief_table
 from aoisched.mdp import Case, CompiledKernel, FrameSpec, StateDelayed, StateNoSensing, TruncationBound
-from aoisched.solver import TabularPolicy, ThresholdStructureError, _cap_mass, _eliminate
+from aoisched.solver import (
+    TabularPolicy,
+    ThresholdStructureError,
+    _cap_mass,
+    _eliminate,
+    dual_value_sweep,
+)
 
 
 class CapExceededError(ValueError):
@@ -475,3 +484,16 @@ def threshold_aoi_by_group(space, actions: np.ndarray) -> dict[tuple[int, int], 
             )
         thresholds[(k, g)] = cutoff
     return thresholds
+
+
+# ---------------------------------------------------------------------------
+# duality
+
+
+def dual_grid_maximum(case: Case, frame: FrameSpec, ch: ChannelModel, bound: TruncationBound,
+                      e_max: float) -> tuple[float, float]:
+    """The price and value of the dual objective's maximum over all 1,201
+    prices 0, 0.01, ..., 12, each solved from the zero function; the first
+    such price on a tie."""
+    sweep = dual_value_sweep(case, frame, ch, bound, e_max, np.arange(0.0, 12.0001, 0.01), eps=1e-8)
+    return max(sweep, key=lambda entry: entry[1])

@@ -2,16 +2,22 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from aoisched.channel import ChannelModel
 from aoisched.cli import (
     EXIT_OK,
     EXIT_PROPERTY,
     EXIT_USAGE,
     GREEDY_COLUMNS,
     TRADEOFF_COLUMNS,
+    _primal_and_dual,
     main,
 )
+from aoisched.mdp import Case, FrameSpec, TruncationBound
+
+from oracles import dual_grid_maximum
 
 FAST = [
     "--bound-N", "25", "--horizon", "6000", "--warmup", "500",
@@ -410,4 +416,82 @@ class TestProperties:
         report = json.loads(out.read_text())
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "threshold_equivalence" in failed
+
+    def test_dual_above_the_primal_fails_the_dual_gap(self, tmp_path, monkeypatch):
+        # 5e-3 above the committed primal 4.138637: inside the gap tolerance,
+        # but weak duality puts the dual at or below the primal
+        import aoisched.cli as cli
+
+        monkeypatch.setattr(cli, "dual_value_sweep", lambda *args, **kwargs: [(4.35, 4.1436)])
+        out = tmp_path / "report.json"
+        code = main(["properties", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_PROPERTY
+        report = json.loads(out.read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["dual_gap"]
+
+
+NS, DS = Case.NO_SENSING, Case.DELAYED_SENSING
+
+
+def dual_args(case, K, p11, p01, N, e_max):
+    return case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N), e_max
+
+
+@pytest.fixture
+def dual_grids(monkeypatch):
+    """Record every price grid the CLI hands ``dual_value_sweep``."""
+    import aoisched.cli as cli
+
+    grids = []
+    sweep = cli.dual_value_sweep
+
+    def recording(case, frame, ch, bound, e_max, lam_grid, **kwargs):
+        grids.append([float(lam) for lam in lam_grid])
+        return sweep(case, frame, ch, bound, e_max, lam_grid, **kwargs)
+
+    monkeypatch.setattr(cli, "dual_value_sweep", recording)
+    return grids
+
+
+class TestDualBracket:
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            pytest.param((NS, 2, 0.7, 0.3, 12, 0.4), id="suite"),
+            pytest.param((NS, 3, 0.7, 0.3, 12, 0.3), id="ns-K3"),
+            pytest.param((NS, 2, 0.9, 0.5, 10, 0.2), id="ns-0.9-0.5"),
+            pytest.param((DS, 2, 0.8, 0.2, 10, 0.5), id="ds-K2"),
+            pytest.param((DS, 3, 0.9, 0.3, 12, 0.25), id="ds-K3"),
+            pytest.param((NS, 2, 0.7, 0.3, 12, 0.15), id="price-past-grid"),
+            pytest.param((NS, 2, 0.7, 0.3, 12, 1.0), id="price-zero"),
+        ],
+    )
+    def test_dual_is_the_full_grid_maximum(self, dual_grids, instance):
+        args = dual_args(*instance)
+        _mix, dual = _primal_and_dual(*args)
+        price, full = dual_grid_maximum(*args)
+        assert dual == full
+        # one sweep of at most three prices, taken from the grid
+        [grid] = dual_grids
+        assert 1 <= len(grid) <= 3
+        assert set(grid) <= set(np.arange(0.0, 12.0001, 0.01).tolist())
+        assert price in grid
+
+    def test_suite_instance_solves_the_two_prices_beside_the_bracket(self, dual_grids):
+        mix, dual = _primal_and_dual(*dual_args(NS, 2, 0.7, 0.3, 12, 0.4))
+        assert 4.34 < mix.lam_minus <= mix.lam_plus < 4.35
+        assert [[round(lam, 9) for lam in grid] for grid in dual_grids] == [[4.34, 4.35]]
+        assert dual == 4.138599229244382
+
+    def test_critical_price_past_the_grid_solves_its_last_price(self, dual_grids):
+        mix, dual = _primal_and_dual(*dual_args(NS, 2, 0.7, 0.3, 12, 0.15))
+        assert 23.67 < mix.lam_minus <= mix.lam_plus < 23.68
+        assert dual_grids == [[12.0]]
+        assert dual == 6.512841671216674
+
+    def test_price_zero_mixture_solves_the_first_two_prices(self, dual_grids):
+        mix, _dual = _primal_and_dual(*dual_args(NS, 2, 0.7, 0.3, 12, 1.0))
+        assert mix.lam_minus == mix.lam_plus == 0.0
+        assert dual_grids == [[0.0, 0.01]]
 
