@@ -23,16 +23,15 @@ One search serves all budgets of a tradeoff curve and runs each solve their
 searches have in common once.
 
 All relative value iteration runs through one loop over the vectorised
-Bellman step, which discounted value iteration shares. Both carry a price
-axis: a single solve is a batch of one price, and the dual sweep solves its
-grid in batches, each price exactly as it would be solved alone. A
-threshold-aware variant solves one price and only supplies the mask of
-states its cutoff rule places above the cutoff; its ``argmin_evals`` counts
-the comparisons the rule still needs, the paper's complexity measure, not
-work that is skipped. Each group a cutoff acts on, a (k, delta) layer
-without sensing and a slot's column of the (layer, g) view with delayed
-sensing, is a run of the state order, so one ``np.minimum.reduceat`` per
-sweep finds every cutoff, and the extractors read the same runs.
+Bellman step, which discounted value iteration shares. Each solve is of one
+price; the dual sweep solves each price of its grid from the zero function.
+A threshold-aware variant only supplies the mask of states its cutoff rule
+places above the cutoff; its ``argmin_evals`` counts the comparisons the
+rule still needs, the paper's complexity measure, not work that is skipped.
+Each group a cutoff acts on, a (k, delta) layer without sensing and a slot's
+column of the (layer, g) view with delayed sensing, is a run of the state
+order, so one ``np.minimum.reduceat`` per sweep finds every cutoff, and the
+extractors read the same runs.
 
 The step reads the kernel's branch-major rows: one ``np.take`` gathers the
 bias at the successors of every (action, branch) row, and every later
@@ -259,54 +258,44 @@ class SolveReport:
 
 
 class _Bellman:
-    """The Bellman step over a batch of prices, and its work arrays.
+    """The Bellman step at one price, and its work arrays.
 
-    The bias h and the transmit cost hold one column per price, (n, width)
-    for a batch of width prices. One ``np.take`` gathers the bias rows at
-    every kernel row's successors, and every later operation writes with
-    ``out=`` in the order of q_u = delta + lam*u + sum over u's branches of
-    p*h, so the values are those of ``kern.expected_bias`` bit for bit. Rows
-    whose probability is 1 at every state (suspension without sensing) skip
-    the multiply, and the transmit cost is +inf where transmission is
-    inadmissible; neither moves a bit. With a discount ``beta`` the
-    expectation is scaled before the cost is added. The work arrays are made
-    once, for the batch's one width, so a sweep allocates nothing.
+    One ``np.take`` gathers the bias at every kernel row's successors, and
+    every later operation writes with ``out=`` in the order of q_u = delta +
+    lam*u + sum over u's branches of p*h, so the values are those of
+    ``kern.expected_bias`` bit for bit. Rows whose probability is 1 at every
+    state (suspension without sensing) skip the multiply, and the transmit
+    cost, made once, is +inf where transmission is inadmissible; neither
+    moves a bit. With a discount ``beta`` the expectation is scaled before
+    the cost is added. The work arrays are made once, so a step allocates
+    nothing. The price must be finite and non-negative.
     """
 
-    def __init__(self, kern: CompiledKernel, width: int, beta: float | None = None):
+    def __init__(self, kern: CompiledKernel, lam: float, beta: float | None = None):
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"energy price must be finite and non-negative, got {lam}")
         self.kern = kern
         self.beta = beta
-        self.delta = kern.delta[:, None]
-        prob = kern.prob[:, :, None]
         # both work arrays before their views, whose small allocations would
         # otherwise sit between large ones and raise the peak memory
-        self.terms, q = np.empty(kern.prob.shape + (width,)), np.empty((2, kern.n, width))
+        self.terms, q = np.empty(kern.prob.shape), np.empty((2, kern.n))
         # probabilities are at most 1, so a row's minimum is 1 only on unit rows
         bounds = np.flatnonzero(np.diff(np.r_[0, kern.prob.min(axis=1) < 1.0, 0]))
-        self.scaled = [(self.terms[a:b], prob[a:b]) for a, b in zip(bounds[::2], bounds[1::2])]
+        self.scaled = [(self.terms[a:b], kern.prob[a:b]) for a, b in zip(bounds[::2], bounds[1::2])]
         self.sums = [
             [self.terms[r] for r in range(rows.start, rows.stop)]
             for rows in (kern.rows(0), kern.rows(1))
         ]
         self.q = tuple(q)
+        self.cost = kern.delta + lam
+        self.cost[~kern.admissible] = np.inf
 
-    def transmit_cost(self, lams: np.ndarray) -> np.ndarray:
-        """The (n, len(lams)) cost of transmitting, +inf where inadmissible.
-        Every price must be finite and non-negative."""
-        bad = lams[~((lams >= 0.0) & (lams < np.inf))]
-        if len(bad):
-            raise ValueError(f"energy price must be finite and non-negative, got {bad[0]}")
-        cost = self.delta + lams
-        cost[~self.kern.admissible] = np.inf
-        return cost
-
-    def __call__(self, h: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Action values (q0, q1) at the (n, width) bias h, each (n, width),
-        with ``cost`` the transmit cost of the same prices."""
-        np.take(h, self.kern.succ, axis=0, out=self.terms, mode="clip")
+    def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Action values (q0, q1) at the bias h, in the step's work arrays."""
+        np.take(h, self.kern.succ, out=self.terms, mode="clip")
         for part, prob in self.scaled:
             np.multiply(part, prob, out=part)
-        for branches, cost_u, q_u in zip(self.sums, (self.delta, cost), self.q):
+        for branches, cost_u, q_u in zip(self.sums, (self.kern.delta, self.cost), self.q):
             expect = branches[0] if len(branches) == 1 else np.add(*branches, out=q_u)
             if self.beta is not None:
                 expect = np.multiply(expect, self.beta, out=q_u)
@@ -318,84 +307,62 @@ def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) ->
     return np.less(q1, q0, out=out) if tie_break == "suspend" else np.less_equal(q1, q0, out=out)
 
 
-def _rvi(space, kern, lams, eps, h_init, tie_break, above=None):
+def _rvi(space, kern, lam, eps, h_init, tie_break, above=None):
     """The one relative-value-iteration loop behind every solver: one
-    ``SolveReport`` per price of ``lams``, in that order.
+    ``SolveReport`` for the price ``lam``.
 
-    A sweep is elementwise across prices or reduces within one price's
-    column, so each price is solved exactly as alone, from ``h_init`` (one
-    finite value per state; the zero function by default), each sweep
-    damped by ``_RELAXATION``. A price is done at the first sweep where its
-    own span is at most ``eps``; its report is read from the action values
-    the next sweep computes at that iterate. The batch keeps its width: a
-    done price's column sweeps on, unreported, until every price is done,
-    so its report holds a copy of its bias, and the last prices report
-    views. ``NonConvergenceError`` after ``_RVI_SWEEPS`` sweeps.
+    It starts from ``h_init`` (one finite value per state; the zero function
+    by default) and damps each sweep by ``_RELAXATION``. The solve is done at
+    the first sweep whose span is at most ``eps``; its report is read from
+    the action values of one more step at that iterate.
+    ``NonConvergenceError`` after ``_RVI_SWEEPS`` sweeps.
 
-    ``above`` (one price only) maps the action values (q0, q1) of a sweep to
-    the admissible states a cutoff rule already places above their cutoff.
-    Those take q1 as they are, and ``argmin_evals`` counts only the
-    comparisons the rule still needs, the paper's complexity measure.
+    ``above`` maps the action values (q0, q1) of a sweep to the admissible
+    states a cutoff rule already places above their cutoff. Those take q1 as
+    they are, and ``argmin_evals`` counts only the comparisons the rule
+    still needs, the paper's complexity measure.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {eps}")
-    lams = np.array(lams, dtype=float)
     if tie_break not in ("suspend", "transmit"):
         raise ValueError(f"unknown tie break {tie_break!r}")
-    m, n = len(lams), kern.n
-    step = _Bellman(kern, m)
-    h, h_new = np.zeros((n, m)), np.empty((n, m))
-    cost = step.transmit_cost(lams)
+    n = kern.n
+    bellman = _Bellman(kern, lam)
+    h, h_new = np.zeros(n), np.empty(n)
     if h_init is not None:
         h_init = np.asarray(h_init, dtype=float)
         if h_init.shape != (n,) or not np.isfinite(h_init).all():
             raise ValueError(f"h_init must hold one finite value for each of the {n} states")
-        h.T[:] = h_init
+        h[:] = h_init
     ref = kern.reference_index
-    ref_value, span = np.empty(m), np.empty(m)
     n_argmin, skipped = int(kern.admissible.sum()), 0
-    running, finished = list(range(m)), []  # columns not yet done, and done at the last sweep
-    spans: list[list[float]] = [[] for _ in range(m)]
-    reports: list[SolveReport | None] = [None] * m
-    for sweep in range(_RVI_SWEEPS + 1):
-        q0, q1 = step(h, cost)
-        for j in finished:
-            history = spans[j]
-            actions = _transmit_beats(q0[:, j], q1[:, j], tie_break).astype(np.int8)
-            reports[j] = SolveReport(
-                float(np.minimum(q0[ref, j], q1[ref, j])), h[:, j].copy() if running else h[:, j],
-                TabularPolicy(space, actions), len(history), history[-1],
-                n_argmin * len(history) - skipped, history,
-            )
-        if not running:
-            return reports
-        if sweep == _RVI_SWEEPS:
-            break
-        up = None if above is None else above(q0[:, 0], q1[:, 0])
+    history: list[float] = []
+    for _ in range(_RVI_SWEEPS):
+        q0, q1 = bellman.step(h)
+        up = None if above is None else above(q0, q1)
         v = np.minimum(q0, q1, out=q0)
         if up is not None:
-            np.copyto(v[:, 0], q1[:, 0], where=up)
+            np.copyto(v, q1, where=up)
             skipped += int(np.count_nonzero(up))
         # h_new = h + _RELAXATION * (v - v[ref] - h); q1 then takes the change
-        np.copyto(ref_value, v[ref])
-        np.subtract(v, ref_value, out=v)
+        np.subtract(v, v[ref], out=v)
         np.subtract(v, h, out=v)
         np.multiply(_RELAXATION, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
-        np.maximum.reduce(np.abs(q1, out=q1), axis=0, out=span)
-        now = span.tolist()
-        for j in running:
-            spans[j].append(now[j])
+        history.append(float(np.abs(q1, out=q1).max()))
         h, h_new = h_new, h
-        finished = [j for j in running if now[j] <= eps]
-        if finished:
-            running = [j for j in running if j not in finished]
-    last = spans[running[0]][-1]
+        if history[-1] <= eps:
+            q0, q1 = bellman.step(h)
+            actions = _transmit_beats(q0, q1, tie_break).astype(np.int8)
+            return SolveReport(
+                float(np.minimum(q0[ref], q1[ref])), h, TabularPolicy(space, actions),
+                len(history), history[-1], n_argmin * len(history) - skipped, history,
+            )
     raise NonConvergenceError(
         f"relative value iteration did not reach span {eps} in {_RVI_SWEEPS} sweeps "
-        f"(last span {last})",
-        last,
+        f"(last span {history[-1]})",
+        history[-1],
     )
 
 
@@ -415,7 +382,7 @@ def rvi_plain(
     Ties between equal action values resolve to suspension so that all
     solver variants agree action for action.
     """
-    return _rvi(space, kern, [lam], eps, h_init, tie_break)[0]
+    return _rvi(space, kern, lam, eps, h_init, tie_break)
 
 
 def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
@@ -478,7 +445,7 @@ def rvi_threshold_no_sensing(
         np.greater(rank, np.repeat(cutoff, sizes), out=up)
         return np.logical_and(free, up, out=up)
 
-    return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
+    return _rvi(space, kern, lam, eps, None, tie_break, above)
 
 
 def rvi_threshold_delayed(
@@ -509,7 +476,7 @@ def rvi_threshold_delayed(
         up[:, 1] |= delta[:, 1] >= first[:, 0]
         return up.ravel()
 
-    return _rvi(space, kern, [lam], eps, None, tie_break, above)[0]
+    return _rvi(space, kern, lam, eps, None, tie_break, above)
 
 
 def discounted_vi(
@@ -526,18 +493,21 @@ def discounted_vi(
     if not 0.0 < beta < 1.0:
         raise ValueError(f"discount factor must be in (0, 1), got {beta}")
     tol = (1.0 - beta) * 1e-8
-    step = _Bellman(kern, 1, beta)
-    cost = step.transmit_cost(np.array([lam], dtype=float))
-    v, v_new = np.zeros((kern.n, 1)), np.empty((kern.n, 1))
+    bellman = _Bellman(kern, lam, beta)
+    v, v_new = np.zeros(kern.n), np.empty(kern.n)
     for _ in range(_DISCOUNTED_SWEEPS):
-        q0, q1 = step(v, cost)
+        q0, q1 = bellman.step(v)
         np.minimum(q0, q1, out=v_new)
         np.subtract(v_new, v, out=q1)
         change = float(np.abs(q1, out=q1).max())
         v, v_new = v_new, v
         if change < tol:
-            return v[:, 0]
-    raise NonConvergenceError("discounted value iteration stalled", change)
+            return v
+    raise NonConvergenceError(
+        f"discounted value iteration did not reach a change below {tol} in "
+        f"{_DISCOUNTED_SWEEPS} sweeps (last change {change})",
+        change,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -929,10 +899,6 @@ def bisect_lambda(
     return mixes
 
 
-# prices times states solved at once by one batch of ``dual_value_sweep``
-_DUAL_BATCH = 2 ** 14
-
-
 def dual_value_sweep(
     case: Case,
     frame: FrameSpec,
@@ -945,12 +911,12 @@ def dual_value_sweep(
     """Dual objective (priced optimum minus priced budget) along a price grid.
 
     Its maximum lower-bounds the constrained optimum and matches it when the
-    grid resolves the optimal price. The grid is solved in batches, each
-    price from the zero function, so every value is bit for bit
-    ``rvi_plain(...).gain - lam * e_max`` of that price alone. A caller may
-    therefore pass only the grid prices beside the bracket of the budget's
-    critical price: the objective is concave in the price, so its grid
-    maximum lies there, and each value is the one the whole grid gives.
+    grid resolves the optimal price. Each price is solved on its own from the
+    zero function, so every value is bit for bit ``rvi_plain(...).gain - lam
+    * e_max`` of that price. A caller may therefore pass only the grid prices
+    beside the bracket of the budget's critical price: the objective is
+    concave in the price, so its grid maximum lies there, and each value is
+    the one the whole grid gives.
     """
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
@@ -958,13 +924,7 @@ def dual_value_sweep(
     if not grid or not all(0.0 <= lam < np.inf for lam in grid):
         raise ValueError("price grid must be non-empty, finite and non-negative")
     space, kern = build_case(case, frame, ch, bound)
-    size = max(1, _DUAL_BATCH // kern.n)
-    out = []
-    for start in range(0, len(grid), size):
-        batch = grid[start : start + size]
-        reports = _rvi(space, kern, batch, eps, None, "suspend")
-        out.extend((lam, report.gain - lam * e_max) for lam, report in zip(batch, reports))
-    return out
+    return [(lam, _rvi(space, kern, lam, eps, None, "suspend").gain - lam * e_max) for lam in grid]
 
 
 # ---------------------------------------------------------------------------

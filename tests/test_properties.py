@@ -116,13 +116,12 @@ def test_bellman_step_decomposes(instance, case, lam, seed):
     frame, ch, bound = instance
     _space, kern = build_case(case, frame, ch, bound)
     h = np.random.default_rng(seed).normal(size=kern.n)
-    step = _Bellman(kern, 1)
-    q0, q1 = step(h[:, None], step.transmit_cost(np.array([lam])))
-    assert np.array_equal(q0[:, 0], kern.delta + kern.expected_bias(h, 0))
+    q0, q1 = _Bellman(kern, lam).step(h)
+    assert np.array_equal(q0, kern.delta + kern.expected_bias(h, 0))
     adm = kern.admissible
     want = (kern.delta + lam) + kern.expected_bias(h, 1)
-    assert np.array_equal(q1[adm, 0], want[adm])
-    assert np.all(np.isposinf(q1[~adm, 0]))
+    assert np.array_equal(q1[adm], want[adm])
+    assert np.all(np.isposinf(q1[~adm]))
 
 
 @given(

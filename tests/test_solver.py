@@ -334,9 +334,8 @@ class TestDiscountedVi:
         _space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(5)
         )
-        step = _Bellman(kern, 1, 0.9)
-        q0, q1 = step(np.zeros((kern.n, 1)), step.transmit_cost(np.zeros(1)))
-        assert np.allclose(np.minimum(q0, q1)[:, 0], kern.delta)
+        q0, q1 = _Bellman(kern, 0.0, 0.9).step(np.zeros(kern.n))
+        assert np.allclose(np.minimum(q0, q1), kern.delta)
 
     def test_monotone_in_aoi(self):
         from aoisched.solver import aoi_monotonicity_violations
@@ -372,55 +371,65 @@ class TestDiscountedVi:
         with pytest.raises(ValueError, match="energy price must be finite and non-negative"):
             discounted_vi(space, kern, lam, 0.9)
 
+    def test_stall_names_limit_tolerance_and_last_change(self, monkeypatch):
+        space, kern = build_case(
+            Case.NO_SENSING, FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(6)
+        )
+        monkeypatch.setattr(solver, "_DISCOUNTED_SWEEPS", 3)
+        with pytest.raises(NonConvergenceError) as err:
+            discounted_vi(space, kern, 1.0, beta=0.9)
+        tol = (1.0 - 0.9) * 1e-8
+        assert str(err.value) == (
+            f"discounted value iteration did not reach a change below {tol} in 3 sweeps "
+            f"(last change {err.value.span})"
+        )
+        # the third sweep's change: each sweep's change is at most beta times
+        # the one before, and the first is the largest AoI
+        assert tol < err.value.span <= 0.9 ** 2 * kern.delta.max()
+
 
 class TestBellmanStep:
     """The stage cost inside one Bellman step: AoI, plus the price when
     transmitting, plus the expected bias of the successors."""
 
-    lams = np.array([0.0, 2.5, 123.0])
-
-    def make(self, case=Case.NO_SENSING):
+    def make(self, lam, case=Case.NO_SENSING):
         _space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
-        return kern, _Bellman(kern, len(self.lams))
+        return kern, _Bellman(kern, lam)
 
+    @pytest.mark.parametrize("lam", [0.0, 2.5, 123.0])
     @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
-    def test_transmission_adds_price(self, case):
-        kern, step = self.make(case)
-        cost = step.transmit_cost(self.lams)
+    def test_transmission_adds_price(self, case, lam):
+        kern, step = self.make(lam, case)
+        _q0, q1 = step.step(np.zeros(kern.n))
         adm = kern.admissible
-        assert cost.shape == (kern.n, len(self.lams))
-        assert np.array_equal(cost[adm], kern.delta[adm, None] + self.lams)
+        assert np.array_equal(q1[adm], kern.delta[adm] + lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5, 123.0])
+    def test_suspension_is_aoi_only(self, lam):
+        kern, step = self.make(lam)
+        q0, _q1 = step.step(np.zeros(kern.n))
+        assert np.array_equal(q0, kern.delta)
 
     def test_inadmissible_transmission_costs_infinity(self):
-        kern, step = self.make()
-        cost = step.transmit_cost(self.lams)
+        kern, step = self.make(2.5)
+        _q0, q1 = step.step(np.random.default_rng(3).normal(size=kern.n))
         assert (~kern.admissible).any()
-        assert np.all(np.isposinf(cost[~kern.admissible]))
-
-    def test_suspension_is_aoi_only(self):
-        kern, step = self.make()
-        h = np.zeros((kern.n, len(self.lams)))
-        q0, q1 = (q.copy() for q in step(h, step.transmit_cost(self.lams)))
-        assert np.array_equal(q0, np.broadcast_to(kern.delta[:, None], q0.shape))
-        adm = kern.admissible
-        assert np.array_equal(q1[adm], kern.delta[adm, None] + self.lams)
+        assert np.all(np.isposinf(q1[~kern.admissible]))
 
     def test_free_price_leaves_only_the_bias(self):
         # at price 0 the two actions differ only in their successors
-        kern, _ = self.make()
-        step = _Bellman(kern, 1)
-        h = np.random.default_rng(3).normal(size=(kern.n, 1))
-        q0, q1 = step(h, step.transmit_cost(np.zeros(1)))
+        kern, step = self.make(0.0)
+        h = np.random.default_rng(3).normal(size=kern.n)
+        q0, q1 = step.step(h)
         adm = kern.admissible
         assert np.array_equal(
-            (q1 - q0)[adm, 0],
-            (kern.delta + kern.expected_bias(h[:, 0], 1) - q0[:, 0])[adm],
+            (q1 - q0)[adm], (kern.delta + kern.expected_bias(h, 1) - q0)[adm]
         )
 
-    def test_rejects_bad_price_in_a_batch(self):
-        _kern, step = self.make()
-        with pytest.raises(ValueError, match="got nan"):
-            step.transmit_cost(np.array([1.0, float("nan"), -1.0]))
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_price(self, lam):
+        with pytest.raises(ValueError, match=f"energy price must be finite and non-negative, got {lam}"):
+            self.make(lam)
 
 
 class TestPolicyEvaluation:
@@ -1129,42 +1138,22 @@ class TestDualSweep:
         unconstrained = rvi_plain(space, kern, 0.0, eps=1e-9).gain
         assert sweep[0][1] == unconstrained
 
-    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)])
-    @pytest.mark.parametrize("case", [NS, DS])
-    def test_every_entry_is_the_cold_solve(self, case, p11, p01):
-        # the (0.6, 0.0) channel prices suspension and a zero-belief
-        # transmission identically
-        frame, ch, bound = FrameSpec(2), ChannelModel(p11, p01), TruncationBound(8)
-        grid = np.arange(0.0, 6.0001, 0.25)
-        sweep = dual_value_sweep(case, frame, ch, bound, 0.3, grid, eps=1e-8)
-        assert sweep == cold_dual_values(case, frame, ch, bound, 0.3, grid, 1e-8)
-
     @pytest.mark.parametrize(
         "grid",
         [
+            pytest.param(np.arange(0.0, 6.0001, 0.25), id="ascending"),
             pytest.param([1.5], id="one-price"),
             pytest.param([2.0, 0.5, 2.0, 0.0, 1.25, 0.5, 7.0], id="unsorted-repeated"),
-            pytest.param(np.arange(0.0, 3.01, 0.5), id="ascending"),
         ],
     )
-    @pytest.mark.parametrize("prices_per_batch", [3, None])
-    def test_batches_leave_every_value_unchanged(self, monkeypatch, grid, prices_per_batch):
-        frame, ch, bound = FrameSpec(3), ChannelModel(0.8, 0.3), TruncationBound(9)
-        _space, kern = build_case(Case.NO_SENSING, frame, ch, bound)
-        if prices_per_batch is not None:
-            # three prices per batch cross a batch boundary in every grid of
-            # more than three prices
-            monkeypatch.setattr("aoisched.solver._DUAL_BATCH", prices_per_batch * kern.n)
-        sweep = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.5, grid, eps=1e-8)
-        assert sweep == cold_dual_values(Case.NO_SENSING, frame, ch, bound, 0.5, grid, 1e-8)
-
-    def test_one_price_per_batch_matches_default_batches(self, monkeypatch):
-        frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(12)
-        grid = np.arange(0.0, 12.0001, 0.05)
-        default = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
-        monkeypatch.setattr("aoisched.solver._DUAL_BATCH", 1)
-        single = dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
-        assert single == default
+    @pytest.mark.parametrize("p11,p01", [(0.7, 0.3), (0.9, 0.2), (0.6, 0.0)])
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_every_entry_is_the_cold_solve(self, case, p11, p01, grid):
+        # the (0.6, 0.0) channel prices suspension and a zero-belief
+        # transmission identically
+        frame, ch, bound = FrameSpec(2), ChannelModel(p11, p01), TruncationBound(8)
+        sweep = dual_value_sweep(case, frame, ch, bound, 0.3, grid, eps=1e-8)
+        assert sweep == cold_dual_values(case, frame, ch, bound, 0.3, grid, 1e-8)
 
     def test_criterion_10_sweep_memory_is_bounded(self):
         import tracemalloc
@@ -1189,28 +1178,10 @@ class TestDualSweep:
         rvi_plain(space, kern, 4.0, eps=1e-8)
         with pytest.raises(NonConvergenceError) as alone:
             rvi_plain(space, kern, 1.0, eps=1e-8)
-        with pytest.raises(NonConvergenceError) as batched:
+        with pytest.raises(NonConvergenceError) as swept:
             dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, [4.0, 1.0, 0.0], eps=1e-8)
-        assert str(batched.value) == str(alone.value)
-        assert batched.value.span == alone.value.span
-
-    def test_prices_finishing_far_apart_report_their_lone_solves(self):
-        # 0.0 is done after 113 sweeps and its column sweeps on until 400.0
-        # is done after 1,774, so its report must not read the later sweeps
-        space, kern = build_case(
-            Case.NO_SENSING, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200)
-        )
-        batch = solver._rvi(space, kern, [0.0, 400.0], 1e-6, None, "suspend")
-        alone = [rvi_plain(space, kern, lam, eps=1e-6) for lam in (0.0, 400.0)]
-        assert [r.iterations for r in batch] == [113, 1774]
-        for got, want in zip(batch, alone):
-            assert got.gain == want.gain
-            assert got.bias.tobytes() == want.bias.tobytes()
-            assert np.array_equal(got.policy.actions, want.policy.actions)
-            assert got.iterations == want.iterations
-            assert got.span == want.span
-            assert got.span_history == want.span_history
-            assert got.argmin_evals == want.argmin_evals
+        assert str(swept.value) == str(alone.value)
+        assert swept.value.span == alone.value.span
 
     def test_dual_curve_concave_along_grid(self):
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(8)
