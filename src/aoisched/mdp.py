@@ -19,7 +19,7 @@ other oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -254,6 +254,12 @@ class CompiledKernel:
     order of the per-state kernels in ``tests/oracles.py``. Where transmission
     is inadmissible its rows repeat the suspension branches, with zero beyond
     them; the solvers mask those states out.
+
+    ``delivery`` is the transmit-success row (pair (1, 0)) as runs of the
+    state order, (first state, end, successor), that cover every state and
+    lead each run's admissible states to one successor. A delivery resets
+    the AoI to the slot index, so a compiled kernel has one run per slot. It
+    is empty without that pair.
     """
 
     succ: np.ndarray
@@ -262,6 +268,19 @@ class CompiledKernel:
     admissible: np.ndarray
     delta: np.ndarray
     reference_index: int
+    delivery: list[tuple[int, int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.delivery = []
+        if (1, 0) in self.pairs:
+            succ = self.succ[self.pairs.index((1, 0))]
+            # where no state may transmit, any one run will do
+            at = np.flatnonzero(self.admissible) if self.admissible.any() else np.zeros(1, dtype=int)
+            # each run's first admissible state; barred states join the run
+            # before them, or the first run
+            first = at[np.r_[0, np.flatnonzero(np.diff(succ[at])) + 1]]
+            bounds = np.r_[0, first[1:], self.n].tolist()
+            self.delivery = list(zip(bounds[:-1], bounds[1:], succ[first].tolist()))
 
     @property
     def n(self) -> int:

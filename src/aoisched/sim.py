@@ -16,23 +16,24 @@ A run gets its whole channel path before the first decision. The path is
 drawn in fixed-size, counter-aligned blocks of the channel stream (the same
 doubles slot-by-slot draws would give), once per distinct (channel, seed,
 horizon) in a process: the last path drawn is kept, and every run walks a
-fresh copy of it. One loop per slot walks that copy on plain integers and
-marks in it the slots that transmit; the AoI samples and the energy are read
-off the marked path afterwards.
+fresh copy of it. A loop on plain integers walks that copy and marks in it
+the slots that transmit; the AoI samples and the energy are read off the
+marked path afterwards.
 
-Decisions are cached. The loop keys each slot on what the decision can depend
-on: AoI, slot index, the belief's origin (start of run, last delivery or last
-failed transmission) and unobserved steps since it, or the last channel
-state under delayed sensing. ``policy.action`` is called only the first time
-a key occurs, so it must be a pure function of (delta, k, observation): the
-belief value without sensing, the last channel state with delayed sensing.
+Decisions are cached. Without sensing the scheduler observes nothing
+between its transmissions, so the slot of its next transmission follows
+from the last reset alone: the AoI and the belief's origin (start of run,
+last delivery or last failed transmission). The loop caches that offset
+per reset and runs once per transmission. With delayed sensing it runs
+once per slot and caches each decision on the AoI and the last channel
+state. ``policy.action`` is called only the first time a state occurs, so
+it must be a pure function of (delta, k, observation): the belief value
+without sensing, the last channel state with delayed sensing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-
 import numpy as np
 
 from ._philox import philox_key, uniforms
@@ -53,9 +54,9 @@ __all__ = [
 # doubles of a Philox block; a block's temporaries stay small whatever the
 # horizon.
 _BLOCK = 8192
-# Most decisions one run caches. Keys are distinct states visited, which
-# grow with the horizon when a policy lets the AoI run away; past the limit
-# the loop calls ``policy.action`` directly.
+# Most keys one run caches: resets without sensing, states with delayed
+# sensing. Keys grow with the horizon when a policy lets the AoI run away;
+# past the limit the loop calls ``policy.action`` at every slot it walks.
 _CACHE_LIMIT = 1 << 12
 # Belief origins: after a failed transmission, after a delivery, run start.
 _BAD, _GOOD, _INITIAL = 0, 1, 2
@@ -169,57 +170,85 @@ def _policy_slots(case, frame, ch, policy, path) -> None:
     The slot index k is a function of the AoI (the AoI is k - 1 modulo K),
     so a decision depends on (AoI, belief origin, steps since the last
     transmission) without sensing and on (AoI, last channel state) with
-    delayed sensing. The cache key encodes exactly that, with the observed
-    channel bit (always 0 without sensing) as its low bit, and advances by 2
-    per slot between transmissions.
+    delayed sensing.
+    """
+    if case is Case.NO_SENSING:
+        _transmission_walk(frame, ch, policy, path)
+    else:
+        _delayed_slots(frame, policy, path)
+
+
+def _transmission_walk(frame, ch, policy, path) -> None:
+    """The no-sensing walk, from one transmission to the next.
+
+    Between its transmissions the scheduler observes nothing, so after a
+    reset to AoI d0 and a belief origin, the offset of its next transmission
+    depends on that key alone. The first time a key occurs, the walk steps
+    the belief slot by slot from the origin, calling ``policy.action`` at
+    each slot, until the policy transmits or the run ends; the offset found
+    is cached, and the walk jumps to it.
     """
     K = frame.K
     horizon = len(path) - 1
-    if case is Case.NO_SENSING:
-        span = 2 * len(path)  # key values per (AoI, origin) at a reset
-        aoi_scale, origin_scale = 3 * span, span
-        origin_value = (ch.p01, ch.p11, stationary_belief_value(ch))
-        side = repeat(0, horizon)
-    else:
-        aoi_scale, origin_scale = 2, 0
-        side = path[:-1]  # a copy: the walk marks path as it goes
     p11, p01 = ch.p11, ch.p01
-    # the last belief computed, advanced along its origin's iterates
-    w_origin = w_steps = w = None
+    origin_value = (p01, p11, stationary_belief_value(ch))
     cache: dict = {}
     get = cache.get
     # the last reset: AoI d0 at slot t0 and the belief origin
     d0, t0, origin = K, 1, _INITIAL
-    key = d0 * aoi_scale + origin * origin_scale
-    for t, code in enumerate(side, 1):
-        u = get(key + code)
+    while True:
+        key = 3 * d0 + origin
+        off = get(key)
+        if off is None:
+            off, w = 0, origin_value[origin]
+            while True:
+                t = t0 + off
+                if t > horizon:
+                    return
+                u = policy.action(d0 + off, (t - 1) % K + 1, w)
+                if u not in (0, 1):
+                    raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
+                if u:
+                    break
+                w = w * p11 + (1.0 - w) * p01
+                off += 1
+            if len(cache) < _CACHE_LIMIT:
+                cache[key] = off
+        t = t0 + off
+        if t > horizon:
+            return
+        h = path[t]
+        path[t] = h | 2
+        if h:
+            d0, origin = (t - 1) % K + 1, _GOOD
+        else:
+            d0, origin = d0 + off + 1, _BAD
+        t0 = t + 1
+
+
+def _delayed_slots(frame, policy, path) -> None:
+    """The delayed-sensing walk, one slot at a time; each decision is cached
+    on (AoI, last channel state)."""
+    K = frame.K
+    cache: dict = {}
+    get = cache.get
+    delta = K
+    # path[:-1] is a copy: the walk marks path as it goes
+    for t, g in enumerate(path[:-1], 1):
+        key = 2 * delta + g
+        u = get(key)
         if u is None:
-            steps = t - t0
-            if case is Case.NO_SENSING:
-                if w_origin != origin or w_steps > steps:
-                    w_origin, w_steps, w = origin, 0, origin_value[origin]
-                while w_steps < steps:
-                    w = w * p11 + (1.0 - w) * p01
-                    w_steps += 1
-                obs = w
-            else:
-                obs = code
-            u = policy.action(d0 + steps, (t - 1) % K + 1, obs)
+            u = policy.action(delta, (t - 1) % K + 1, g)
             if u not in (0, 1):
                 raise PolicyUndefinedError(f"policy returned {u!r} at slot {t}")
             if len(cache) < _CACHE_LIMIT:
-                cache[key + code] = u
+                cache[key] = u
         if u:
             h = path[t]
             path[t] = h | 2
-            if h:
-                d0, origin = (t - 1) % K + 1, _GOOD
-            else:
-                d0, origin = d0 + t - t0 + 1, _BAD
-            t0 = t + 1
-            key = d0 * aoi_scale + origin * origin_scale
+            delta = (t - 1) % K + 1 if h else delta + 1
         else:
-            key += 2
+            delta += 1
 
 
 def _greedy_slots(frame, e_max, path) -> None:

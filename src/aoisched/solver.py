@@ -33,12 +33,15 @@ column of the (layer, g) view with delayed sensing, is a run of the state
 order, so one ``np.minimum.reduceat`` per sweep finds every cutoff, and the
 extractors read the same runs.
 
-The step reads the kernel's branch-major rows: one ``np.take`` gathers the
-bias at the successors of every (action, branch) row, and every later
-operation writes with ``out=`` into work arrays made once per solve. Its
-sums keep the order of the expression they compute, so a sweep gives the
-same bits as the textbook expression. Power-iteration rounds likewise
-write into arrays made once per evaluation, sized to the entered states.
+The step reads the kernel's branch-major rows. A delivery resets the AoI
+to the slot index, so transmit success leads all admissible states of a
+slot to one state: its terms are one probability run per slot times one
+bias value. ``np.take`` gathers the bias at the successors of the other
+(action, branch) rows, and every operation writes with ``out=`` into work
+arrays made once per solve. Its sums keep the order of the expression they
+compute, so a sweep gives the same bits as the textbook expression. Power-
+iteration rounds likewise write into arrays made once per evaluation, sized
+to the entered states.
 
 Relative value iteration damps every update by a fixed factor of 0.5. The
 slot index cycles deterministically with the frame, so every induced chain
@@ -260,13 +263,17 @@ class SolveReport:
 class _Bellman:
     """The Bellman step at one price, and its work arrays.
 
-    One ``np.take`` gathers the bias at every kernel row's successors, and
-    every later operation writes with ``out=`` in the order of q_u = delta +
-    lam*u + sum over u's branches of p*h, so the values are those of
-    ``kern.expected_bias`` bit for bit. Rows whose probability is 1 at every
-    state (suspension without sensing) skip the multiply, and the transmit
-    cost, made once, is +inf where transmission is inadmissible; neither
-    moves a bit. With a discount ``beta`` the expectation is scaled before
+    The terms p*h of every (action, branch) row go into the matching row of
+    one work array, and every operation writes with ``out=`` in the order of
+    q_u = delta + lam*u + sum over u's branches of p*h, so the values are
+    those of ``kern.expected_bias`` bit for bit. Transmit success leads each
+    run of ``kern.delivery`` (one per slot) to one state, so its terms are
+    the run's probabilities times one bias value; ``np.take`` gathers the
+    other rows, and a row whose probability is 1 at every state (suspension
+    without sensing) is not multiplied. Each action's first row then takes
+    its sum and becomes q_u. The transmit cost, made once, is +inf where
+    transmission is inadmissible, so what the delivery runs give those states
+    moves no bit. With a discount ``beta`` the expectation is scaled before
     the cost is added. The work arrays are made once, so a step allocates
     nothing. The price must be finite and non-negative.
     """
@@ -274,33 +281,44 @@ class _Bellman:
     def __init__(self, kern: CompiledKernel, lam: float, beta: float | None = None):
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"energy price must be finite and non-negative, got {lam}")
-        self.kern = kern
         self.beta = beta
         # both work arrays before their views, whose small allocations would
         # otherwise sit between large ones and raise the peak memory
-        self.terms, q = np.empty(kern.prob.shape), np.empty((2, kern.n))
+        terms, cost = np.empty(kern.prob.shape), kern.delta + lam
+        cost[~kern.admissible] = np.inf
+        self.costs = (kern.delta, cost)
+        d = kern.pairs.index((1, 0)) if kern.delivery else -1
+        gathered = np.arange(len(kern.pairs)) != d
         # probabilities are at most 1, so a row's minimum is 1 only on unit rows
-        bounds = np.flatnonzero(np.diff(np.r_[0, kern.prob.min(axis=1) < 1.0, 0]))
-        self.scaled = [(self.terms[a:b], kern.prob[a:b]) for a, b in zip(bounds[::2], bounds[1::2])]
-        self.sums = [
-            [self.terms[r] for r in range(rows.start, rows.stop)]
-            for rows in (kern.rows(0), kern.rows(1))
-        ]
-        self.q = tuple(q)
-        self.cost = kern.delta + lam
-        self.cost[~kern.admissible] = np.inf
+        scaled = gathered & (kern.prob.min(axis=1) < 1.0)
+        self.gathers = [(kern.succ[a:b], terms[a:b]) for a, b in _row_runs(gathered)]
+        self.scaled = [(terms[a:b], kern.prob[a:b]) for a, b in _row_runs(scaled)]
+        self.runs = [(kern.prob[d, a:b], terms[d, a:b], j) for a, b, j in kern.delivery]
+        blocks = (kern.rows(0), kern.rows(1))
+        self.q = tuple(terms[rows.start] for rows in blocks)
+        self.sums = [(terms[rows.start], terms[r]) for rows in blocks for r in range(rows.start + 1, rows.stop)]
 
     def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action values (q0, q1) at the bias h, in the step's work arrays."""
-        np.take(h, self.kern.succ, out=self.terms, mode="clip")
-        for part, prob in self.scaled:
-            np.multiply(part, prob, out=part)
-        for branches, cost_u, q_u in zip(self.sums, (self.kern.delta, self.cost), self.q):
-            expect = branches[0] if len(branches) == 1 else np.add(*branches, out=q_u)
+        for succ, out in self.gathers:
+            np.take(h, succ, out=out, mode="clip")
+        for out, prob in self.scaled:
+            np.multiply(out, prob, out=out)
+        for prob, out, j in self.runs:
+            np.multiply(prob, h[j], out=out)
+        for q_u, part in self.sums:
+            np.add(q_u, part, out=q_u)
+        for cost_u, q_u in zip(self.costs, self.q):
             if self.beta is not None:
-                expect = np.multiply(expect, self.beta, out=q_u)
-            np.add(cost_u, expect, out=q_u)
+                np.multiply(q_u, self.beta, out=q_u)
+            np.add(cost_u, q_u, out=q_u)
         return self.q
+
+
+def _row_runs(keep: np.ndarray) -> list[tuple[int, int]]:
+    """The runs of consecutive kept rows, as (first, end)."""
+    bounds = np.flatnonzero(np.diff(np.r_[0, keep, 0])).tolist()
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) -> np.ndarray:
@@ -350,7 +368,7 @@ def _rvi(space, kern, lam, eps, h_init, tie_break, above=None):
         np.multiply(_RELAXATION, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
-        history.append(float(np.abs(q1, out=q1).max()))
+        history.append(float(max(q1.max(), -q1.min())))
         h, h_new = h_new, h
         if history[-1] <= eps:
             q0, q1 = bellman.step(h)
@@ -499,7 +517,7 @@ def discounted_vi(
         q0, q1 = bellman.step(v)
         np.minimum(q0, q1, out=v_new)
         np.subtract(v_new, v, out=q1)
-        change = float(np.abs(q1, out=q1).max())
+        change = float(max(q1.max(), -q1.min()))
         v, v_new = v_new, v
         if change < tol:
             return v
