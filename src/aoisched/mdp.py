@@ -19,8 +19,9 @@ other oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -259,7 +260,7 @@ class CompiledKernel:
     state order, (first state, end, successor), that cover every state and
     lead each run's admissible states to one successor. A delivery resets
     the AoI to the slot index, so a compiled kernel has one run per slot. It
-    is empty without that pair.
+    is empty without that pair, and derived at its first use.
     """
 
     succ: np.ndarray
@@ -268,19 +269,19 @@ class CompiledKernel:
     admissible: np.ndarray
     delta: np.ndarray
     reference_index: int
-    delivery: list[tuple[int, int, int]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.delivery = []
-        if (1, 0) in self.pairs:
-            succ = self.succ[self.pairs.index((1, 0))]
-            # where no state may transmit, any one run will do
-            at = np.flatnonzero(self.admissible) if self.admissible.any() else np.zeros(1, dtype=int)
-            # each run's first admissible state; barred states join the run
-            # before them, or the first run
-            first = at[np.r_[0, np.flatnonzero(np.diff(succ[at])) + 1]]
-            bounds = np.r_[0, first[1:], self.n].tolist()
-            self.delivery = list(zip(bounds[:-1], bounds[1:], succ[first].tolist()))
+    @cached_property
+    def delivery(self) -> list[tuple[int, int, int]]:
+        if (1, 0) not in self.pairs:
+            return []
+        succ = self.succ[self.pairs.index((1, 0))]
+        # where no state may transmit, any one run will do
+        at = np.flatnonzero(self.admissible) if self.admissible.any() else np.zeros(1, dtype=int)
+        # each run's first admissible state; barred states join the run
+        # before them, or the first run
+        first = at[np.r_[0, np.flatnonzero(np.diff(succ[at])) + 1]]
+        bounds = np.r_[0, first[1:], self.n].tolist()
+        return list(zip(bounds[:-1], bounds[1:], succ[first].tolist()))
 
     @property
     def n(self) -> int:

@@ -34,6 +34,7 @@ without sensing, the last channel state with delayed sensing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from ._philox import philox_key, uniforms
@@ -173,12 +174,12 @@ def _policy_slots(case, frame, ch, policy, path) -> None:
     delayed sensing.
     """
     if case is Case.NO_SENSING:
-        _transmission_walk(frame, ch, policy, path)
+        _no_sensing_slots(frame, ch, policy, path)
     else:
         _delayed_slots(frame, policy, path)
 
 
-def _transmission_walk(frame, ch, policy, path) -> None:
+def _no_sensing_slots(frame, ch, policy, path) -> None:
     """The no-sensing walk, from one transmission to the next.
 
     Between its transmissions the scheduler observes nothing, so after a

@@ -35,13 +35,13 @@ extractors read the same runs.
 
 The step reads the kernel's branch-major rows. A delivery resets the AoI
 to the slot index, so transmit success leads all admissible states of a
-slot to one state: its terms are one probability run per slot times one
-bias value. ``np.take`` gathers the bias at the successors of the other
-(action, branch) rows, and every operation writes with ``out=`` into work
-arrays made once per solve. Its sums keep the order of the expression they
-compute, so a sweep gives the same bits as the textbook expression. Power-
-iteration rounds likewise write into arrays made once per evaluation, sized
-to the entered states.
+slot to one state, whose bias the step reads once per slot instead of
+gathering it at every state. It gathers the bias at the successors of the
+other (action, branch) rows, and every operation writes with ``out=`` into
+work arrays made once per solve. Its sums keep the order of the expression
+they compute, so a sweep gives the same bits as the textbook expression.
+Power-iteration rounds likewise write into arrays made once per
+evaluation, sized to the entered states.
 
 Relative value iteration damps every update by a fixed factor of 0.5. The
 slot index cycles deterministically with the frame, so every induced chain
@@ -52,6 +52,7 @@ while keeping the same fixed point, optimal policy, and average cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -267,45 +268,51 @@ class _Bellman:
     one work array, and every operation writes with ``out=`` in the order of
     q_u = delta + lam*u + sum over u's branches of p*h, so the values are
     those of ``kern.expected_bias`` bit for bit. Transmit success leads each
-    run of ``kern.delivery`` (one per slot) to one state, so its terms are
-    the run's probabilities times one bias value; ``np.take`` gathers the
-    other rows, and a row whose probability is 1 at every state (suspension
-    without sensing) is not multiplied. Each action's first row then takes
-    its sum and becomes q_u. The transmit cost, made once, is +inf where
-    transmission is inadmissible, so what the delivery runs give those states
-    moves no bit. With a discount ``beta`` the expectation is scaled before
-    the cost is added. The work arrays are made once, so a step allocates
-    nothing. The price must be finite and non-negative.
+    run of ``kern.delivery`` (one per slot) to one state, so that state's
+    bias fills the run; ``take`` gathers the bias at the other rows'
+    successors. The rows are then multiplied by their probabilities, except
+    rows whose probability is 1 at every state (suspension without sensing),
+    and each action's first row takes the sum and becomes q_u. The transmit
+    cost, made once, is +inf where transmission is inadmissible, so what the
+    delivery runs give those states moves no bit. With a discount ``beta``
+    the expectation is scaled before the cost is added. The work arrays are
+    made once, so a step allocates nothing. The price must be finite and
+    non-negative.
     """
 
     def __init__(self, kern: CompiledKernel, lam: float, beta: float | None = None):
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"energy price must be finite and non-negative, got {lam}")
         self.beta = beta
+        # the runs first: a kernel derives them on first use, and their
+        # temporaries are freed before the work arrays are made
+        runs = kern.delivery
         # both work arrays before their views, whose small allocations would
         # otherwise sit between large ones and raise the peak memory
         terms, cost = np.empty(kern.prob.shape), kern.delta + lam
         cost[~kern.admissible] = np.inf
         self.costs = (kern.delta, cost)
-        d = kern.pairs.index((1, 0)) if kern.delivery else -1
-        gathered = np.arange(len(kern.pairs)) != d
+        d = kern.pairs.index((1, 0)) if runs else -1
+        gathered = [r != d for r in range(len(kern.pairs))]
         # probabilities are at most 1, so a row's minimum is 1 only on unit rows
-        scaled = gathered & (kern.prob.min(axis=1) < 1.0)
+        scaled = (kern.prob.min(axis=1) < 1.0).tolist()
         self.gathers = [(kern.succ[a:b], terms[a:b]) for a, b in _row_runs(gathered)]
+        self.fills = [(terms[d, a:b], j) for a, b, j in runs]
         self.scaled = [(terms[a:b], kern.prob[a:b]) for a, b in _row_runs(scaled)]
-        self.runs = [(kern.prob[d, a:b], terms[d, a:b], j) for a, b, j in kern.delivery]
         blocks = (kern.rows(0), kern.rows(1))
         self.q = tuple(terms[rows.start] for rows in blocks)
-        self.sums = [(terms[rows.start], terms[r]) for rows in blocks for r in range(rows.start + 1, rows.stop)]
+        self.sums = [
+            (terms[rows.start], terms[r]) for rows in blocks for r in range(rows.start + 1, rows.stop)
+        ]
 
     def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action values (q0, q1) at the bias h, in the step's work arrays."""
         for succ, out in self.gathers:
-            np.take(h, succ, out=out, mode="clip")
+            h.take(succ, out=out, mode="clip")
+        for out, j in self.fills:
+            out.fill(h[j])
         for out, prob in self.scaled:
             np.multiply(out, prob, out=out)
-        for prob, out, j in self.runs:
-            np.multiply(prob, h[j], out=out)
         for q_u, part in self.sums:
             np.add(q_u, part, out=q_u)
         for cost_u, q_u in zip(self.costs, self.q):
@@ -315,10 +322,15 @@ class _Bellman:
         return self.q
 
 
-def _row_runs(keep: np.ndarray) -> list[tuple[int, int]]:
+def _row_runs(keep: list[bool]) -> list[tuple[int, int]]:
     """The runs of consecutive kept rows, as (first, end)."""
-    bounds = np.flatnonzero(np.diff(np.r_[0, keep, 0])).tolist()
-    return list(zip(bounds[::2], bounds[1::2]))
+    runs, first = [], 0
+    for kept, rows in itertools.groupby(keep):
+        end = first + len(list(rows))
+        if kept:
+            runs.append((first, end))
+        first = end
+    return runs
 
 
 def _transmit_beats(q0: np.ndarray, q1: np.ndarray, tie_break: str, out=None) -> np.ndarray:
@@ -368,7 +380,7 @@ def _rvi(space, kern, lam, eps, h_init, tie_break, above=None):
         np.multiply(_RELAXATION, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
-        history.append(float(max(q1.max(), -q1.min())))
+        history.append(float(max(np.maximum.reduce(q1), -np.minimum.reduce(q1))))
         h, h_new = h_new, h
         if history[-1] <= eps:
             q0, q1 = bellman.step(h)
@@ -517,7 +529,7 @@ def discounted_vi(
         q0, q1 = bellman.step(v)
         np.minimum(q0, q1, out=v_new)
         np.subtract(v_new, v, out=q1)
-        change = float(max(q1.max(), -q1.min()))
+        change = float(max(np.maximum.reduce(q1), -np.minimum.reduce(q1)))
         v, v_new = v_new, v
         if change < tol:
             return v

@@ -299,6 +299,26 @@ class TestCompiledKernel:
             states = oracle_states(case, frame, ch, bound)
             assert kern.admissible.tolist() == [s.delta >= 3 for s in states]
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("p11, p01", [(0.7, 0.3), (0.0, 0.0), (0.4, 0.4), (1.0, 0.3), (1.0, 1.0)])
+    def test_delivery_runs_one_per_slot(self, p11, p01, K):
+        # transmit success resets the AoI to the slot index: every admissible
+        # state of a slot leads to the one state (next slot, AoI k, delivered)
+        for case in Case:
+            space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(9))
+            if (1, 0) not in kern.pairs:
+                assert kern.delivery == []
+                continue
+            starts, ends, targets = map(np.array, zip(*kern.delivery))
+            assert starts[0] == 0 and ends[-1] == space.n and np.array_equal(starts[1:], ends[:-1])
+            assert len(kern.delivery) == K
+            succ = kern.succ[kern.pairs.index((1, 0))]
+            for (a, b, j), k in zip(kern.delivery, range(1, K + 1)):
+                run = np.arange(a, b)
+                assert set(space.k[run[space.admissible[run]]].tolist()) == {k}
+                assert np.all(succ[run[space.admissible[run]]] == j)
+                assert (space.k[j], space.delta[j], space.sym[j]) == (k % K + 1, k, space.reference_sym)
+
 
 # sha256 of each no-sensing space's symbol columns and compiled successor
 # tables at K=3, recorded before the belief table became arrays: memoryless,

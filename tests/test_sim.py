@@ -578,6 +578,21 @@ class TestOracleIdentitySolved:
         )
         assert policy_rows(case, frame, ch, NeverTransmit(), cfg) == rows
 
+    @pytest.mark.parametrize("case", [Case.NO_SENSING, Case.DELAYED_SENSING])
+    def test_failures_past_the_cache_limit(self, case, monkeypatch):
+        # on a mostly bad channel each failure resets to a larger AoI, a new
+        # key, so a cache of four keys is soon full and keys recur uncached
+        monkeypatch.setattr(sim, "_CACHE_LIMIT", 4)
+        frame, ch = FrameSpec(3), ChannelModel(0.35, 0.1)
+        cfg = SimConfig(20_000, 37, 100)
+        policy, rows = CountingPolicy(HashPolicy(3, 5)), []
+        assert_same_result(
+            simulate(case, frame, ch, policy, cfg),
+            oracle_simulate(case, frame, ch, HashPolicy(3, 5), cfg, rows),
+        )
+        assert max(policy.calls.values()) > 1
+        assert policy_rows(case, frame, ch, HashPolicy(3, 5), cfg) == rows
+
 
 # repr((avg_aoi, avg_energy, aoi_se)) and the sha256 of the slot rows of the
 # identity runs above, recorded before the rows left SimResult: HashPolicy

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -388,6 +390,60 @@ class TestDiscountedVi:
         assert tol < err.value.span <= 0.9 ** 2 * kern.delta.max()
 
 
+def traced_peak(run):
+    """``run()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    """A sweep allocates nothing: the step writes into work arrays made once
+    per solve, so a solve's peak does not grow with its sweeps beyond the
+    span history, which keeps one float per sweep."""
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_step_allocates_nothing(self, case):
+        # a stray row of the N=600 kernel would be 9.6 KB (delayed) or more
+        _space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(600))
+        bellman = _Bellman(kern, 2.5)
+        h = np.random.default_rng(5).normal(size=kern.n)
+        bellman.step(h)
+
+        def steps():
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                bellman.step(h)
+            return before
+
+        before, peak = traced_peak(steps)
+        assert peak - before < 4096
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_rvi_peak_grows_only_by_its_span_history(self, case):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200))
+        (few, few_peak), (many, many_peak) = (
+            traced_peak(lambda: rvi_plain(space, kern, 400.0, eps=eps)) for eps in (10.0, 1e-10)
+        )
+        assert few.iterations < 100 and many.iterations > 1500
+
+        def held(report):
+            return sys.getsizeof(report.span_history) + sum(map(sys.getsizeof, report.span_history))
+
+        assert many_peak - few_peak <= held(many) - held(few) + 4096
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_discounted_peak_does_not_grow_with_sweeps(self, case):
+        # beta 0.6 converges in 43 sweeps, beta 0.99 in 2,442
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200))
+        (_v, few), (_w, many) = (
+            traced_peak(lambda: discounted_vi(space, kern, 1.0, beta)) for beta in (0.6, 0.99)
+        )
+        assert abs(many - few) < 4096
+
+
 class TestBellmanStep:
     """The stage cost inside one Bellman step: AoI, plus the price when
     transmitting, plus the expected bias of the successors."""
@@ -430,6 +486,30 @@ class TestBellmanStep:
     def test_rejects_bad_price(self, lam):
         with pytest.raises(ValueError, match=f"energy price must be finite and non-negative, got {lam}"):
             self.make(lam)
+
+    @pytest.mark.parametrize("beta", [None, 0.9])
+    @pytest.mark.parametrize("case", [NS, DS])
+    @pytest.mark.parametrize(
+        "p11, p01, K",
+        # always bad (no delivery row at K=1), memoryless, p11 = 1, one-slot frames
+        [(0.0, 0.0, 1), (0.0, 0.0, 3), (0.4, 0.4, 3), (1.0, 0.3, 3), (1.0, 1.0, 3),
+         (0.7, 0.3, 1), (0.4, 0.4, 1), (1.0, 0.3, 1)],
+    )
+    def test_degenerate_kernels(self, p11, p01, K, case, beta):
+        _space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(10))
+        rng = np.random.default_rng(7)
+        adm = kern.admissible
+        for lam in (0.0, 3.25):
+            bellman = _Bellman(kern, lam, beta)
+            for _ in range(3):
+                h = rng.normal(size=kern.n)
+                q0, q1 = bellman.step(h)
+                e0, e1 = (kern.expected_bias(h, u) for u in (0, 1))
+                if beta is not None:
+                    e0, e1 = e0 * beta, e1 * beta
+                assert np.array_equal(q0, kern.delta + 0 * lam + e0)
+                assert np.array_equal(q1[adm], (kern.delta + 1 * lam + e1)[adm])
+                assert np.all(np.isposinf(q1[~adm]))
 
 
 class TestPolicyEvaluation:
@@ -1156,19 +1236,20 @@ class TestDualSweep:
         assert sweep == cold_dual_values(case, frame, ch, bound, 0.3, grid, 1e-8)
 
     def test_criterion_10_sweep_memory_is_bounded(self):
-        import tracemalloc
-
+        # each price is solved on its own, so the peak does not grow with the
+        # grid: 90 more prices add their result pairs, not a solve's arrays
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(30)
         build_case(Case.NO_SENSING, frame, ch, bound)
-        tracemalloc.start()
-        try:
-            dual_value_sweep(
-                Case.NO_SENSING, frame, ch, bound, 0.4, np.arange(0.0, 20.0001, 0.01), eps=1e-8
+
+        def peak(grid):
+            _values, peak = traced_peak(
+                lambda: dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
             )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+            return peak
+
+        short, long = peak([i / 5 for i in range(0, 101, 10)]), peak([i / 5 for i in range(101)])
+        assert long < 8 * 2 ** 20
+        assert long - short < 32 * 1024
 
     def test_non_convergence_reports_the_first_unconverged_price(self, monkeypatch):
         # alone, 4.0 converges in 61 sweeps, 1.0 and 0.0 need 62
