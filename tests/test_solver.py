@@ -1242,10 +1242,9 @@ class TestDualSweep:
         build_case(Case.NO_SENSING, frame, ch, bound)
 
         def peak(grid):
-            _values, peak = traced_peak(
+            return traced_peak(
                 lambda: dual_value_sweep(Case.NO_SENSING, frame, ch, bound, 0.4, grid, eps=1e-8)
-            )
-            return peak
+            )[1]
 
         short, long = peak([i / 5 for i in range(0, 101, 10)]), peak([i / 5 for i in range(101)])
         assert long < 8 * 2 ** 20
