@@ -427,8 +427,8 @@ def run_property_suite(spec: ExperimentSpec, inject_tie_break_bug: bool = False)
 
         _check(checks, "threshold_equivalence", tag, equivalence)
 
-        v_ns = discounted_vi(ns_space, ns_kern, lam, beta)
-        v_d = discounted_vi(d_space, d_kern, lam, beta)
+        v_ns, discounted_ns = discounted_vi(ns_space, ns_kern, lam, beta)
+        v_d, _ = discounted_vi(d_space, d_kern, lam, beta)
 
         _check(checks, "lemma_monotone_aoi", tag,
                lambda: _violations_detail(aoi_monotonicity_violations(ns_space, v_ns)))
@@ -438,10 +438,7 @@ def run_property_suite(spec: ExperimentSpec, inject_tie_break_bug: bool = False)
                lambda: _violations_detail(belief_mix_inequality_violations(ns_space, v_ns, lam)))
 
         def discounted_threshold():
-            q0 = ns_kern.delta + beta * ns_kern.expected_bias(v_ns, 0)
-            q1 = ns_kern.delta + lam + beta * ns_kern.expected_bias(v_ns, 1)
-            acts = ((q1 < q0) & ns_kern.admissible).astype(np.int8)
-            extract_threshold_belief(ns_space, acts)
+            extract_threshold_belief(ns_space, discounted_ns.actions)
             return ""
 
         _check(checks, "lemma_discounted_threshold", tag, discounted_threshold)

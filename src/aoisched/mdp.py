@@ -260,7 +260,9 @@ class CompiledKernel:
     state order, (first state, end, successor), that cover every state and
     lead each run's admissible states to one successor. A delivery resets
     the AoI to the slot index, so a compiled kernel has one run per slot. It
-    is empty without that pair, and derived at its first use.
+    is empty without that pair, and derived at its first use. The Bellman
+    step over the rows is ``solver._Bellman``'s, which the tests check
+    against the textbook sum, ``expected_bias`` in ``tests/oracles.py``.
     """
 
     succ: np.ndarray
@@ -291,10 +293,6 @@ class CompiledKernel:
         """The contiguous block of rows that belongs to action u."""
         actions = [a for a, _b in self.pairs]
         return slice(actions.index(u), len(actions) - actions[::-1].index(u))
-
-    def expected_bias(self, h: np.ndarray, u: int) -> np.ndarray:
-        rows = self.rows(u)
-        return (self.prob[rows] * h[self.succ[rows]]).sum(axis=0)
 
 
 def _compile(space: _SpaceBase) -> CompiledKernel:

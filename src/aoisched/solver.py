@@ -244,8 +244,8 @@ class MixturePolicy:
 class SolveReport:
     """Converged solve: average cost, bias values, greedy policy, counters.
 
-    ``span_history`` holds the sup-norm change of the bias after every sweep;
-    its last entry is ``span`` and sits at or below the requested tolerance.
+    ``iterations`` counts the sweeps, and ``span`` is the sup-norm change of
+    the bias in the last one, at or below the requested tolerance.
     """
 
     gain: float
@@ -254,7 +254,6 @@ class SolveReport:
     iterations: int
     span: float
     argmin_evals: int
-    span_history: list[float]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +266,10 @@ class _Bellman:
     The terms p*h of every (action, branch) row go into the matching row of
     one work array, and every operation writes with ``out=`` in the order of
     q_u = delta + lam*u + sum over u's branches of p*h, so the values are
-    those of ``kern.expected_bias`` bit for bit. Transmit success leads each
-    run of ``kern.delivery`` (one per slot) to one state, so that state's
-    bias fills the run; ``take`` gathers the bias at the other rows'
-    successors. The rows are then multiplied by their probabilities, except
+    those of the textbook sum (``expected_bias`` in ``tests/oracles.py``)
+    bit for bit. Transmit success leads each run of ``kern.delivery`` (one
+    per slot) to one state, so that state's bias fills the run; ``take``
+    gathers the bias at the other rows' successors. The rows are then multiplied by their probabilities, except
     rows whose probability is 1 at every state (suspension without sensing),
     and each action's first row takes the sum and becomes q_u. The transmit
     cost, made once, is +inf where transmission is inadmissible, so what the
@@ -366,8 +365,7 @@ def _rvi(space, kern, lam, eps, h_init, tie_break, above=None):
         h[:] = h_init
     ref = kern.reference_index
     n_argmin, skipped = int(kern.admissible.sum()), 0
-    history: list[float] = []
-    for _ in range(_RVI_SWEEPS):
+    for sweeps in range(1, _RVI_SWEEPS + 1):
         q0, q1 = bellman.step(h)
         up = None if above is None else above(q0, q1)
         v = np.minimum(q0, q1, out=q0)
@@ -380,19 +378,19 @@ def _rvi(space, kern, lam, eps, h_init, tie_break, above=None):
         np.multiply(_RELAXATION, v, out=v)
         np.add(h, v, out=h_new)
         np.subtract(h_new, h, out=q1)
-        history.append(float(max(np.maximum.reduce(q1), -np.minimum.reduce(q1))))
+        span = float(max(np.maximum.reduce(q1), -np.minimum.reduce(q1)))
         h, h_new = h_new, h
-        if history[-1] <= eps:
+        if span <= eps:
             q0, q1 = bellman.step(h)
             actions = _transmit_beats(q0, q1, tie_break).astype(np.int8)
             return SolveReport(
                 float(np.minimum(q0[ref], q1[ref])), h, TabularPolicy(space, actions),
-                len(history), history[-1], n_argmin * len(history) - skipped, history,
+                sweeps, span, n_argmin * sweeps - skipped,
             )
     raise NonConvergenceError(
         f"relative value iteration did not reach span {eps} in {_RVI_SWEEPS} sweeps "
-        f"(last span {history[-1]})",
-        history[-1],
+        f"(last span {span})",
+        span,
     )
 
 
@@ -413,16 +411,6 @@ def rvi_plain(
     solver variants agree action for action.
     """
     return _rvi(space, kern, lam, eps, h_init, tie_break)
-
-
-def _runs(keys: tuple[np.ndarray, ...], along: np.ndarray) -> list[np.ndarray]:
-    """State indices grouped by equal key columns, each group sorted along
-    one column; groups come in ascending key order, first column first."""
-    order = np.lexsort((along,) + keys[::-1])
-    cut = np.zeros(len(order) - 1, dtype=bool)
-    for key in keys:
-        cut |= np.diff(key[order]) != 0
-    return np.split(order, np.flatnonzero(cut) + 1)
 
 
 def _belief_layers(space: NoSensingSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,11 +502,14 @@ def discounted_vi(
     kern: CompiledKernel,
     lam: float,
     beta: float,
-) -> np.ndarray:
-    """Discounted value iteration from the zero function.
+) -> tuple[np.ndarray, TabularPolicy]:
+    """Discounted value iteration from the zero function: the values and
+    their greedy policy.
 
-    Iterates until the sup-norm change drops below (1-beta) * 1e-8. Used by
-    the structural property checks, which need value functions, not policies.
+    Iterates until the sup-norm change drops below (1-beta) * 1e-8. As in
+    ``_rvi``, the policy is read from the action values of one more step at
+    the converged values, and ties go to suspension. Used by the structural
+    property checks, which test the values and the policy's cutoff form.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"discount factor must be in (0, 1), got {beta}")
@@ -532,7 +523,8 @@ def discounted_vi(
         change = float(max(np.maximum.reduce(q1), -np.minimum.reduce(q1)))
         v, v_new = v_new, v
         if change < tol:
-            return v
+            q0, q1 = bellman.step(v)
+            return v, TabularPolicy(space, _transmit_beats(q0, q1, "suspend").astype(np.int8))
     raise NonConvergenceError(
         f"discounted value iteration did not reach a change below {tol} in "
         f"{_DISCOUNTED_SWEEPS} sweeps (last change {change})",
@@ -1064,36 +1056,43 @@ def _interior_mask(space) -> np.ndarray:
 
 
 def aoi_monotonicity_violations(space, values: np.ndarray) -> list[tuple]:
-    """Pairs of interior states equal but for a larger AoI where the value
-    drops by more than ``_SLACK``."""
-    runs = _runs((space.k, space.sym), space.delta)
-    return _neighbour_violations(
-        space, runs, _interior_mask(space), values, lambda lo, hi: hi < lo - _SLACK
-    )
+    """Pairs of interior states equal but for the next larger AoI of their
+    slot where the value drops by more than ``_SLACK``. A slot's AoIs step
+    by the frame length up to the cap, so one pass pairs every interior
+    state with its neighbour, for both cases."""
+    keep = _interior_mask(space)
+    a = np.flatnonzero(keep)
+    grown = np.minimum(space.delta[a] + space.frame.K, space.bound.cap)
+    b = space.locate(space.k[a], grown, space.sym[a])
+    hit = keep[b] & (values[b] < values[a] - _SLACK)
+    return _state_pairs(space, a[hit], b[hit], values)
 
 
-def _neighbour_violations(space, runs, keep, values, worse) -> list[tuple]:
-    """Neighbours (a, b) within a run, both kept, where worse(V(a), V(b)),
-    each state given by its (k, delta, sym) columns."""
-    cols = np.column_stack((space.k, space.delta, space.sym))
-    out = []
-    for idxs in runs:
-        a, b = idxs[:-1], idxs[1:]
-        hit = keep[a] & keep[b] & worse(values[a], values[b])
-        out.extend(
-            (tuple(cols[i].tolist()), tuple(cols[j].tolist()), values[i], values[j])
-            for i, j in zip(a[hit], b[hit])
-        )
-    return out
+def _state_pairs(space, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """Each pair of states (a, b) by their (k, delta, sym) columns, with
+    their values."""
+    cols = np.column_stack((space.k, space.delta, space.sym)).tolist()
+    return [(tuple(cols[i]), tuple(cols[j]), values[i], values[j]) for i, j in zip(a, b)]
+
+
+def _ascending_beliefs(space: NoSensingSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The states of each (k, delta) run of ``_belief_layers`` in ascending
+    belief, runs in state order, and the runs' first positions."""
+    rank, starts, sizes = _belief_layers(space)
+    return np.lexsort((rank, np.repeat(starts, sizes))), starts
 
 
 def belief_monotonicity_violations(space: NoSensingSpace, values: np.ndarray) -> list[tuple]:
-    """Interior belief pairs at one (delta, k) where a larger belief costs
-    more by more than ``_SLACK``."""
-    return _neighbour_violations(
-        space, _runs((space.k, space.delta), space.omega), _interior_mask(space), values,
-        lambda lo, hi: hi > lo + _SLACK,
-    )
+    """Interior belief pairs at one (delta, k), neighbours in ascending
+    belief, where the larger belief costs more by more than ``_SLACK``."""
+    order, starts = _ascending_beliefs(space)
+    keep = _interior_mask(space)
+    a, b = order[:-1], order[1:]
+    # no pair spans two runs
+    within = np.ones(len(a), dtype=bool)
+    within[starts[1:] - 1] = False
+    hit = within & keep[a] & keep[b] & (values[b] > values[a] + _SLACK)
+    return _state_pairs(space, a[hit], b[hit], values)
 
 
 def belief_mix_inequality_violations(
@@ -1106,8 +1105,9 @@ def belief_mix_inequality_violations(
     """
     keep = _interior_mask(space)
     omega = space.omega
+    order, starts = _ascending_beliefs(space)
     out = []
-    for idxs in _runs((space.k, space.delta), omega):
+    for idxs in np.split(order, starts[1:]):
         delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
         idxs = idxs[keep[idxs]]
         if len(idxs) < 3:

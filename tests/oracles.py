@@ -21,6 +21,13 @@ wrong rule in the runtime cannot pass a comparison with its oracle:
 * ``threshold_belief_by_group`` and ``threshold_aoi_by_group``: the belief
   cutoffs of a no-sensing policy, one (delta, k) group at a time, and the
   AoI cutoffs of a delayed-sensing policy, one (k, g) group at a time;
+* ``expected_bias``: the expectation inside the Bellman step, as the
+  textbook sum over an action's rows, which the runtime's step must equal
+  bit for bit;
+* ``aoi_monotonicity_by_state``, ``belief_monotonicity_by_state`` and
+  ``belief_mix_by_state``: the value-function lemma checks, neighbours and
+  triples taken one group at a time, where the runtime pairs states by
+  index arithmetic and reads the threshold solvers' belief runs;
 * ``dual_grid_maximum``: the dual objective's maximum over every price of
   the property suite's grid, where the runtime solves only the prices
   beside the budget's critical price.
@@ -38,6 +45,7 @@ from aoisched.mdp import Case, CompiledKernel, FrameSpec, StateDelayed, StateNoS
 from aoisched.solver import (
     TabularPolicy,
     ThresholdStructureError,
+    _SLACK,
     _cap_mass,
     _eliminate,
     dual_value_sweep,
@@ -141,6 +149,14 @@ def kernel_delayed(
     if p_good > 0.0:
         out.append((StateDelayed(grown, k_next, 1), p_good))
     return out
+
+
+def expected_bias(kern: CompiledKernel, h: np.ndarray, u: int) -> np.ndarray:
+    """The expected bias after action u at every state: the sum over u's
+    rows, in row order, of the branch probability times the bias at the
+    branch's successor."""
+    rows = kern.rows(u)
+    return (kern.prob[rows] * h[kern.succ[rows]]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +287,9 @@ def enumerate_and_evaluate(
     return best_gain, TabularPolicy(space, sweep.materialize(best_bits))
 
 
-def cutoff_groups(space) -> list[np.ndarray]:
-    """The states a cutoff rule acts on together, state by state: each
-    (k, delta) group in ascending belief, or each (k, g) group in ascending
-    AoI, the groups in ascending key order."""
-    if space.case is Case.NO_SENSING:
-        keys, along = zip(space.k.tolist(), space.delta.tolist()), space.omega.tolist()
-    else:
-        keys, along = zip(space.k.tolist(), space.g.tolist()), space.delta.tolist()
+def _groups(keys, along: list) -> list[np.ndarray]:
+    """State indices grouped by equal keys, one key per state, each group in
+    ascending ``along`` and the groups in ascending key order."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -286,6 +297,15 @@ def cutoff_groups(space) -> list[np.ndarray]:
         np.array(sorted(members, key=lambda i: along[i]), dtype=np.int64)
         for _key, members in sorted(groups.items())
     ]
+
+
+def cutoff_groups(space) -> list[np.ndarray]:
+    """The states a cutoff rule acts on together, state by state: each
+    (k, delta) group in ascending belief, or each (k, g) group in ascending
+    AoI, the groups in ascending key order."""
+    if space.case is Case.NO_SENSING:
+        return _groups(zip(space.k.tolist(), space.delta.tolist()), space.omega.tolist())
+    return _groups(zip(space.k.tolist(), space.g.tolist()), space.delta.tolist())
 
 
 def enumerate_threshold_optimum(
@@ -484,6 +504,69 @@ def threshold_aoi_by_group(space, actions: np.ndarray) -> dict[tuple[int, int], 
             )
         thresholds[(k, g)] = cutoff
     return thresholds
+
+
+# ---------------------------------------------------------------------------
+# value-function lemmas
+
+
+def _interior_states(space) -> list[bool]:
+    """Per state: below the AoI cap and, without sensing, below the
+    unobserved-step cap, so that no truncation clamp moves a successor."""
+    cap = space.bound.cap
+    steps = space.steps.tolist() if space.case is Case.NO_SENSING else [0] * space.n
+    return [delta < cap and m < cap for delta, m in zip(space.delta.tolist(), steps)]
+
+
+def _columns(space, i: int) -> tuple[int, int, int]:
+    return int(space.k[i]), int(space.delta[i]), int(space.sym[i])
+
+
+def aoi_monotonicity_by_state(space, values: np.ndarray) -> list[tuple]:
+    """State by state, each interior state and the next larger AoI of its
+    (k, sym) group, also interior, where the value drops by more than
+    ``_SLACK``: their (k, delta, sym) columns and values."""
+    interior = _interior_states(space)
+    out = []
+    for group in _groups(zip(space.k.tolist(), space.sym.tolist()), space.delta.tolist()):
+        for i, j in zip(group.tolist(), group[1:].tolist()):
+            if interior[i] and interior[j] and values[j] < values[i] - _SLACK:
+                out.append((_columns(space, i), _columns(space, j), values[i], values[j]))
+    return out
+
+
+def belief_monotonicity_by_state(space, values: np.ndarray) -> list[tuple]:
+    """State by state, each interior state and the next larger belief of
+    its (k, delta) group, also interior, where the value rises by more than
+    ``_SLACK``: their (k, delta, sym) columns and values."""
+    interior = _interior_states(space)
+    out = []
+    for group in cutoff_groups(space):
+        for i, j in zip(group.tolist(), group[1:].tolist()):
+            if interior[i] and interior[j] and values[j] > values[i] + _SLACK:
+                out.append((_columns(space, i), _columns(space, j), values[i], values[j]))
+    return out
+
+
+def belief_mix_by_state(space, values: np.ndarray, lam: float) -> list[tuple]:
+    """Every triple of interior beliefs y < z < x of one (delta, k) group,
+    and the weight w = (z - y) / (x - y), where
+    (1-w)*lam + w*V(x) + (1-w)*V(y) < V(z) - ``_SLACK``: as
+    ((delta, k), x, y, z, that left side, V(z))."""
+    interior = _interior_states(space)
+    omega = space.omega
+    out = []
+    for group in cutoff_groups(space):
+        key = (int(space.delta[group[0]]), int(space.k[group[0]]))
+        kept = [i for i in group.tolist() if interior[i]]
+        for at, z in enumerate(kept):
+            for y in kept[:at]:
+                for x in kept[at + 1 :]:
+                    w = (omega[z] - omega[y]) / (omega[x] - omega[y])
+                    lhs = (1.0 - w) * lam + w * values[x] + (1.0 - w) * values[y]
+                    if lhs < values[z] - _SLACK:
+                        out.append((key, omega[x], omega[y], omega[z], float(lhs), float(values[z])))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from aoisched.solver import (
     rvi_threshold_no_sensing,
     threshold_ordering_violations,
 )
-from oracles import enumerate_and_evaluate, enumerate_threshold_optimum
+from oracles import enumerate_and_evaluate, enumerate_threshold_optimum, expected_bias
 
 SEED = 20250809
 PAIRS = [(0.7, 0.3), (0.9, 0.3), (0.9, 0.5)]
@@ -226,20 +226,22 @@ def test_criterion_9_discounted_value_properties():
     ns_space, ns_kern = build_case(Case.NO_SENSING, frame, ch, bound)
     d_space, d_kern = build_case(Case.DELAYED_SENSING, frame, ch, bound)
     for lam in (0.0, 1.0, 5.0):
-        v = discounted_vi(ns_space, ns_kern, lam, beta)
+        v, policy = discounted_vi(ns_space, ns_kern, lam, beta)
         assert aoi_monotonicity_violations(ns_space, v) == []
         assert belief_monotonicity_violations(ns_space, v) == []
         assert belief_mix_inequality_violations(ns_space, v, lam) == []
-        q0 = ns_kern.delta + beta * ns_kern.expected_bias(v, 0)
-        q1 = ns_kern.delta + lam + beta * ns_kern.expected_bias(v, 1)
+        q0 = ns_kern.delta + beta * expected_bias(ns_kern, v, 0)
+        q1 = ns_kern.delta + lam + beta * expected_bias(ns_kern, v, 1)
         acts = ((q1 < q0) & ns_kern.admissible).astype(np.int8)
+        assert np.array_equal(policy.actions, acts)
         extract_threshold_belief(ns_space, acts)  # single switch per (delta, k)
 
-        vd = discounted_vi(d_space, d_kern, lam, beta)
+        vd, d_table = discounted_vi(d_space, d_kern, lam, beta)
         assert aoi_monotonicity_violations(d_space, vd) == []
-        qd0 = d_kern.delta + beta * d_kern.expected_bias(vd, 0)
-        qd1 = d_kern.delta + lam + beta * d_kern.expected_bias(vd, 1)
+        qd0 = d_kern.delta + beta * expected_bias(d_kern, vd, 0)
+        qd1 = d_kern.delta + lam + beta * expected_bias(d_kern, vd, 1)
         d_acts = ((qd1 < qd0) & d_kern.admissible).astype(np.int8)
+        assert np.array_equal(d_table.actions, d_acts)
         d_policy = extract_threshold_aoi(d_space, d_acts)
         assert threshold_ordering_violations(d_policy) == []
     report(9, "discounted values monotone, mixing bound holds, cutoff structure intact")

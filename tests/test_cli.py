@@ -417,6 +417,36 @@ class TestProperties:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "threshold_equivalence" in failed
 
+    def test_planted_aoi_drop_fails_its_lemma(self, tmp_path, monkeypatch, capsys):
+        # the first delayed-sensing value function drops by 1 from AoI K to
+        # 2K at slot 1; that instance's lemma check alone must fail
+        import aoisched.cli as cli
+
+        solve, planted = cli.discounted_vi, []
+
+        def planting(space, kern, lam, beta):
+            values, policy = solve(space, kern, lam, beta)
+            if space.case is Case.DELAYED_SENSING and not planted:
+                K = space.frame.K
+                a, b = (int(space.locate(1, delta, 1)) for delta in (K, 2 * K))
+                values[b] = values[a] - 1.0
+                planted.append((a, b))
+            return values, policy
+
+        monkeypatch.setattr(cli, "discounted_vi", planting)
+        out = tmp_path / "report.json"
+        code = main(["properties", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_PROPERTY
+        instance = "K=2 p11=0.6 p01=0.0 lam=0.0 N=8"
+        report = json.loads(out.read_text())
+        failed = [(c["name"], c["instance"]) for c in report["checks"] if not c["passed"]]
+        assert failed == [("lemma_delayed_monotone_aoi", instance)]
+        line = (
+            f"[FAIL] lemma_delayed_monotone_aoi ({instance}) :: "
+            "1 violations, first: ((1, 2, 1), (1, 4, 1), "
+        )
+        assert line in capsys.readouterr().out
+
     def test_dual_above_the_primal_fails_the_dual_gap(self, tmp_path, monkeypatch):
         # 5e-3 above the committed primal 4.138637: inside the gap tolerance,
         # but weak duality puts the dual at or below the primal

@@ -11,8 +11,8 @@ from pathlib import Path
 import aoisched
 from aoisched import sim, solver
 from aoisched.channel import BeliefTable, ChannelModel
-from aoisched.mdp import DelayedSpace, FrameSpec, NoSensingSpace, TruncationBound
-from aoisched.solver import ThresholdPolicyBelief, discounted_vi, stationary_distribution
+from aoisched.mdp import CompiledKernel, DelayedSpace, FrameSpec, NoSensingSpace, TruncationBound
+from aoisched.solver import SolveReport, ThresholdPolicyBelief, discounted_vi, stationary_distribution
 
 TESTS = Path(__file__).resolve().parent
 MODULES = ("channel", "mdp", "sim", "solver", "cli")
@@ -67,6 +67,15 @@ def test_simulator_returns_only_the_averages_its_callers_read():
     assert "n_iters" not in inspect.signature(discounted_vi).parameters
     assert not hasattr(FrameSpec, "next_slot")
     assert not hasattr(NoSensingSpace, "__len__") and not hasattr(DelayedSpace, "__len__")
+
+
+def test_solver_keeps_one_bellman_expectation_and_one_state_grouping():
+    # the textbook expectation lives in tests/oracles.py; the lemma checks
+    # read the solver's own runs, and a solve keeps only its last span
+    assert not hasattr(CompiledKernel, "expected_bias")
+    for name in ("_runs", "_neighbour_violations"):
+        assert not hasattr(solver, name), name
+    assert "span_history" not in [f.name for f in dataclasses.fields(SolveReport)]
 
 
 def test_exact_evaluator_keeps_no_chunked_layout():

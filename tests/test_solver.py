@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import sys
 import tracemalloc
 import weakref
 
@@ -17,6 +16,9 @@ from aoisched.solver import (
     _entered,
     NonConvergenceError,
     ThresholdStructureError,
+    aoi_monotonicity_violations,
+    belief_mix_inequality_violations,
+    belief_monotonicity_violations,
     bisect_lambda,
     discounted_vi,
     dual_value_sweep,
@@ -33,10 +35,14 @@ from aoisched.solver import (
 from oracles import (
     CapExceededError,
     FullKernelLayers,
+    aoi_monotonicity_by_state,
+    belief_mix_by_state,
+    belief_monotonicity_by_state,
     cutoff_groups,
     enumerate_and_evaluate,
     enumerate_threshold_optimum,
     exact_average_cost,
+    expected_bias,
     power_iteration_full,
     threshold_aoi_by_group,
     threshold_belief_by_group,
@@ -60,8 +66,6 @@ class TestRviPlain:
         report = rvi_plain(None, kern, 0.0, eps=1e-10)
         assert report.gain == pytest.approx(4.25, abs=1e-9)
         assert report.span <= 1e-10
-        assert len(report.span_history) == report.iterations
-        assert report.span_history[-1] == report.span
 
     def test_gain_matches_oracle(self):
         frame, ch, bound = FrameSpec(2), ChannelModel(0.7, 0.3), TruncationBound(3)
@@ -187,43 +191,43 @@ NS, DS = Case.NO_SENSING, Case.DELAYED_SENSING
 THRESHOLD_SOLVER = {NS: rvi_threshold_no_sensing, DS: rvi_threshold_delayed}
 
 # (K, p11, p01, lam, case, N, tie break): (sweeps, then the leading 16 hex
-# digits of the sha256 of the bias bytes, of the span history's bytes and of
-# the stationary law's bytes) of rvi_plain and, below N=200, of the case's
+# digits of the sha256 of the bias bytes and of the stationary law's bytes)
+# of rvi_plain and, below N=200, of the case's
 # threshold solver, both from the zero function at the default eps. Only
 # elementwise, np.take and np.bincount results are pinned: a dot product
 # goes through BLAS, whose last bit moves with the thread count. The
 # (0.6, 0.0) instances price suspension and a zero-belief transmission
 # identically, so there the tie break shows; N=200 at lam=400 is a price
-# the low-budget searches reach. An entry with a fifth field also pins the
+# the low-budget searches reach. An entry with a fourth field also pins the
 # case's threshold solver at N=200, where a (delta, k) layer holds up to 59
 # beliefs on (0.7, 0.3) and 148 on (0.9, 0.2); that field is its
 # argmin_evals.
 BYTE_PINS = {
-    (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
-    (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "fb7028ea0f8c1cf5", "01f6938f4d19618c"),
-    (3, 0.7, 0.3, 2.0, NS, 40, "suspend"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "bef53718238faba0"),
-    (3, 0.7, 0.3, 2.0, NS, 40, "transmit"): (90, "9e06a74cf9d9a05f", "304e6ae128ff2bbb", "bef53718238faba0"),
-    (3, 0.7, 0.3, 2.0, DS, 12, "suspend"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "0da5b216b375f53a"),
-    (3, 0.7, 0.3, 2.0, DS, 12, "transmit"): (53, "00d48b8ff50389f1", "596eb0f3c18ed8c1", "0da5b216b375f53a"),
-    (3, 0.7, 0.3, 2.0, DS, 40, "suspend"): (90, "107462d075aae706", "d845105a432bc03b", "c2904278c8aa501f"),
-    (3, 0.7, 0.3, 2.0, DS, 40, "transmit"): (90, "107462d075aae706", "d845105a432bc03b", "c2904278c8aa501f"),
-    (2, 0.6, 0.0, 0.0, NS, 12, "suspend"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "3dafced5d6dc60f3"),
-    (2, 0.6, 0.0, 0.0, NS, 12, "transmit"): (86, "a6c34d86d3b086a3", "60066b112f56d81c", "3dafced5d6dc60f3"),
-    (2, 0.6, 0.0, 0.0, NS, 40, "suspend"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "b3c775089586fb0e"),
-    (2, 0.6, 0.0, 0.0, NS, 40, "transmit"): (150, "b009d3dab0998141", "4e92242dc18b8e3b", "243cb8e8d39a55d3"),
-    (2, 0.6, 0.0, 0.0, DS, 12, "suspend"): (86, "33f6693494410471", "f51a9e002fe42096", "11b30921d9de1c5b"),
-    (2, 0.6, 0.0, 0.0, DS, 12, "transmit"): (86, "33f6693494410471", "f51a9e002fe42096", "11b30921d9de1c5b"),
-    (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
-    (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "c01012c0cea5a56e", "970ca86af36f3ca4"),
-    (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "e2ab4fa0e09d7ef5", "351ca91e94e921ec"),
-    (3, 0.7, 0.3, 1.0, NS, 200, "suspend"): (113, "1bcfde86c8fb0c86", "65462027c3b66273", "0ce880f656166a79", 33498),
-    (3, 0.7, 0.3, 4.0, NS, 200, "suspend"): (113, "f95296ff435cd7e6", "7bb39aed40115b89", "a68987733f4f1327", 35201),
-    (3, 0.9, 0.2, 1.0, NS, 200, "suspend"): (172, "382f7991933bd31e", "b915dd6bc97ca2cd", "92e2e6ac8711a429", 58883),
-    (3, 0.9, 0.2, 4.0, NS, 200, "suspend"): (172, "3091a1c888887cbd", "215d85dfbf3de0d7", "00285ef5a0f52bfa", 62248),
-    (3, 0.7, 0.3, 1.0, DS, 200, "suspend"): (113, "fdb95a4d919073d4", "955cf7e6e1bbbde3", "9561131075a5280a", 753),
-    (3, 0.7, 0.3, 4.0, DS, 200, "suspend"): (113, "2df03553a226e19c", "d95b9f33ec5f2fd3", "26bc3db375663b06", 1580),
-    (3, 0.9, 0.2, 1.0, DS, 200, "suspend"): (172, "a27a0429819e8174", "5606b2bd436d8f80", "2f56ae5a922782e9", 1304),
-    (3, 0.9, 0.2, 4.0, DS, 200, "suspend"): (172, "33e20d739c983c24", "2e61785e5ed32209", "a54422c73dd6b0d1", 3231),
+    (3, 0.7, 0.3, 2.0, NS, 12, "suspend"): (54, "4afe731e406fcd6f", "01f6938f4d19618c"),
+    (3, 0.7, 0.3, 2.0, NS, 12, "transmit"): (54, "4afe731e406fcd6f", "01f6938f4d19618c"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "suspend"): (90, "9e06a74cf9d9a05f", "bef53718238faba0"),
+    (3, 0.7, 0.3, 2.0, NS, 40, "transmit"): (90, "9e06a74cf9d9a05f", "bef53718238faba0"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "suspend"): (53, "00d48b8ff50389f1", "0da5b216b375f53a"),
+    (3, 0.7, 0.3, 2.0, DS, 12, "transmit"): (53, "00d48b8ff50389f1", "0da5b216b375f53a"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "suspend"): (90, "107462d075aae706", "c2904278c8aa501f"),
+    (3, 0.7, 0.3, 2.0, DS, 40, "transmit"): (90, "107462d075aae706", "c2904278c8aa501f"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "suspend"): (86, "a6c34d86d3b086a3", "3dafced5d6dc60f3"),
+    (2, 0.6, 0.0, 0.0, NS, 12, "transmit"): (86, "a6c34d86d3b086a3", "3dafced5d6dc60f3"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "suspend"): (150, "b009d3dab0998141", "b3c775089586fb0e"),
+    (2, 0.6, 0.0, 0.0, NS, 40, "transmit"): (150, "b009d3dab0998141", "243cb8e8d39a55d3"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "suspend"): (86, "33f6693494410471", "11b30921d9de1c5b"),
+    (2, 0.6, 0.0, 0.0, DS, 12, "transmit"): (86, "33f6693494410471", "11b30921d9de1c5b"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "suspend"): (150, "9f188d513707995b", "970ca86af36f3ca4"),
+    (2, 0.6, 0.0, 0.0, DS, 40, "transmit"): (150, "9f188d513707995b", "970ca86af36f3ca4"),
+    (3, 0.7, 0.3, 400.0, NS, 200, "suspend"): (1774, "557612a0919f78fa", "351ca91e94e921ec"),
+    (3, 0.7, 0.3, 1.0, NS, 200, "suspend"): (113, "1bcfde86c8fb0c86", "0ce880f656166a79", 33498),
+    (3, 0.7, 0.3, 4.0, NS, 200, "suspend"): (113, "f95296ff435cd7e6", "a68987733f4f1327", 35201),
+    (3, 0.9, 0.2, 1.0, NS, 200, "suspend"): (172, "382f7991933bd31e", "92e2e6ac8711a429", 58883),
+    (3, 0.9, 0.2, 4.0, NS, 200, "suspend"): (172, "3091a1c888887cbd", "00285ef5a0f52bfa", 62248),
+    (3, 0.7, 0.3, 1.0, DS, 200, "suspend"): (113, "fdb95a4d919073d4", "9561131075a5280a", 753),
+    (3, 0.7, 0.3, 4.0, DS, 200, "suspend"): (113, "2df03553a226e19c", "26bc3db375663b06", 1580),
+    (3, 0.9, 0.2, 1.0, DS, 200, "suspend"): (172, "a27a0429819e8174", "2f56ae5a922782e9", 1304),
+    (3, 0.9, 0.2, 4.0, DS, 200, "suspend"): (172, "33e20d739c983c24", "a54422c73dd6b0d1", 3231),
 }
 
 
@@ -238,7 +242,7 @@ def digest(array: np.ndarray) -> str:
                      + ("-threshold" if threshold else "-plain"))
         for threshold in (False, True)
         for key in BYTE_PINS
-        if key[5] < 200 or not threshold or len(BYTE_PINS[key]) > 4
+        if key[5] < 200 or not threshold or len(BYTE_PINS[key]) > 3
     ],
 )
 def test_solves_and_stationary_laws_are_byte_pinned(key, threshold):
@@ -248,11 +252,10 @@ def test_solves_and_stationary_laws_are_byte_pinned(key, threshold):
     solver = THRESHOLD_SOLVER[case] if threshold else rvi_plain
     report = solver(space, kern, lam, tie_break=tie_break)
     law = stationary_distribution(kern, report.policy.actions)
-    spans = np.array(report.span_history)
-    got = (report.iterations, digest(report.bias), digest(spans), digest(law))
-    assert got == BYTE_PINS[key][:4]
-    if threshold and len(BYTE_PINS[key]) > 4:
-        assert report.argmin_evals == BYTE_PINS[key][4]
+    got = (report.iterations, digest(report.bias), digest(law))
+    assert got == BYTE_PINS[key][:3]
+    if threshold and len(BYTE_PINS[key]) > 3:
+        assert report.argmin_evals == BYTE_PINS[key][3]
 
 
 class TestThresholdSolvers:
@@ -340,12 +343,10 @@ class TestDiscountedVi:
         assert np.allclose(np.minimum(q0, q1), kern.delta)
 
     def test_monotone_in_aoi(self):
-        from aoisched.solver import aoi_monotonicity_violations
-
         space, kern = build_case(
             Case.NO_SENSING, FrameSpec(2), ChannelModel(0.75, 0.35), TruncationBound(12)
         )
-        v = discounted_vi(space, kern, 1.0, beta=0.95)
+        v, _policy = discounted_vi(space, kern, 1.0, beta=0.95)
         assert aoi_monotonicity_violations(space, v) == []
 
     def test_rejects_bad_discount(self):
@@ -390,6 +391,103 @@ class TestDiscountedVi:
         assert tol < err.value.span <= 0.9 ** 2 * kern.delta.max()
 
 
+# channels at the edges: always bad, memoryless, p11 = 1, always good
+EDGE_CHANNELS = [(0.0, 0.0), (0.4, 0.4), (1.0, 0.3), (1.0, 1.0), (0.7, 0.3)]
+
+
+class TestLemmaChecks:
+    """Each value-function check reports a violation planted in a solved
+    value function, and only that one, and equals its per-state oracle."""
+
+    def solved(self, case, lam=1.0):
+        space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        values, _policy = discounted_vi(space, kern, lam, beta=0.95)
+        return space, values
+
+    def columns(self, space, i):
+        return int(space.k[i]), int(space.delta[i]), int(space.sym[i])
+
+    def ascending_beliefs(self, space, k, delta):
+        at = np.flatnonzero((space.k == k) & (space.delta == delta))
+        return at[np.argsort(space.omega[at])]
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    def test_aoi_drop_is_reported_alone(self, case):
+        space, values = self.solved(case)
+        assert aoi_monotonicity_violations(space, values) == []
+        # slot 1 at K=3 holds the AoIs 3, 6, 9, 12
+        sym = space.reference_sym
+        a, b = (int(space.locate(1, delta, sym)) for delta in (3, 6))
+        values[b] = values[a] - 1.0
+        found = aoi_monotonicity_violations(space, values)
+        assert [(lo, hi) for lo, hi, _v_lo, _v_hi in found] == [
+            (self.columns(space, a), self.columns(space, b))
+        ]
+
+    def test_belief_rise_is_reported_alone(self):
+        space, values = self.solved(NS)
+        assert belief_monotonicity_violations(space, values) == []
+        a, b = self.ascending_beliefs(space, 1, 6)[4:6]
+        values[b] = values[a] + 1.0
+        found = belief_monotonicity_violations(space, values)
+        assert [(lo, hi) for lo, hi, _v_lo, _v_hi in found] == [
+            (self.columns(space, a), self.columns(space, b))
+        ]
+
+    def test_mix_bound_break_is_reported_alone(self):
+        lam = 1.0
+        space, values = self.solved(NS, lam)
+        assert belief_mix_inequality_violations(space, values, lam) == []
+        group = self.ascending_beliefs(space, 1, 6)
+        omega, z = space.omega, group[5]
+        # each (x, y) around z and the margin of its bound; raising V(z)
+        # between the two smallest margins breaks the tightest bound alone
+        def margin(x, y):
+            w = (omega[z] - omega[y]) / (omega[x] - omega[y])
+            return (1.0 - w) * lam + w * values[x] + (1.0 - w) * values[y] - values[z]
+
+        margins = sorted((margin(x, y), x, y) for y in group[:5] for x in group[6:])
+        (first, x, y), (second, _x, _y) = margins[:2]
+        assert second - first > 1e-3
+        values[z] += solver._SLACK + 0.5 * (first + second)
+        found = belief_mix_inequality_violations(space, values, lam)
+        assert [entry[:4] for entry in found] == [((6, 1), omega[x], omega[y], omega[z])]
+
+    def test_good_cutoff_above_bad_is_reported_alone(self):
+        space, kern = build_case(DS, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(12))
+        policy = rvi_plain(space, kern, 1.0).policy.as_threshold()
+        assert threshold_ordering_violations(policy) == []
+        bad = policy.thresholds[(2, 0)]
+        assert bad < np.inf
+        policy.thresholds[(2, 1)] = bad + 3
+        assert threshold_ordering_violations(policy) == [(2, bad + 3, bad)]
+
+    @pytest.mark.parametrize("case", [NS, DS])
+    @pytest.mark.parametrize("p11, p01", EDGE_CHANNELS)
+    def test_checks_equal_their_per_state_oracles(self, p11, p01, case):
+        # a value function that meets every lemma: rising in the AoI,
+        # falling and convex in the belief; then planted jumps
+        rng = np.random.default_rng([round(10 * p11), round(10 * p01), case is NS])
+        found = 0
+        for K, N in ((K, N) for K in (1, 2, 3) for N in range(K + 1, 15)):
+            space, _kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+            omega = space.omega if case is NS else space.sym.astype(float)
+            values = space.delta - 2.0 * omega + omega ** 2
+            planted = rng.random(space.n) < 0.25
+            values[planted] += rng.normal(scale=2.0, size=int(planted.sum()))
+            got = aoi_monotonicity_violations(space, values)
+            assert sorted(got) == sorted(aoi_monotonicity_by_state(space, values))
+            found += len(got)
+            if case is NS:
+                lam = float(rng.choice([0.0, 0.5, 3.0]))
+                got = belief_monotonicity_violations(space, values)
+                assert sorted(got) == sorted(belief_monotonicity_by_state(space, values))
+                mixed = belief_mix_inequality_violations(space, values, lam)
+                assert sorted(mixed) == sorted(belief_mix_by_state(space, values, lam))
+                found += len(got) + len(mixed)
+        assert found > 0
+
+
 def traced_peak(run):
     """``run()``'s result and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -401,8 +499,8 @@ def traced_peak(run):
 
 class TestSweepMemory:
     """A sweep allocates nothing: the step writes into work arrays made once
-    per solve, so a solve's peak does not grow with its sweeps beyond the
-    span history, which keeps one float per sweep."""
+    per solve, and a solve keeps only its last span and its sweep count, so
+    a solve's peak does not grow with its sweeps."""
 
     @pytest.mark.parametrize("case", [NS, DS])
     def test_step_allocates_nothing(self, case):
@@ -422,17 +520,13 @@ class TestSweepMemory:
         assert peak - before < 4096
 
     @pytest.mark.parametrize("case", [NS, DS])
-    def test_rvi_peak_grows_only_by_its_span_history(self, case):
+    def test_rvi_peak_does_not_grow_with_sweeps(self, case):
         space, kern = build_case(case, FrameSpec(3), ChannelModel(0.7, 0.3), TruncationBound(200))
         (few, few_peak), (many, many_peak) = (
             traced_peak(lambda: rvi_plain(space, kern, 400.0, eps=eps)) for eps in (10.0, 1e-10)
         )
         assert few.iterations < 100 and many.iterations > 1500
-
-        def held(report):
-            return sys.getsizeof(report.span_history) + sum(map(sys.getsizeof, report.span_history))
-
-        assert many_peak - few_peak <= held(many) - held(few) + 4096
+        assert abs(many_peak - few_peak) < 4096
 
     @pytest.mark.parametrize("case", [NS, DS])
     def test_discounted_peak_does_not_grow_with_sweeps(self, case):
@@ -479,7 +573,7 @@ class TestBellmanStep:
         q0, q1 = step.step(h)
         adm = kern.admissible
         assert np.array_equal(
-            (q1 - q0)[adm], (kern.delta + kern.expected_bias(h, 1) - q0)[adm]
+            (q1 - q0)[adm], (kern.delta + expected_bias(kern, h, 1) - q0)[adm]
         )
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
@@ -504,7 +598,7 @@ class TestBellmanStep:
             for _ in range(3):
                 h = rng.normal(size=kern.n)
                 q0, q1 = bellman.step(h)
-                e0, e1 = (kern.expected_bias(h, u) for u in (0, 1))
+                e0, e1 = (expected_bias(kern, h, u) for u in (0, 1))
                 if beta is not None:
                     e0, e1 = e0 * beta, e1 * beta
                 assert np.array_equal(q0, kern.delta + 0 * lam + e0)
