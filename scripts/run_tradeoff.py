@@ -2,8 +2,8 @@
 """Full-scale AoI/energy tradeoff sweep: both CSI cases, the three reference
 channel pairs, budgets 0.1..1.0, N=1000, 1e5 simulated slots.
 
-Took 13.8 s with ``--workers 2`` on two cores. Any CLI flag can be appended to
-override the defaults, e.g. ``--bound-N 200`` for a quick pass.
+Takes 10 to 16 s with ``--workers 2`` on two shared cores. Any CLI flag can be
+appended to override the defaults, e.g. ``--bound-N 200`` for a quick pass.
 """
 
 import pathlib

@@ -571,7 +571,6 @@ _COMMAND_DEFAULTS = {
     "framelength": {"frame_k": "2,3,4,5,6,7,8", "emax": "0.3"},
     "greedy-compare": {"emax": "0.1,0.2,0.3,0.4,0.5,0.6", "p11": "0.7", "p01": "0.3"},
     "solve": {"emax": "0.3", "p11": "0.7", "p01": "0.3", "case": "no_sensing"},
-    "properties": {"bound_n": "12"},
 }
 
 

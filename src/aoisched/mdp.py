@@ -10,7 +10,10 @@ to the good-anchor limit.
 
 Spaces are built directly as integer columns; a belief is the rank of its
 symbol in the ``channel.BeliefTable`` arrays, and its value, step count and
-suspension successor are read from those arrays by rank. The per-state
+suspension successor are read from those arrays by rank. This module alone
+decides the state order, (k, delta, sym): a space records the runs of that
+order that the solvers group by, each (k, delta) layer and each slot, and
+its kernel's delivery runs are the slot blocks. The per-state
 dataclasses and their enumerators are test oracles that no runtime path
 calls; they stay here, unexported, only because the benchmark's tracer
 patches the two enumerators. The scalar per-state kernels live with the
@@ -21,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-
 import numpy as np
 
 from .channel import ChannelModel, belief_table
@@ -70,10 +71,7 @@ class FrameSpec:
         clamp breaks the congruence there.
         """
         base = self.prev_slot(k)
-        values = list(range(base, cap, self.K))
-        if not values or values[-1] != cap:
-            values.append(cap)
-        return values
+        return [*range(base, cap, self.K), cap]
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,13 @@ class _SpaceBase:
     order, so the key ``(k*(N+1) + delta)*n_sym + sym`` increases and a binary
     search finds any state. A case gives ``_symbol_steps`` (each symbol's step
     count) and ``_branches`` (per action, successor branches as AoI, symbol
-    and probability columns)."""
+    and probability columns).
+
+    The groups a policy's cutoffs act on are runs of that order, recorded as
+    the states are numbered: ``layer_start`` and ``layer_size`` give each
+    (k, delta) layer's first state and its number of states (never zero:
+    every layer keeps the step-0 symbols), and ``slot_layer`` and
+    ``slot_size`` give each slot's first layer and its number of layers."""
 
     case: Case
 
@@ -165,13 +169,16 @@ class _SpaceBase:
         self.frame = frame
         self.channel = ch
         self.bound = bound
-        k_of, delta_of = np.array(
-            [(k, delta) for k in range(1, frame.K + 1) for delta in frame.aoi_values(k, bound.cap)]
-        ).T
+        aoi = [frame.aoi_values(k, bound.cap) for k in range(1, frame.K + 1)]
+        self.slot_size = np.array([len(values) for values in aoi])
+        self.slot_layer = np.cumsum(self.slot_size) - self.slot_size
+        k_of, delta_of = np.repeat(np.arange(1, frame.K + 1), self.slot_size), np.concatenate(aoi)
         # row-major order over (k, delta) x symbol is the (k, delta, sym) order
         kept = self._symbol_steps() <= _belief_bound(delta_of, bound.cap)[:, None]
         layer, self.sym = np.divmod(np.flatnonzero(kept), kept.shape[1])
         self.k, self.delta = k_of[layer], delta_of[layer]
+        self.layer_size = np.count_nonzero(kept, axis=1)
+        self.layer_start = np.cumsum(self.layer_size) - self.layer_size
         self.n = len(self.sym)
         self._key = self._key_of(self.k, self.delta, self.sym)
         self.admissible = self.delta >= frame.K
@@ -257,12 +264,13 @@ class CompiledKernel:
     them; the solvers mask those states out.
 
     ``delivery`` is the transmit-success row (pair (1, 0)) as runs of the
-    state order, (first state, end, successor), that cover every state and
-    lead each run's admissible states to one successor. A delivery resets
-    the AoI to the slot index, so a compiled kernel has one run per slot. It
-    is empty without that pair, and derived at its first use. The Bellman
-    step over the rows is ``solver._Bellman``'s, which the tests check
-    against the textbook sum, ``expected_bias`` in ``tests/oracles.py``.
+    state order, (first state, end, successor), one per slot block. A
+    delivery resets the AoI to the slot index, so every admissible state of
+    slot k leads to (k mod K + 1, k, delivered). A slot's barred states sit
+    in its run too; their transmit rows repeat suspension, and the solvers
+    mask them out. ``delivery`` is empty without that pair. The Bellman step
+    over the rows is ``solver._Bellman``'s, which the tests check against
+    the textbook sum, ``expected_bias`` in ``tests/oracles.py``.
     """
 
     succ: np.ndarray
@@ -271,19 +279,7 @@ class CompiledKernel:
     admissible: np.ndarray
     delta: np.ndarray
     reference_index: int
-
-    @cached_property
-    def delivery(self) -> list[tuple[int, int, int]]:
-        if (1, 0) not in self.pairs:
-            return []
-        succ = self.succ[self.pairs.index((1, 0))]
-        # where no state may transmit, any one run will do
-        at = np.flatnonzero(self.admissible) if self.admissible.any() else np.zeros(1, dtype=int)
-        # each run's first admissible state; barred states join the run
-        # before them, or the first run
-        first = at[np.r_[0, np.flatnonzero(np.diff(succ[at])) + 1]]
-        bounds = np.r_[0, first[1:], self.n].tolist()
-        return list(zip(bounds[:-1], bounds[1:], succ[first].tolist()))
+    delivery: list[tuple[int, int, int]]
 
     @property
     def n(self) -> int:
@@ -316,6 +312,9 @@ def _compile(space: _SpaceBase) -> CompiledKernel:
     pairs = tuple(
         (u, b) for u, branches in enumerate(table) for b, (_s, p) in enumerate(branches) if p.any()
     )
+    slots = np.arange(1, space.frame.K + 1)
+    bounds = np.r_[space.layer_start[space.slot_layer], n].tolist()
+    targets = space.locate(slots % space.frame.K + 1, slots, space.reference_sym).tolist()
     return CompiledKernel(
         succ=np.array([table[u][b][0] for u, b in pairs], dtype=np.int64),
         prob=np.array([table[u][b][1] for u, b in pairs], dtype=np.float64),
@@ -323,6 +322,7 @@ def _compile(space: _SpaceBase) -> CompiledKernel:
         admissible=space.admissible.copy(),
         delta=space.delta.astype(np.float64),
         reference_index=space.reference_index,
+        delivery=list(zip(bounds[:-1], bounds[1:], targets)) if (1, 0) in pairs else [],
     )
 
 

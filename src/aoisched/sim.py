@@ -17,28 +17,31 @@ drawn in fixed-size, counter-aligned blocks of the channel stream (the same
 doubles slot-by-slot draws would give), once per distinct (channel, seed,
 horizon) in a process: the last path drawn is kept, and every run walks a
 fresh copy of it. A loop on plain integers walks that copy and marks in it
-the slots that transmit; the AoI samples and the energy are read off the
-marked path afterwards.
+the slots that transmit, one walk per case; the AoI samples and the energy
+are read off the marked path afterwards.
 
-Decisions are cached. Without sensing the scheduler observes nothing
-between its transmissions, so the slot of its next transmission follows
-from the last reset alone: the AoI and the belief's origin (start of run,
-last delivery or last failed transmission). The loop caches that offset
-per reset and runs once per transmission. With delayed sensing it runs
-once per slot and caches each decision on the AoI and the last channel
-state. ``policy.action`` is called only the first time a state occurs, so
-it must be a pure function of (delta, k, observation): the belief value
-without sensing, the last channel state with delayed sensing.
+Decisions are cached. Without sensing the scheduler starts from the
+channel's stationary belief, ``channel.stationary_good_probability``, and
+observes nothing between its transmissions, so the slot of its next
+transmission follows from the last reset alone: the AoI and the belief's
+origin (start of run, last delivery or last failed transmission). The
+loop caches that offset per reset and runs once per transmission. With
+delayed sensing it runs once per slot and caches each decision on the AoI
+and the last channel state. ``policy.action`` is called only the first
+time a state occurs, so it must be a pure function of (delta, k,
+observation): the belief value without sensing, the last channel state
+with delayed sensing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._philox import philox_key, uniforms
-from .channel import ChannelModel, one_step_update, stationary_good_probability
+from .channel import ChannelModel, stationary_good_probability
 from .mdp import Case, FrameSpec
 from .solver import MixturePolicy, PolicyUndefinedError
 
@@ -48,7 +51,6 @@ __all__ = [
     "estimate_mixture",
     "simulate",
     "simulate_greedy",
-    "stationary_belief_value",
 ]
 
 # Channel draws per block of the pre-drawn path, a multiple of the four
@@ -92,21 +94,6 @@ class SimResult:
     aoi_se: float
 
 
-def stationary_belief_value(ch: ChannelModel) -> float:
-    """The belief the scheduler converges to while never observing.
-
-    Iterates the one-step map from p11 until it stops moving, which lands on
-    the reachable belief closest to the stationary probability.
-    """
-    value = ch.p11
-    for _ in range(1_000_000):
-        nxt = one_step_update(ch, value)
-        if abs(nxt - value) < 1e-12:
-            return nxt
-        value = nxt
-    return value
-
-
 def _batch_se(samples: np.ndarray, n_batches: int = 50) -> float:
     if len(samples) < 2 * n_batches:
         n_batches = max(2, len(samples) // 2)
@@ -115,10 +102,6 @@ def _batch_se(samples: np.ndarray, n_batches: int = 50) -> float:
     size = len(samples) // n_batches
     means = samples[: size * n_batches].reshape(n_batches, size).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(n_batches))
-
-
-# The last channel path drawn: ((p11, p01, seed, horizon), path bytes).
-_last_path: tuple = (None, b"")
 
 
 def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
@@ -132,22 +115,16 @@ def _channel_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
     Since p01 <= p11, h_t is 1 where U_t < p01, 0 where U_t >= p11 and
     h_{t-1} in between, so each block is one forward fill that carries the
     last state of the block before. The path is drawn once per distinct
-    (p11, p01, seed, horizon) in a row of calls.
+    (p11, p01, seed, horizon) in a row of calls: ``_draw_path`` keeps the
+    last one.
     """
-    global _last_path
-    memo_key = (ch.p11, ch.p01, seed, horizon)
-    known, drawn = _last_path
-    if known == memo_key:
-        return bytearray(drawn)
-    path = _draw_path(ch, seed, horizon)
-    _last_path = (memo_key, bytes(path))
-    return path
+    return bytearray(_draw_path(ch, seed, horizon))
 
 
-def _draw_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
+@lru_cache(maxsize=1)
+def _draw_path(ch: ChannelModel, seed: int, horizon: int) -> bytes:
     key = philox_key(seed, (0,))
-    path = bytearray(horizon + 1)
-    states = np.frombuffer(path, dtype=np.uint8)
+    states = np.empty(horizon + 1, dtype=np.uint8)
     for start in range(0, horizon + 1, _BLOCK):
         draws = uniforms(key, start, min(_BLOCK, horizon + 1 - start))
         if start == 0:
@@ -161,22 +138,7 @@ def _draw_path(ch: ChannelModel, seed: int, horizon: int) -> bytearray:
         known[0] = states[start - 1]
         known[1:] = good
         states[start:start + len(draws)] = known[source]
-    return path
-
-
-def _policy_slots(case, frame, ch, policy, path) -> None:
-    """Walk the slots under ``policy`` and mark each transmitting slot t by
-    setting bit 1 of ``path[t]``.
-
-    The slot index k is a function of the AoI (the AoI is k - 1 modulo K),
-    so a decision depends on (AoI, belief origin, steps since the last
-    transmission) without sensing and on (AoI, last channel state) with
-    delayed sensing.
-    """
-    if case is Case.NO_SENSING:
-        _no_sensing_slots(frame, ch, policy, path)
-    else:
-        _delayed_slots(frame, policy, path)
+    return states.tobytes()
 
 
 def _no_sensing_slots(frame, ch, policy, path) -> None:
@@ -192,7 +154,7 @@ def _no_sensing_slots(frame, ch, policy, path) -> None:
     K = frame.K
     horizon = len(path) - 1
     p11, p01 = ch.p11, ch.p01
-    origin_value = (p01, p11, stationary_belief_value(ch))
+    origin_value = (p01, p11, stationary_good_probability(ch))
     cache: dict = {}
     get = cache.get
     # the last reset: AoI d0 at slot t0 and the belief origin
@@ -313,11 +275,6 @@ def _result(path, warmup: int, K: int) -> SimResult:
     )
 
 
-def _check_case(case) -> None:
-    if case is not Case.NO_SENSING and case is not Case.DELAYED_SENSING:
-        raise ValueError(f"unknown case {case!r}")
-
-
 def simulate(
     case: Case,
     frame: FrameSpec,
@@ -329,12 +286,18 @@ def simulate(
 
     No-sensing policies consume (delta, k, belief) with the belief maintained
     from the scheduler's own feedback; delayed-sensing policies consume
-    (delta, k, last-slot channel state). Decisions are cached per state, so
+    (delta, k, last-slot channel state). Each walk marks the transmitting
+    slots in the channel path. Decisions are cached per state, so
     ``policy.action`` must be a pure function of its arguments.
     """
-    _check_case(case)
-    path = _channel_path(ch, cfg.seed, cfg.horizon)
-    _policy_slots(case, frame, ch, policy, path)
+    if case is Case.NO_SENSING:
+        path = _channel_path(ch, cfg.seed, cfg.horizon)
+        _no_sensing_slots(frame, ch, policy, path)
+    elif case is Case.DELAYED_SENSING:
+        path = _channel_path(ch, cfg.seed, cfg.horizon)
+        _delayed_slots(frame, policy, path)
+    else:
+        raise ValueError(f"unknown case {case!r}")
     return _result(path, cfg.warmup, frame.K)
 
 
@@ -353,7 +316,8 @@ def simulate_greedy(
     defined as zero at t=1, so the first slot transmits whenever its frame's
     update is undelivered.
     """
-    _check_case(case)
+    if case is not Case.NO_SENSING and case is not Case.DELAYED_SENSING:
+        raise ValueError(f"unknown case {case!r}")
     if not 0.0 < e_max <= 1.0:
         raise ValueError(f"energy budget must lie in (0, 1], got {e_max}")
     path = _channel_path(ch, cfg.seed, cfg.horizon)

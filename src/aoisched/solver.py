@@ -30,8 +30,9 @@ places above the cutoff; its ``argmin_evals`` counts the comparisons the
 rule still needs, the paper's complexity measure, not work that is skipped.
 Each group a cutoff acts on, a (k, delta) layer without sensing and a slot's
 column of the (layer, g) view with delayed sensing, is a run of the state
-order, so one ``np.minimum.reduceat`` per sweep finds every cutoff, and the
-extractors read the same runs.
+order that the space records as it numbers its states, so one
+``np.minimum.reduceat`` per sweep finds every cutoff, and the extractors
+read the same runs.
 
 The step reads the kernel's branch-major rows. A delivery resets the AoI
 to the slot index, so transmit success leads all admissible states of a
@@ -267,13 +268,14 @@ class _Bellman:
     one work array, and every operation writes with ``out=`` in the order of
     q_u = delta + lam*u + sum over u's branches of p*h, so the values are
     those of the textbook sum (``expected_bias`` in ``tests/oracles.py``)
-    bit for bit. Transmit success leads each run of ``kern.delivery`` (one
-    per slot) to one state, so that state's bias fills the run; ``take``
-    gathers the bias at the other rows' successors. The rows are then multiplied by their probabilities, except
-    rows whose probability is 1 at every state (suspension without sensing),
-    and each action's first row takes the sum and becomes q_u. The transmit
-    cost, made once, is +inf where transmission is inadmissible, so what the
-    delivery runs give those states moves no bit. With a discount ``beta``
+    bit for bit. Transmit success leads each slot block of ``kern.delivery``
+    to one state, so that state's bias fills the block; ``take`` gathers the
+    bias at the other rows' successors. The rows are then multiplied by their
+    probabilities, except rows whose probability is 1 at every state
+    (suspension without sensing), and each action's first row takes the sum
+    and becomes q_u. The transmit cost, made once, is +inf where
+    transmission is inadmissible, so what the blocks give a slot's barred
+    states moves no bit. With a discount ``beta``
     the expectation is scaled before the cost is added. The work arrays are
     made once, so a step allocates nothing. The price must be finite and
     non-negative.
@@ -283,20 +285,17 @@ class _Bellman:
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"energy price must be finite and non-negative, got {lam}")
         self.beta = beta
-        # the runs first: a kernel derives them on first use, and their
-        # temporaries are freed before the work arrays are made
-        runs = kern.delivery
         # both work arrays before their views, whose small allocations would
         # otherwise sit between large ones and raise the peak memory
         terms, cost = np.empty(kern.prob.shape), kern.delta + lam
         cost[~kern.admissible] = np.inf
         self.costs = (kern.delta, cost)
-        d = kern.pairs.index((1, 0)) if runs else -1
+        d = kern.pairs.index((1, 0)) if kern.delivery else -1
         gathered = [r != d for r in range(len(kern.pairs))]
         # probabilities are at most 1, so a row's minimum is 1 only on unit rows
         scaled = (kern.prob.min(axis=1) < 1.0).tolist()
         self.gathers = [(kern.succ[a:b], terms[a:b]) for a, b in _row_runs(gathered)]
-        self.fills = [(terms[d, a:b], j) for a, b, j in runs]
+        self.fills = [(terms[d, a:b], j) for a, b, j in kern.delivery]
         self.scaled = [(terms[a:b], kern.prob[a:b]) for a, b in _row_runs(scaled)]
         blocks = (kern.rows(0), kern.rows(1))
         self.q = tuple(terms[rows.start] for rows in blocks)
@@ -413,20 +412,11 @@ def rvi_plain(
     return _rvi(space, kern, lam, eps, h_init, tie_break)
 
 
-def _belief_layers(space: NoSensingSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's belief rank, and the (k, delta) layers as runs of the
-    state order: their first states and sizes. Beliefs are distinct, so the
-    ranks order a layer's states as their beliefs do."""
+def _belief_rank(space: NoSensingSpace) -> np.ndarray:
+    """Each state's belief rank. Beliefs are distinct, so the ranks order a
+    layer's states as their beliefs do."""
     rank = np.argsort(np.argsort(space.beliefs.value)).astype(np.int32)
-    starts = np.flatnonzero(np.r_[True, (np.diff(space.k) != 0) | (np.diff(space.delta) != 0)])
-    return rank[space.sym], starts, np.diff(np.r_[starts, space.n])
-
-
-def _slot_runs(space: DelayedSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of slot k in the (layer, g) view ``reshape(-1, 2)``, whose
-    row is a (k, delta) layer's bad and good state: first rows and sizes."""
-    starts = np.flatnonzero(np.r_[True, np.diff(space.k[::2]) != 0])
-    return starts, np.diff(np.r_[starts, space.n // 2])
+    return rank[space.sym]
 
 
 def rvi_threshold_no_sensing(
@@ -453,7 +443,7 @@ def rvi_threshold_no_sensing(
     belief.
     """
     free = kern.admissible & (space.steps < space.bound.cap)
-    rank, starts, sizes = _belief_layers(space)
+    rank, starts, sizes = _belief_rank(space), space.layer_start, space.layer_size
     beats, up = np.empty(kern.n, dtype=bool), np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
@@ -483,7 +473,7 @@ def rvi_threshold_delayed(
     bad-state one, so a good-state AoI at or above d_0 transmits as well.
     """
     delta = space.delta.reshape(-1, 2)
-    starts, sizes = _slot_runs(space)
+    starts, sizes = space.slot_layer, space.slot_size
     beats = np.empty(kern.n, dtype=bool)
 
     def above(q0, q1):
@@ -970,7 +960,7 @@ def extract_threshold_belief(space: NoSensingSpace, actions) -> ThresholdPolicyB
     """
     acts = _checked_actions(space.n, actions)
     K = space.frame.K
-    rank, starts, sizes = _belief_layers(space)
+    rank, starts, sizes = _belief_rank(space), space.layer_start, space.layer_size
     interior = (space.beliefs.steps < space.bound.cap)[space.sym]
     # a belief rank past every symbol's where none transmits, below every
     # symbol's where none suspends
@@ -1004,11 +994,11 @@ def extract_threshold_aoi(space: DelayedSpace, actions) -> ThresholdPolicyAoI:
     transmits at an AoI below the frame length, or suspends at an AoI at or
     above its cutoff."""
     acts = _checked_actions(space.n, actions)
-    starts, sizes = _slot_runs(space)
+    starts, sizes = space.slot_layer, space.slot_size
     delta, transmits = space.delta.reshape(-1, 2), acts.reshape(-1, 2) == 1
     lowest = np.minimum.reduceat(np.where(transmits, delta, np.inf), starts)
     highest = np.maximum.reduceat(np.where(transmits, -1, delta), starts)
-    ks = space.k[::2][starts].tolist()
+    ks = range(1, space.frame.K + 1)
     barred = lowest < space.frame.K
     wrong = barred | (highest >= lowest)
     if wrong.any():
@@ -1075,22 +1065,21 @@ def _state_pairs(space, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> lis
     return [(tuple(cols[i]), tuple(cols[j]), values[i], values[j]) for i, j in zip(a, b)]
 
 
-def _ascending_beliefs(space: NoSensingSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The states of each (k, delta) run of ``_belief_layers`` in ascending
-    belief, runs in state order, and the runs' first positions."""
-    rank, starts, sizes = _belief_layers(space)
-    return np.lexsort((rank, np.repeat(starts, sizes))), starts
+def _ascending_beliefs(space: NoSensingSpace) -> np.ndarray:
+    """The states of each (k, delta) layer in ascending belief, layers in
+    state order."""
+    return np.lexsort((_belief_rank(space), np.repeat(space.layer_start, space.layer_size)))
 
 
 def belief_monotonicity_violations(space: NoSensingSpace, values: np.ndarray) -> list[tuple]:
     """Interior belief pairs at one (delta, k), neighbours in ascending
     belief, where the larger belief costs more by more than ``_SLACK``."""
-    order, starts = _ascending_beliefs(space)
+    order = _ascending_beliefs(space)
     keep = _interior_mask(space)
     a, b = order[:-1], order[1:]
-    # no pair spans two runs
+    # no pair spans two layers
     within = np.ones(len(a), dtype=bool)
-    within[starts[1:] - 1] = False
+    within[space.layer_start[1:] - 1] = False
     hit = within & keep[a] & keep[b] & (values[b] > values[a] + _SLACK)
     return _state_pairs(space, a[hit], b[hit], values)
 
@@ -1105,9 +1094,8 @@ def belief_mix_inequality_violations(
     """
     keep = _interior_mask(space)
     omega = space.omega
-    order, starts = _ascending_beliefs(space)
     out = []
-    for idxs in np.split(order, starts[1:]):
+    for idxs in np.split(_ascending_beliefs(space), space.layer_start[1:]):
         delta, k = int(space.delta[idxs[0]]), int(space.k[idxs[0]])
         idxs = idxs[keep[idxs]]
         if len(idxs) < 3:

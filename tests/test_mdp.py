@@ -243,6 +243,9 @@ ORACLE_FRAMES = [(1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 10)]
 ORACLE_CHANNELS = [(0.8, 0.3), (0.6, 0.0), (0.5, 0.5), (1.0, 0.4), (0.999, 0.001), (1.0, 1.0)]
 
 
+DELIVERY_CHANNELS = [(0.7, 0.3), (0.0, 0.0), (0.4, 0.4), (1.0, 0.3), (1.0, 1.0)]
+
+
 def oracle_states(case, frame, ch, bound):
     if case is Case.NO_SENSING:
         return enumerate_states_no_sensing(frame, ch, bound)
@@ -300,10 +303,11 @@ class TestCompiledKernel:
             assert kern.admissible.tolist() == [s.delta >= 3 for s in states]
 
     @pytest.mark.parametrize("K", [1, 2, 3])
-    @pytest.mark.parametrize("p11, p01", [(0.7, 0.3), (0.0, 0.0), (0.4, 0.4), (1.0, 0.3), (1.0, 1.0)])
+    @pytest.mark.parametrize("p11, p01", DELIVERY_CHANNELS)
     def test_delivery_runs_one_per_slot(self, p11, p01, K):
         # transmit success resets the AoI to the slot index: every admissible
-        # state of a slot leads to the one state (next slot, AoI k, delivered)
+        # state of a slot leads to the one state (next slot, AoI k, delivered),
+        # and each run is its slot's whole block, barred first layer included
         for case in Case:
             space, kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(9))
             if (1, 0) not in kern.pairs:
@@ -315,9 +319,24 @@ class TestCompiledKernel:
             succ = kern.succ[kern.pairs.index((1, 0))]
             for (a, b, j), k in zip(kern.delivery, range(1, K + 1)):
                 run = np.arange(a, b)
-                assert set(space.k[run[space.admissible[run]]].tolist()) == {k}
+                assert set(space.k[run].tolist()) == {k}
                 assert np.all(succ[run[space.admissible[run]]] == j)
                 assert (space.k[j], space.delta[j], space.sym[j]) == (k % K + 1, k, space.reference_sym)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("p11, p01", DELIVERY_CHANNELS)
+def test_space_runs_are_those_of_its_columns(p11, p01, K):
+    # the layer and slot runs the space records as it numbers its states
+    # are the runs of its (k, delta) columns
+    for case, N in itertools.product(Case, (K + 1, 9, 40)):
+        space, _kern = build_case(case, FrameSpec(K), ChannelModel(p11, p01), TruncationBound(N))
+        starts = np.flatnonzero(np.r_[True, (np.diff(space.k) != 0) | (np.diff(space.delta) != 0)])
+        assert space.layer_start.tolist() == starts.tolist()
+        assert space.layer_size.tolist() == np.diff(np.r_[starts, space.n]).tolist()
+        slots = np.flatnonzero(np.r_[True, np.diff(space.k[starts]) != 0])
+        assert space.slot_layer.tolist() == slots.tolist()
+        assert space.slot_size.tolist() == np.diff(np.r_[slots, len(starts)]).tolist()
 
 
 # sha256 of each no-sensing space's symbol columns and compiled successor

@@ -78,6 +78,16 @@ def test_solver_keeps_one_bellman_expectation_and_one_state_grouping():
     assert "span_history" not in [f.name for f in dataclasses.fields(SolveReport)]
 
 
+def test_the_space_alone_derives_its_runs_and_the_channel_its_stationary_law():
+    # the solver reads the space's layer and slot runs, the kernel's delivery
+    # runs are built with it, and the simulator starts from the closed form
+    assert not hasattr(solver, "_slot_runs")
+    assert "delivery" in [f.name for f in dataclasses.fields(CompiledKernel)]
+    for name in ("stationary_belief_value", "_policy_slots", "_check_case", "_last_path"):
+        assert not hasattr(sim, name), name
+    assert "stationary_belief_value" not in sim.__all__
+
+
 def test_exact_evaluator_keeps_no_chunked_layout():
     # the evaluator holds the entered states' mass in one array; its chunk
     # size and bin layout are gone

@@ -13,7 +13,6 @@ from aoisched.sim import (
     estimate_mixture,
     simulate,
     simulate_greedy,
-    stationary_belief_value,
 )
 from aoisched.solver import (
     MixturePolicy,
@@ -106,7 +105,7 @@ def _oracle_run(frame, ch, decide, cfg, rows):
     h_prev = 1 if rng.random() < pi_star else 0
 
     delta, k = frame.K, 1
-    omega = stationary_belief_value(ch)
+    omega = pi_star
     aoi_samples = np.empty(cfg.horizon - cfg.warmup)
     energy = 0
 
@@ -199,7 +198,10 @@ def walked_rows(path, K):
 def policy_rows(case, frame, ch, policy, cfg):
     """The slot rows of ``simulate(case, frame, ch, policy, cfg)``."""
     path = sim._channel_path(ch, cfg.seed, cfg.horizon)
-    sim._policy_slots(case, frame, ch, policy, path)
+    if case is Case.NO_SENSING:
+        sim._no_sensing_slots(frame, ch, policy, path)
+    else:
+        sim._delayed_slots(frame, policy, path)
     return walked_rows(path, frame.K)
 
 
@@ -386,7 +388,7 @@ class TestSlotDynamics:
 
     def test_suspension_applies_one_step(self, monkeypatch):
         ch, seen, rows = self.run(monkeypatch, Case.NO_SENSING)
-        assert seen[0][2] == stationary_belief_value(ch)
+        assert seen[0][2] == stationary_good_probability(ch)
         stepped = [
             (after[2], one_step_update(ch, before[2]))
             for before, after, row in zip(seen, seen[1:], rows)
@@ -501,14 +503,6 @@ class TestAnalyticAgreement:
         assert res.avg_energy == pytest.approx(energy, abs=0.01)
 
 
-class TestStationaryBelief:
-    def test_stationary_belief_value(self):
-        ch = ChannelModel(0.7, 0.3)
-        assert stationary_belief_value(ch) == pytest.approx(
-            stationary_good_probability(ch), abs=1e-11
-        )
-
-
 # ---------------------------------------------------------------------------
 # the integer loop against the slot-by-slot oracle
 
@@ -599,10 +593,13 @@ class TestOracleIdentitySolved:
 # (salt 1, seed 11) per case, greedy (seed 13) per budget, the q=0.3 mixture
 # (seed 17, both components' rows) per case and the solved threshold
 # policies per case and price. The oracle changed with the simulator, so
-# these are what guard both against a shared mistake.
+# these are what guard both against a shared mistake. The no-sensing
+# HashPolicy and mixture entries were re-recorded when a run's start belief
+# became the closed-form stationary probability: a hash policy reads every
+# bit of the belief.
 SIM_PINS = {
-    ("hash", "no_sensing", 0.7, 0.3, 1): ("(3.8275862068965516, 0.8565717141429285, 0.264077485536626)",
-        "e9a3a1c8e57f8b4184025127244e13cefbdc8cd28f7b7e55dc63ca65723787ae"),
+    ("hash", "no_sensing", 0.7, 0.3, 1): ("(3.8275862068965516, 0.8575712143928036, 0.264077485536626)",
+        "55f2dd13800a4d754fa886c3e49ff7cfbd76df635840b7e376e7d14cc2ee8f90"),
     ("hash", "delayed_sensing", 0.7, 0.3, 1): ("(3.1294352823588207, 0.8035982008995503, 0.20057098341423943)",
         "b6f94dedc66fc45aaee255f825c301ede8a74bd70accd9153985ec92a90f06ac"),
     ("greedy", 0.1, 0.7, 0.3, 1): ("(14.39880059970015, 0.09995002498750624, 1.4799124370815224)",
@@ -611,12 +608,12 @@ SIM_PINS = {
         "434bda1bacbb306b63db4ff4eca824a2542759636175230fa1401a146bb416eb"),
     ("greedy", 1.0, 0.7, 0.3, 1): ("(2.549225387306347, 0.9995002498750625, 0.12427013449148035)",
         "196d9848375a7e02c41bf82ec17ff1ae9261e7a800cfd57106979a749629a041"),
-    ("mixture", "no_sensing", 0.7, 0.3, 1): ("(3.4983008495752124, 0.7084457771114442, 0.19236539709366013)",
-        "bb9fa46dd36ba1008f259f49c52fa9b9d0c5b4096742558b9071d44064138434"),
+    ("mixture", "no_sensing", 0.7, 0.3, 1): ("(3.4927036481759117, 0.708295852073963, 0.1929562908562762)",
+        "e211f977088e5a2e8306c54e5954598ac2d26115b800b7570d5969eeae445edf"),
     ("mixture", "delayed_sensing", 0.7, 0.3, 1): ("(3.275512243878061, 0.8457271364317841, 0.1785192477589613)",
         "919b795eb6874cf36de76baa639339c1dd25074ac4af818a49be78c0753d9b56"),
-    ("hash", "no_sensing", 0.9, 0.2, 1): ("(3.0209895052473765, 0.7996001999000499, 0.26753557840834125)",
-        "3a3492bca47c1ac5ea520c9b7adb31e5c5d0cbd60195f64f461ca20059ebaceb"),
+    ("hash", "no_sensing", 0.9, 0.2, 1): ("(3.0209895052473765, 0.7991004497751124, 0.26753557840834125)",
+        "39ac872bda336a759a800512f259d0d4fa4a05828ba530f20098540ac1006184"),
     ("hash", "delayed_sensing", 0.9, 0.2, 1): ("(2.9095452273863067, 0.8690654672663668, 0.25741875080363924)",
         "6cef9ed07751b843ee1545b56cb05e7d2fc1904270adb9d11cccec452280bed7"),
     ("greedy", 0.1, 0.9, 0.2, 1): ("(9.046476761619191, 0.09995002498750624, 0.7152557734325332)",
@@ -625,12 +622,12 @@ SIM_PINS = {
         "28e01453bd7f25951e7ca00d72bd455e34485bf4ffbcccc477339b4aabe2d977"),
     ("greedy", 1.0, 0.9, 0.2, 1): ("(2.4047976011994003, 0.9995002498750625, 0.17045899919969984)",
         "f0def8f0c2835a9626a2771e81f8655c53d36dee63ae278fe1b56ead1b34cdb5"),
-    ("mixture", "no_sensing", 0.9, 0.2, 1): ("(2.817791104447776, 0.9704647676161919, 0.3156229162947847)",
-        "a5868a57fb4ca28ef91298a24e954bbba18140200561491ddefc852ec2826a37"),
+    ("mixture", "no_sensing", 0.9, 0.2, 1): ("(2.81744127936032, 0.9708145927036482, 0.31563800636006756)",
+        "eca123a1cc842632c26358294d800a025046e90650c85f01a97366f875bd1739"),
     ("mixture", "delayed_sensing", 0.9, 0.2, 1): ("(2.9889555222388804, 0.8872563718140929, 0.30981607917462944)",
         "9716c83282c59fcdc604bf2606293ce47a569026b001fed88ca472ae33794949"),
-    ("hash", "no_sensing", 0.6, 0.0, 1): ("(1001.0, 0.665167416291854, 82.4621125123532)",
-        "44db53d0fb4ab8ba678229cdd8d78f27157e74e05027203a7ae95dba3ec2d58b"),
+    ("hash", "no_sensing", 0.6, 0.0, 1): ("(1001.0, 0.6646676661669165, 82.4621125123532)",
+        "45231f200941b99bb6ace1edc50a5d2554326c951bf479548f90124db70f0bb9"),
     ("hash", "delayed_sensing", 0.6, 0.0, 1): ("(1001.0, 0.6646676661669165, 82.4621125123532)",
         "45231f200941b99bb6ace1edc50a5d2554326c951bf479548f90124db70f0bb9"),
     ("greedy", 0.1, 0.6, 0.0, 1): ("(1001.0, 0.09995002498750624, 82.4621125123532)",
@@ -657,8 +654,8 @@ SIM_PINS = {
         "e75785cbec177805af25e37af18928f2abf499835dc406c8db93c7efba0683fc"),
     ("mixture", "delayed_sensing", 1.0, 0.4, 1): ("(1.0, 1.0, 0.0)",
         "e75785cbec177805af25e37af18928f2abf499835dc406c8db93c7efba0683fc"),
-    ("hash", "no_sensing", 0.999, 0.001, 1): ("(500.2458770614693, 0.777111444277861, 65.79205243118004)",
-        "95ce18591c5d08edc406859e82d9b9b28fa616f83698a2345e629c92af7929a0"),
+    ("hash", "no_sensing", 0.999, 0.001, 1): ("(500.2458770614693, 0.7811094452773614, 65.79205243118004)",
+        "ad7de714efaf36e27d805a215d9e9ca633295bd02d5855c96af92679fd609713"),
     ("hash", "delayed_sensing", 0.999, 0.001, 1): ("(500.2458770614693, 0.7691154422788605, 65.79205243118004)",
         "c540af3da804afca31fa9bd9a17dfa0e4ab46e24459bd6f575dc3a97d2100c80"),
     ("greedy", 0.1, 0.999, 0.001, 1): ("(238.6616691654173, 0.09995002498750624, 43.30318962665263)",
@@ -667,8 +664,8 @@ SIM_PINS = {
         "964e32a0fd5c9ce27f6f2052fce0a4a2ebc0681c43c4d62a674eaff71de060a0"),
     ("greedy", 1.0, 0.999, 0.001, 1): ("(234.89705147426287, 0.9995002498750625, 43.53706078522442)",
         "d6cccfa54bcd8c4585c882eaab24e37ba2bca7f1203ced6ed27c77a34a1f9bea"),
-    ("mixture", "no_sensing", 0.999, 0.001, 1): ("(388.0355822088955, 0.6623688155922038, 44.60921557466771)",
-        "a4e29e1b0fb7f91da56159a1619d7cd04893b7383f8275fdcb3b245b00c063de"),
+    ("mixture", "no_sensing", 0.999, 0.001, 1): ("(388.0355822088955, 0.6613193403298351, 44.60921557466771)",
+        "ba6ede9c45c168885cab3d51032f3328ab4059f014d6bff2793683c850d2d79b"),
     ("mixture", "delayed_sensing", 0.999, 0.001, 1): ("(387.17486256871564, 0.7118940529735132, 44.60010117280033)",
         "300399bb0f9aa9167de3fafd460941b6bc73e5736ced6e69944e8124aa49f52b"),
     ("hash", "no_sensing", 0.5, 0.5, 1): ("(2.5742128935532236, 0.7811094452773614, 0.08146302529243508)",
@@ -700,7 +697,7 @@ SIM_PINS = {
     ("mixture", "delayed_sensing", 1.0, 1.0, 1): ("(1.0, 1.0, 0.0)",
         "e75785cbec177805af25e37af18928f2abf499835dc406c8db93c7efba0683fc"),
     ("hash", "no_sensing", 0.7, 0.3, 3): ("(4.75388418079096, 0.4950564971751412, 0.09907810705568593)",
-        "5554bcb4993d106976c20add7d0d9b89a1b599b1b5bda683803ae528c909d234"),
+        "9830b208e72d279560624305047bc499018da7889a55428ecef20ac3b26ceefd"),
     ("hash", "delayed_sensing", 0.7, 0.3, 3): ("(3.987641242937853, 0.5202448210922788, 0.07206366882872464)",
         "3f38b3d17119ba78cada1cb392ecc64f04dc0622b04db0f3d7c706dcd9e7d5dc"),
     ("greedy", 0.1, 0.7, 0.3, 3): ("(15.532485875706215, 0.09992937853107345, 0.8393586076743078)",
@@ -710,7 +707,7 @@ SIM_PINS = {
     ("greedy", 1.0, 0.7, 0.3, 3): ("(3.6317090395480225, 0.6131120527306968, 0.05706872201093128)",
         "778e74b870f5a081dd155f70a3cf2071b275672f2620e1a063ae9f6af21566d9"),
     ("mixture", "no_sensing", 0.7, 0.3, 3): ("(4.260628531073446, 0.5481756120527307, 0.0896316350758792)",
-        "298585d67731ba44d1cc095cff75e0742dea82eee0b64f741678a749d632fd9a"),
+        "75a2c5b43eaf7667bdcdeeb65652256cc80669df8a51b2c15b9374c8503471d1"),
     ("mixture", "delayed_sensing", 0.7, 0.3, 3): ("(4.653283898305085, 0.4525659133709981, 0.09236561541038368)",
         "482390075be739a11692c36d5dd3dd468734f3e5afc20569e0d8e202ee54b3aa"),
     ("hash", "no_sensing", 0.9, 0.2, 3): ("(4.5607344632768365, 0.4917608286252354, 0.1479304905128997)",
@@ -766,7 +763,7 @@ SIM_PINS = {
     ("greedy", 1.0, 0.999, 0.001, 3): ("(213.13276836158192, 0.558027306967985, 55.05811801058809)",
         "7613d9165215850a3220e02d637c7c1078317e07a80b20751f4fbf7678bdbeff"),
     ("mixture", "no_sensing", 0.999, 0.001, 3): ("(890.4875353107343, 0.5888300376647835, 117.95940973824032)",
-        "4517eca0b87ea44512214617ac64a668bc94a4f0e76b1c5f7714198841a9ac76"),
+        "fc6bf5dbf23617daf1b1439d741bb7ab83bfd0087a439b6cbb6793a4d0b33ad3"),
     ("mixture", "delayed_sensing", 0.999, 0.001, 3): ("(890.2936793785311, 0.5999293785310734, 117.9761149851707)",
         "1b0292b721bbe60ea3e6fc5dcc7a678eb3752611de1c499cf70780fd4c833a9b"),
     ("hash", "no_sensing", 0.5, 0.5, 3): ("(3.5095338983050848, 0.507768361581921, 0.051453588366238194)",
@@ -934,7 +931,7 @@ class TestDecisionCache:
             path = sim._channel_path(ch, 43, horizon)
             tracemalloc.start()
             try:
-                sim._policy_slots(Case.NO_SENSING, frame, ch, NeverTransmit(), path)
+                sim._no_sensing_slots(frame, ch, NeverTransmit(), path)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

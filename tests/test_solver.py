@@ -57,6 +57,7 @@ def single_state_kernel(cost: float) -> CompiledKernel:
         admissible=np.array([True]),
         delta=np.array([cost]),
         reference_index=0,
+        delivery=[(0, 1, 0)],
     )
 
 
@@ -847,6 +848,7 @@ class TestEnteredStates:
             admissible=np.ones(3, dtype=bool),
             delta=np.array([1.0, 2.0, 3.0]),
             reference_index=0,
+            delivery=[(0, 3, 0)],
         )
         for actions in ([0, 0, 0], [0, 0, 1]):
             actions = np.array(actions, dtype=np.int8)
