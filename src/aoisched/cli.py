@@ -7,6 +7,14 @@ a process pool), each (case, K, channel) curve's budgets sharing one price
 search, and sorted before writing, so the worker count never changes the
 file content. Reruns with equal arguments produce byte-identical files.
 
+``_FLAGS`` declares each flag the subcommands share once: its config-file
+key (the flag name with ``-`` turned into ``_``), which is also the
+``ExperimentSpec`` field, its reader and its default. Every subcommand
+validates all of them, but ``properties`` reads only ``--seed``, ``--eps``
+and ``--out``, and ``solve`` ignores ``--horizon``, ``--warmup``,
+``--workers`` and ``--seed``. ``_COMMANDS`` declares each subcommand once,
+with its handler and help line.
+
 Exit codes: 0 success, 2 argument or config errors, 3 solver non-convergence,
 4 property-suite failure.
 """
@@ -61,6 +69,7 @@ EXIT_SOLVER = 3
 EXIT_PROPERTY = 4
 
 DEFAULT_PAIRS = ((0.7, 0.3), (0.9, 0.3), (0.9, 0.5))
+CASE_CHOICES = ("no_sensing", "delayed_sensing", "both")
 
 TRADEOFF_COLUMNS = [
     "row_kind", "case", "frame_k", "p11", "p01", "emax", "bound_n", "eps",
@@ -79,12 +88,13 @@ SOLVE_COLUMNS_AOI = ["case", "component", "k", "g", "delta_star"]
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep's fully validated configuration."""
+    """One sweep's fully validated configuration. The fields are the keys of
+    ``_FLAGS``, with ``p11`` and ``p01`` joined into ``pairs``."""
 
     case: str
-    frame_k_list: tuple[int, ...]
+    frame_k: tuple[int, ...]
     pairs: tuple[tuple[float, float], ...]
-    emax_list: tuple[float, ...]
+    emax: tuple[float, ...]
     bound_n: int
     eps: float
     eps_lambda: float
@@ -95,16 +105,16 @@ class ExperimentSpec:
     workers: int
 
     def __post_init__(self):
-        if self.case not in ("no_sensing", "delayed_sensing", "both"):
+        if self.case not in CASE_CHOICES:
             raise ValueError(f"unknown case {self.case!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not self.frame_k_list or not self.emax_list:
+        if not self.frame_k or not self.emax:
             raise ValueError("frame-length and energy-budget lists must be non-empty")
-        for flag, values in (("--frame-K", self.frame_k_list), ("--emax", self.emax_list)):
+        for flag, values in (("--frame-K", self.frame_k), ("--emax", self.emax)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{flag} lists a value more than once: {values}")
-        for k in self.frame_k_list:
+        for k in self.frame_k:
             for p11, p01 in self.pairs:
                 TruncationBound(self.bound_n).validate_against(FrameSpec(k))
                 ChannelModel(p11, p01)
@@ -113,7 +123,7 @@ class ExperimentSpec:
                         f"p01=0 makes the bad channel state absorbing (p11={p11}): no "
                         "transmission succeeds once it is entered, so the AoI grows without bound"
                     )
-        for e in self.emax_list:
+        for e in self.emax:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"energy budget must lie in (0, 1], got {e}")
         if not (0.0 < self.eps < math.inf and 0.0 < self.eps_lambda < math.inf):
@@ -173,9 +183,8 @@ def _map_points(fn, jobs: list, workers: int) -> list:
     return [row for rows in results for row in rows]
 
 
-def _provenance(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float) -> dict:
+def _provenance(spec: ExperimentSpec, k: int, p11: float, p01: float) -> dict:
     return {
-        "case": case.value,
         "frame_k": k,
         "p11": p11,
         "p01": p01,
@@ -185,6 +194,19 @@ def _provenance(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float
         "seed": spec.seed,
         "horizon": spec.horizon,
         "warmup": spec.warmup,
+    }
+
+
+def _tradeoff_row(job, row_kind: str, emax, mix, res) -> dict:
+    """One tradeoff row: a curve's mixture and its simulation run."""
+    spec, case, k, p11, p01 = job
+    return {
+        **_provenance(spec, k, p11, p01),
+        "row_kind": row_kind, "case": case.value, "emax": emax,
+        "lambda_minus": mix.lam_minus, "lambda_plus": mix.lam_plus, "q": mix.q,
+        "energy_minus": mix.energy_minus, "energy_plus": mix.energy_plus,
+        "aoi_analytic": mix.analytic_aoi(), "energy_analytic": mix.analytic_energy(),
+        "aoi_mc": res.avg_aoi, "energy_mc": res.avg_energy, "aoi_mc_se": res.aoi_se,
     }
 
 
@@ -198,42 +220,26 @@ def _constrained_point(job) -> list[dict]:
     which the curve's search solves with its own price-0 solve."""
     spec, case, k, p11, p01 = job
     frame, ch = FrameSpec(k), ChannelModel(p11, p01)
-    budgets = spec.emax_list + (() if 1.0 in spec.emax_list else (1.0,))
+    budgets = spec.emax + (() if 1.0 in spec.emax else (1.0,))
     mixes = bisect_lambda(
         case, frame, ch, TruncationBound(spec.bound_n), budgets,
         eps=spec.eps, eps_lam=spec.eps_lambda,
     )
-    rows = []
-    for emax, mix in zip(spec.emax_list, mixes):
-        res = estimate_mixture(case, frame, ch, mix, spec.sim_config())
-        row = _provenance(spec, case, k, p11, p01)
-        row.update(
-            row_kind="constrained", emax=emax,
-            lambda_minus=mix.lam_minus, lambda_plus=mix.lam_plus, q=mix.q,
-            energy_minus=mix.energy_minus, energy_plus=mix.energy_plus,
-            aoi_analytic=mix.analytic_aoi(), energy_analytic=mix.analytic_energy(),
-            aoi_mc=res.avg_aoi, energy_mc=res.avg_energy, aoi_mc_se=res.aoi_se,
-        )
-        rows.append(row)
-    rows.append(_unconstrained_point(spec, case, k, p11, p01, mixes[budgets.index(1.0)]))
+    rows = [
+        _tradeoff_row(job, "constrained", emax, mix,
+                      estimate_mixture(case, frame, ch, mix, spec.sim_config()))
+        for emax, mix in zip(spec.emax, mixes)
+    ]
+    rows.append(_unconstrained_point(job, mixes[budgets.index(1.0)]))
     return rows
 
 
-def _unconstrained_point(spec: ExperimentSpec, case: Case, k: int, p11: float, p01: float,
-                         mix) -> dict:
-    """The unconstrained row from the single-policy mixture of price 0."""
-    frame, ch = FrameSpec(k), ChannelModel(p11, p01)
-    aoi, energy = mix.aoi_minus, mix.energy_minus
-    res = simulate(case, frame, ch, mix.pi_minus, spec.sim_config())
-    row = _provenance(spec, case, k, p11, p01)
-    row.update(
-        row_kind="unconstrained", emax="",
-        lambda_minus=0.0, lambda_plus=0.0, q=1.0,
-        energy_minus=energy, energy_plus=energy,
-        aoi_analytic=aoi, energy_analytic=energy,
-        aoi_mc=res.avg_aoi, energy_mc=res.avg_energy, aoi_mc_se=res.aoi_se,
-    )
-    return row
+def _unconstrained_point(job, mix) -> dict:
+    """The unconstrained row from the budget-1 mixture. It has price 0, q = 1
+    and two equal components, so its one policy is simulated alone."""
+    spec, case, k, p11, p01 = job
+    res = simulate(case, FrameSpec(k), ChannelModel(p11, p01), mix.pi_minus, spec.sim_config())
+    return _tradeoff_row(job, "unconstrained", "", mix, res)
 
 
 def _greedy_point(job) -> list[dict]:
@@ -245,27 +251,25 @@ def _greedy_point(job) -> list[dict]:
     cases = (Case.NO_SENSING, Case.DELAYED_SENSING)
     mixes = {
         case: bisect_lambda(
-            case, frame, ch, TruncationBound(spec.bound_n), spec.emax_list,
+            case, frame, ch, TruncationBound(spec.bound_n), spec.emax,
             eps=spec.eps, eps_lam=spec.eps_lambda,
         )
         for case in cases
     }
     rows = []
-    for i, emax in enumerate(spec.emax_list):
+    for i, emax in enumerate(spec.emax):
         aoi = {case: estimate_mixture(case, frame, ch, mixes[case][i], cfg).avg_aoi
                for case in cases}
         greedy = simulate_greedy(Case.NO_SENSING, frame, ch, emax, cfg).avg_aoi
-        row = {"emax": emax, "frame_k": k, "p11": p11, "p01": p01,
-               "bound_n": spec.bound_n, "eps": spec.eps, "eps_lambda": spec.eps_lambda,
-               "seed": spec.seed, "horizon": spec.horizon, "warmup": spec.warmup}
-        row.update(
-            aoi_no_sensing=aoi[Case.NO_SENSING],
-            aoi_delayed=aoi[Case.DELAYED_SENSING],
-            aoi_greedy=greedy,
-            gap_no_sensing=greedy - aoi[Case.NO_SENSING],
-            gap_delayed=greedy - aoi[Case.DELAYED_SENSING],
-        )
-        rows.append(row)
+        rows.append({
+            **_provenance(spec, k, p11, p01),
+            "emax": emax,
+            "aoi_no_sensing": aoi[Case.NO_SENSING],
+            "aoi_delayed": aoi[Case.DELAYED_SENSING],
+            "aoi_greedy": greedy,
+            "gap_no_sensing": greedy - aoi[Case.NO_SENSING],
+            "gap_delayed": greedy - aoi[Case.DELAYED_SENSING],
+        })
     return rows
 
 
@@ -282,7 +286,7 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> list[dict]:
     jobs = [
         (spec, case, k, p11, p01)
         for case in spec.cases()
-        for k in spec.frame_k_list
+        for k in spec.frame_k
         for p11, p01 in spec.pairs
     ]
     rows = _map_points(_constrained_point, jobs, spec.workers)
@@ -294,7 +298,7 @@ def run_greedy_comparison(spec: ExperimentSpec) -> list[dict]:
     """Optimal mixtures of both cases against the greedy baseline, matched
     seeds, one row per frame length, channel pair and budget; one job per
     (K, channel) curve."""
-    jobs = [(spec, k, p11, p01) for k in spec.frame_k_list for p11, p01 in spec.pairs]
+    jobs = [(spec, k, p11, p01) for k in spec.frame_k for p11, p01 in spec.pairs]
     rows = _map_points(_greedy_point, jobs, spec.workers)
     rows.sort(key=lambda r: (r["frame_k"], r["p11"], r["p01"], r["emax"]))
     return rows
@@ -304,8 +308,10 @@ def run_greedy_comparison(spec: ExperimentSpec) -> list[dict]:
 # single solve
 
 
-def _solve_rows(spec: ExperimentSpec, case: Case, lam: float | None) -> list[dict]:
-    frame = FrameSpec(spec.frame_k_list[0])
+def _solve_rows(spec: ExperimentSpec, case: Case, lam: float | None) -> tuple[list, list]:
+    """The cutoff table's columns and rows: the priced policy's at ``lam``,
+    otherwise both components of the first budget's mixture."""
+    frame = FrameSpec(spec.frame_k[0])
     p11, p01 = spec.pairs[0]
     ch = ChannelModel(p11, p01)
     bound = TruncationBound(spec.bound_n)
@@ -321,17 +327,17 @@ def _solve_rows(spec: ExperimentSpec, case: Case, lam: float | None) -> list[dic
         )
         components = [("priced", report.policy.as_threshold())]
     else:
-        [mix] = bisect_lambda(case, frame, ch, bound, spec.emax_list[:1],
+        [mix] = bisect_lambda(case, frame, ch, bound, spec.emax[:1],
                               eps=spec.eps, eps_lam=spec.eps_lambda)
         print(
-            f"# {case.value}: emax={spec.emax_list[0]} q={mix.q:.6f} "
+            f"# {case.value}: emax={spec.emax[0]} q={mix.q:.6f} "
             f"lam_minus={mix.lam_minus:.6f} lam_plus={mix.lam_plus:.6f} "
             f"aoi={mix.analytic_aoi():.9f} energy={mix.analytic_energy():.9f}",
             file=sys.stderr,
         )
         components = [("minus", mix.pi_minus), ("plus", mix.pi_plus)]
     columns = SOLVE_COLUMNS_BELIEF if case is Case.NO_SENSING else SOLVE_COLUMNS_AOI
-    return [
+    return columns, [
         dict(zip(columns, (case.value, name, *key, policy.thresholds[key])))
         for name, policy in components
         for key in sorted(policy.thresholds)
@@ -365,16 +371,16 @@ def _suite_instances(seed: int) -> list[dict]:
 
 
 def _check(report: list, name: str, instance, fn) -> None:
+    """Record one check; ``fn`` returns (passed, detail), and a crash fails it."""
     try:
-        detail = fn()
-        passed, detail = (True, detail) if not isinstance(detail, tuple) else detail
+        passed, detail = fn()
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     report.append({
         "name": name,
         "instance": instance,
         "passed": bool(passed),
-        "detail": detail if isinstance(detail, str) else "",
+        "detail": detail,
     })
 
 
@@ -407,7 +413,7 @@ def run_property_suite(spec: ExperimentSpec, inject_tie_break_bug: bool = False)
 
         def structure():
             extract_threshold_belief(ns_space, plain_ns.policy.actions)
-            return ""
+            return True, ""
 
         _check(checks, "threshold_structure", tag, structure)
 
@@ -439,7 +445,7 @@ def run_property_suite(spec: ExperimentSpec, inject_tie_break_bug: bool = False)
 
         def discounted_threshold():
             extract_threshold_belief(ns_space, discounted_ns.actions)
-            return ""
+            return True, ""
 
         _check(checks, "lemma_discounted_threshold", tag, discounted_threshold)
         _check(checks, "lemma_delayed_monotone_aoi", tag,
@@ -552,21 +558,29 @@ def _load_config(path: str) -> dict:
     return values
 
 
-_FLAG_DEFAULTS = {
-    "case": "both",
-    "frame_k": "3",
-    "p11": None,
-    "p01": None,
-    "emax": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-    "bound_n": "1000",
-    "eps": "1e-6",
-    "eps_lambda": "1e-4",
-    "horizon": "100000",
-    "seed": "1",
-    "warmup": "1000",
-    "out": None,
-    "workers": "1",
-}
+# Every flag the subcommands share: (flag, config key and ExperimentSpec
+# field, reader of its text, default text, further argparse options).
+# argparse also parses the scalar numbers, so a malformed one exits 2 there.
+# Precedence, highest first: explicit flag, config file, _COMMAND_DEFAULTS,
+# this table. p11 and p01 make the spec's one channel pair; without them it
+# sweeps DEFAULT_PAIRS.
+_FLAGS = [
+    ("--case", "case", str, "both", {"choices": CASE_CHOICES}),
+    ("--frame-K", "frame_k", _int_list, "3",
+     {"help": "frame length, or comma list for sweeps"}),
+    ("--p11", "p11", float, None, {}),
+    ("--p01", "p01", float, None, {}),
+    ("--emax", "emax", _float_list, "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+     {"help": "energy budget, or comma list for sweeps"}),
+    ("--bound-N", "bound_n", int, "1000", {}),
+    ("--eps", "eps", float, "1e-6", {}),
+    ("--eps-lambda", "eps_lambda", float, "1e-4", {}),
+    ("--horizon", "horizon", int, "100000", {}),
+    ("--seed", "seed", int, "1", {}),
+    ("--warmup", "warmup", int, "1000", {}),
+    ("--out", "out", str, None, {}),
+    ("--workers", "workers", int, "1", {}),
+]
 _COMMAND_DEFAULTS = {
     "framelength": {"frame_k": "2,3,4,5,6,7,8", "emax": "0.3"},
     "greedy-compare": {"emax": "0.1,0.2,0.3,0.4,0.5,0.6", "p11": "0.7", "p01": "0.3"},
@@ -581,27 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve, simulate, and sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-        ("tradeoff", "AoI/energy tradeoff sweep over energy budgets"),
-        ("framelength", "average AoI against the frame length"),
-        ("greedy-compare", "optimal policies against the greedy baseline"),
-        ("properties", "structural property checks, desk-scale"),
-        ("solve", "solve one instance and dump its policy cutoffs"),
-    ]:
+    for name, (_handler, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--case", choices=["no_sensing", "delayed_sensing", "both"])
-        p.add_argument("--frame-K", dest="frame_k", help="frame length, or comma list for sweeps")
-        p.add_argument("--p11", type=float)
-        p.add_argument("--p01", type=float)
-        p.add_argument("--emax", help="energy budget, or comma list for sweeps")
-        p.add_argument("--bound-N", dest="bound_n", type=int)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--eps-lambda", dest="eps_lambda", type=float)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--warmup", type=int)
-        p.add_argument("--out")
-        p.add_argument("--workers", type=int)
+        for flag, key, read, _default, options in _FLAGS:
+            p.add_argument(flag, dest=key, type=read if read in (int, float) else None, **options)
         p.add_argument("--config", help="key = value file; explicit flags win")
         if name == "properties":
             p.add_argument("--inject-tie-break-bug", action="store_true",
@@ -615,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    merged = dict(_FLAG_DEFAULTS)
+    merged = {key: default for _flag, key, _read, default, _options in _FLAGS}
     merged.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         config = _load_config(args.config)
@@ -624,31 +621,19 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(config)
     for key in merged:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = str(value)
 
-    if (merged["p11"] is None) != (merged["p01"] is None):
+    values = {
+        key: None if merged[key] is None else read(merged[key])
+        for _flag, key, read, _default, _options in _FLAGS
+    }
+    p11, p01 = values.pop("p11"), values.pop("p01")
+    if (p11 is None) != (p01 is None):
         raise ValueError("give both --p11 and --p01 or neither")
-    if merged["p11"] is not None:
-        pairs = ((float(merged["p11"]), float(merged["p01"])),)
-    else:
-        pairs = DEFAULT_PAIRS
-
-    return ExperimentSpec(
-        case=merged["case"],
-        frame_k_list=_int_list(merged["frame_k"]),
-        pairs=pairs,
-        emax_list=_float_list(merged["emax"]),
-        bound_n=int(merged["bound_n"]),
-        eps=float(merged["eps"]),
-        eps_lambda=float(merged["eps_lambda"]),
-        horizon=int(merged["horizon"]),
-        seed=int(merged["seed"]),
-        warmup=int(merged["warmup"]),
-        out=merged["out"],
-        workers=int(merged["workers"]),
-    )
+    pairs = DEFAULT_PAIRS if p11 is None else ((p11, p01),)
+    return ExperimentSpec(pairs=pairs, **values)
 
 
 def _cmd_tradeoff(spec: ExperimentSpec, args) -> int:
@@ -684,21 +669,19 @@ def _cmd_solve(spec: ExperimentSpec, args) -> int:
     if spec.case == "both":
         raise ValueError("solve dumps one cutoff table; pick --case no_sensing "
                          "or delayed_sensing")
-    if len(spec.frame_k_list) > 1 or len(spec.emax_list) > 1:
+    if len(spec.frame_k) > 1 or len(spec.emax) > 1:
         raise ValueError("solve dumps one cutoff table; give one --frame-K and one --emax")
-    case = spec.cases()[0]
-    rows = _solve_rows(spec, case, args.lam)
-    columns = SOLVE_COLUMNS_BELIEF if case is Case.NO_SENSING else SOLVE_COLUMNS_AOI
-    _write_csv(spec.out, columns, rows)
+    _write_csv(spec.out, *_solve_rows(spec, spec.cases()[0], args.lam))
     return EXIT_OK
 
 
+# subcommand: (handler, help line)
 _COMMANDS = {
-    "tradeoff": _cmd_tradeoff,
-    "framelength": _cmd_tradeoff,
-    "greedy-compare": _cmd_greedy,
-    "properties": _cmd_properties,
-    "solve": _cmd_solve,
+    "tradeoff": (_cmd_tradeoff, "AoI/energy tradeoff sweep over energy budgets"),
+    "framelength": (_cmd_tradeoff, "average AoI against the frame length"),
+    "greedy-compare": (_cmd_greedy, "optimal policies against the greedy baseline"),
+    "properties": (_cmd_properties, "structural property checks, desk-scale"),
+    "solve": (_cmd_solve, "solve one instance and dump its policy cutoffs"),
 }
 
 
@@ -706,7 +689,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _build_spec(args)
-        return _COMMANDS[args.command](spec, args)
+        handler, _help = _COMMANDS[args.command]
+        return handler(spec, args)
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -106,6 +106,28 @@ class TestTradeoff:
         assert len(prices) == 37
         assert prices.count(0.0) == 1
 
+    def test_unconstrained_row_is_the_budget_one_row(self, tmp_path):
+        # the unconstrained optimum is the budget-1 mixture: price 0, q = 1 and
+        # two equal components, simulated as its one policy
+        out = tmp_path / "tradeoff.csv"
+        code = main([
+            "tradeoff", "--case", "both", "--emax", "0.3,1.0", "--bound-N", "20",
+            "--horizon", "3000", "--warmup", "100", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = [dict(zip(TRADEOFF_COLUMNS, r)) for r in read_csv(out)[1:]]
+        results = TRADEOFF_COLUMNS[TRADEOFF_COLUMNS.index("lambda_minus"):]
+        assert len(results) == 10
+        curves = {(r["case"], r["p11"], r["p01"]) for r in rows}
+        assert len(curves) == 6
+        for curve in curves:
+            [budget_one] = [r for r in rows if (r["case"], r["p11"], r["p01"]) == curve
+                            and r["emax"] == "1.0"]
+            [unconstrained] = [r for r in rows if (r["case"], r["p11"], r["p01"]) == curve
+                               and r["row_kind"] == "unconstrained"]
+            assert budget_one["row_kind"] == "constrained"
+            assert [budget_one[c] for c in results] == [unconstrained[c] for c in results]
+
     def test_worker_pool_does_not_change_output(self, tmp_path):
         args = [
             "tradeoff", "--case", "both", "--p11", "0.7", "--p01", "0.3",

@@ -1,5 +1,6 @@
 """The boundary between the runtime package and the test oracles."""
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aoisched
 from aoisched import sim, solver
@@ -142,3 +145,37 @@ def test_simulating_sweeps_leave_numpy_random_unloaded(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["[0,", "0]", "False"]
+
+
+def _subparsers():
+    from aoisched import cli
+
+    [action] = [a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_declares_each_flag_and_subcommand_once():
+    from aoisched import cli
+
+    assert not hasattr(cli, "_FLAG_DEFAULTS")
+    subparsers = _subparsers()
+    assert list(subparsers) == list(cli._COMMANDS)
+    flags = {row[0] for row in cli._FLAGS}
+    extra = {"properties": {"--inject-tie-break-bug"}, "solve": {"--lam"}}
+    for name, parser in subparsers.items():
+        options = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert options == flags | {"--config"} | extra.get(name, set()), name
+
+
+def test_config_accepts_exactly_the_flag_table_keys(tmp_path):
+    from aoisched import cli
+
+    keys = [row[1] for row in cli._FLAGS]
+    others = ["config", "lam", "inject_tie_break_bug", "command", "pairs"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in keys + others))
+    args = cli._build_parser().parse_args(["tradeoff", "--config", str(cfg)])
+    with pytest.raises(ValueError) as err:
+        cli._build_spec(args)
+    assert str(err.value) == f"unknown config keys: {sorted(others)}"
